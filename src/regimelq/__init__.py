@@ -6,8 +6,8 @@ from .chain import (
     ChainPath,
     GeneratorMatrix,
     martingale_residual,
-    sample_chain_path,
     sample_chain_paths,
+    sample_regimes_on_grid,
     validate_generator,
 )
 from .model import (

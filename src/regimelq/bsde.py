@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .chain import GeneratorMatrix, sample_chain_paths, validate_generator
+from .chain import GeneratorMatrix, sample_regimes_on_grid, validate_generator
 from .errors import (
     IllConditionedRegression,
     NegativeRhat,
@@ -37,11 +37,10 @@ from .errors import (
 )
 from .model import ProblemSpec, make_problem
 from .riccati import RHAT_FLOOR
-from .streams import derive_rng
+from .streams import run_chunks
 
 COEFF_NAMES = ("A", "B", "C", "D", "Q", "S", "R", "G")
 CONDITION_MAX = 1e10
-BUNDLE_CHUNK = 4096
 DEGENERATE_STD = 1e-12
 
 
@@ -231,28 +230,19 @@ def generate_training_paths(
     """Euler driver paths plus exact chain paths on the uniform N-step grid."""
     if M < 1 or N < 1:
         raise ValidationError("need M >= 1 paths and N >= 1 steps")
-    T = model.T
-    h = T / N
-    times = np.linspace(0.0, T, N + 1)
+    h = model.T / N
+    times = np.linspace(0.0, model.T, N + 1)
+
+    def chunk(rng, n):
+        regimes = sample_regimes_on_grid(model.generator, model.i0, times, rng, n)
+        return regimes, rng.standard_normal((n, N)) * np.sqrt(h)
+
+    regimes, dW = run_chunks(M, seed, "bundle", chunk)
     y = np.empty((M, N + 1))
-    dW = np.empty((M, N))
-    regimes = np.empty((M, N + 1), dtype=np.int64)
-    for c, lo in enumerate(range(0, M, BUNDLE_CHUNK)):
-        hi = min(lo + BUNDLE_CHUNK, M)
-        rng = derive_rng(seed, "bundle", c)
-        if model.generator.is_zero:
-            regimes[lo:hi] = model.i0
-        else:
-            paths = sample_chain_paths(model.generator, model.i0, 0.0, T, rng, hi - lo)
-            for j, p in enumerate(paths):
-                regimes[lo + j] = p.regimes_on_grid(times)
-        dW[lo:hi] = rng.standard_normal((hi - lo, N)) * np.sqrt(h)
-        y[lo:hi, 0] = model.y0
-        for i in range(N):
-            yi = y[lo:hi, i]
-            y[lo:hi, i + 1] = (
-                yi + model.kappa * (model.theta_bar - yi) * h + model.nu * dW[lo:hi, i]
-            )
+    y[:, 0] = model.y0
+    for i in range(N):
+        yi = y[:, i]
+        y[:, i + 1] = yi + model.kappa * (model.theta_bar - yi) * h + model.nu * dW[:, i]
     return PathBundle(times=times, y=y, dW=dW, regimes=regimes, seed=seed)
 
 

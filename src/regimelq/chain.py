@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DimensionMismatch, EmptySample, NegativeOffDiagonal
+from .errors import DimensionMismatch, EmptySample, NegativeOffDiagonal, ValidationError
 
 DIAGONAL_REPAIR_TOL = 1e-12
 
@@ -108,62 +108,31 @@ class ChainPath:
         return counts
 
 
-def sample_chain_path(
-    gen: GeneratorMatrix,
-    i0: int,
-    t0: float,
-    T: float,
-    rng: np.random.Generator,
-) -> ChainPath:
-    """Sample one chain path exactly on [t0, T].
-
-    Holding time in regime k is Exponential(-rates[k, k]); the next regime
-    is drawn from the embedded chain.  A regime with zero total rate is
-    absorbing.
-    """
+def _check_sampler_args(gen: GeneratorMatrix, i0: int, t0: float, T: float, n_paths: int):
+    """Reject what the samplers cannot draw (checked before any draw)."""
+    if not 0 <= i0 < gen.size:
+        raise ValidationError(f"initial regime {i0} out of range [0, {gen.size})")
     if not t0 < T:
-        raise ValueError("require t0 < T")
-    rates = gen.rates
-    d = gen.size
-    if not 0 <= i0 < d:
-        raise ValueError(f"initial regime {i0} out of range")
-    jumps: list[float] = []
-    states: list[int] = []
-    t, k = t0, i0
-    while True:
-        rate = -rates[k, k]
-        if rate <= 0.0:
-            break
-        t = t + rng.exponential(1.0 / rate)
-        if t > T:
-            break
-        probs = rates[k].copy()
-        probs[k] = 0.0
-        k = int(rng.choice(d, p=probs / rate))
-        jumps.append(t)
-        states.append(k)
-    return ChainPath(
-        initial_regime=i0,
-        jump_times=np.asarray(jumps, dtype=np.float64),
-        states=np.asarray(states, dtype=np.int64),
-        t0=float(t0),
-        T=float(T),
-    )
+        raise ValidationError(f"require t0 < T, got t0={t0}, T={T}")
+    if n_paths < 1:
+        raise ValidationError("need at least one chain path")
 
 
-def sample_chain_paths(
+def _jump_rounds(
     gen: GeneratorMatrix,
     i0: int,
     t0: float,
     T: float,
     rng: np.random.Generator,
     n_paths: int,
-) -> list[ChainPath]:
-    """Sample ``n_paths`` chain paths with vectorized event rounds.
+):
+    """Exact event rounds of ``n_paths`` chains started in ``i0`` at ``t0``.
 
-    Statistically identical to repeated :func:`sample_chain_path`; all
-    active paths advance one jump per round so the per-path work is a few
-    vectorized draws.
+    Holding time in regime k is Exponential(-rates[k, k]); the next regime
+    is drawn from the embedded chain.  A regime with zero total rate is
+    absorbing.  All active paths advance one jump per round, so the per-path
+    work is a few vectorized draws.  Each round yields ``(paths, jump times,
+    regimes left, regimes entered)`` for the paths that jumped in (t0, T].
     """
     rates = gen.rates
     d = gen.size
@@ -177,7 +146,6 @@ def sample_chain_paths(
 
     t = np.full(n_paths, float(t0))
     k = np.full(n_paths, int(i0), dtype=np.int64)
-    jump_lists: list[list[tuple[float, int]]] = [[] for _ in range(n_paths)]
     active = np.flatnonzero(hold_rates[k] > 0.0)
     while active.size:
         rate = hold_rates[k[active]]
@@ -186,17 +154,33 @@ def sample_chain_paths(
         if still.size:
             u = rng.random(still.size)
             nxt = (u[:, None] < cum[k[still]]).argmax(axis=1)
-            for j, tj, kj in zip(still, t[still], nxt):
-                jump_lists[j].append((float(tj), int(kj)))
+            yield still, t[still], k[still], nxt
             k[still] = nxt
         active = still[hold_rates[k[still]] > 0.0]
 
+
+def sample_chain_paths(
+    gen: GeneratorMatrix,
+    i0: int,
+    t0: float,
+    T: float,
+    rng: np.random.Generator,
+    n_paths: int,
+) -> list[ChainPath]:
+    """Sample ``n_paths`` exact chain paths on [t0, T].
+
+    Raises :class:`ValidationError` unless ``0 <= i0 < d``, ``t0 < T`` and
+    ``n_paths >= 1``.
+    """
+    _check_sampler_args(gen, i0, t0, T, n_paths)
+    jump_lists: list[list[tuple[float, int]]] = [[] for _ in range(n_paths)]
+    for still, t_jump, _, nxt in _jump_rounds(gen, i0, t0, T, rng, n_paths):
+        for j, tj, kj in zip(still, t_jump, nxt):
+            jump_lists[j].append((float(tj), int(kj)))
+
     out = []
-    for j in range(n_paths):
-        if jump_lists[j]:
-            times, states = zip(*jump_lists[j])
-        else:
-            times, states = (), ()
+    for jumps in jump_lists:
+        times, states = zip(*jumps) if jumps else ((), ())
         out.append(
             ChainPath(
                 initial_regime=int(i0),
@@ -207,6 +191,36 @@ def sample_chain_paths(
             )
         )
     return out
+
+
+def sample_regimes_on_grid(
+    gen: GeneratorMatrix,
+    i0: int,
+    times: NDArray[np.float64],
+    rng: np.random.Generator,
+    n_paths: int,
+) -> NDArray[np.int64]:
+    """Right-continuous regimes of ``n_paths`` exact chains at each grid time.
+
+    Draws exactly what :func:`sample_chain_paths` draws on
+    [times[0], times[-1]], in the same order, and returns the
+    ``(n_paths, len(times))`` array that ``ChainPath.regimes_on_grid`` gives
+    for each of those paths; validates like :func:`sample_chain_paths`.  A
+    jump at t changes the regime from the first node at or after t onward;
+    per-node changes are summed, so several jumps between two nodes
+    telescope to the last regime entered.  The array is node-major in
+    memory (Fortran order): the simulation kernel reads it one node at a
+    time.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1 or times.size < 2:
+        raise ValidationError("need a grid of at least two times")
+    _check_sampler_args(gen, i0, times[0], times[-1], n_paths)
+    change = np.zeros((len(times), n_paths), dtype=np.int64)
+    change[0] = i0
+    for still, t_jump, prev, nxt in _jump_rounds(gen, i0, times[0], times[-1], rng, n_paths):
+        change[np.searchsorted(times, t_jump, side="left"), still] += nxt - prev
+    return np.cumsum(change, axis=0).T
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,20 @@
 """Joint simulation of (W, chain, X, u) and Monte Carlo cost estimation.
 
-Two layers live here.  ``simulate_closed_loop`` builds one fully recorded
-path (used by algebraic checks and path dumps).  ``mc_run`` is the batch
-engine: paths are processed in fixed-size chunks, each chunk owning a
-random stream derived from (seed, chunk index), so estimates are
-bit-identical regardless of worker count, and per-path costs are
-aggregated in path order.
+One kernel steps every path.  A control u = Theta X + v is first turned
+into a table per (grid node, regime) of the closed-loop coefficients
+Acl = A + B Theta, Ccl = C + D Theta, Mcl = Q + Theta'S + S'Theta +
+Theta'R Theta and, when an open-loop part v is present, the affine terms
+B v, D v, S'v + Theta'R v and v'R v; a pure ``ControlTable`` has Theta = 0.
+Each step gathers every path's row by its regime and applies it with
+einsum mat-vecs.  The chain is sampled exactly and written straight onto
+the grid.  ``mc_run`` and ``paired_refinement_run`` hand their paths to the
+chunk driver :func:`~regimelq.streams.run_chunks`, which the BSDE training
+bundle shares: each chunk owns a random stream derived from (seed, key,
+chunk index), so estimates are bit-identical regardless of worker count,
+and per-path results are kept in path order.  ``simulate_closed_loop`` is
+the same noise draw and kernel on one path with its states recorded (used
+by algebraic checks and path dumps).  ``euler_maruyama_step`` and
+``evaluate_cost`` are the per-path reference the kernel is tested against.
 
 Conventions: controls and regimes are evaluated at left endpoints
 (explicit scheme, predictable integrands); the chain is simulated exactly
@@ -14,19 +23,18 @@ and projected onto the grid; the running cost is a left Riemann sum.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .chain import ChainPath, sample_chain_path, sample_chain_paths
+from .chain import sample_regimes_on_grid
 from .errors import NonFiniteState, ValidationError
 from .model import CoefficientSet, ProblemSpec
 from .riccati import FeedbackLaw, _stacks
-from .streams import derive_rng
-
-CHUNK_SIZE = 4096
+# CHUNK_SIZE is re-exported: it is the path count of one batch chunk
+from .streams import CHUNK_SIZE, derive_rng, run_chunks
 
 
 @dataclass(frozen=True)
@@ -72,7 +80,6 @@ class PathRecord:
 
     times: NDArray[np.float64]  # (N+1,)
     dW: NDArray[np.float64]  # (N,)
-    chain: ChainPath
     regimes: NDArray[np.int64]  # (N+1,) regime at each node
     X: NDArray[np.float64]  # (N+1, n)
     U: NDArray[np.float64]  # (N, m), left endpoints
@@ -98,23 +105,15 @@ def euler_maruyama_step(
 
 def evaluate_cost(path: PathRecord, problem: ProblemSpec) -> float:
     """Quadratic cost of a recorded path: left Riemann sum plus terminal term."""
-    return _running_cost(path, problem) + _terminal_cost(path, problem)
-
-
-def _running_cost(path: PathRecord, problem: ProblemSpec) -> float:
     h = path.times[1] - path.times[0]
     total = 0.0
     for i in range(len(path.U)):
         cs = problem.coefficients[problem.segment_index(path.times[i])][path.regimes[i]]
         x, u = path.X[i], path.U[i]
         total += (x @ cs.Q @ x + 2.0 * (u @ cs.S @ x) + u @ cs.R @ u) * h
-    return float(total)
-
-
-def _terminal_cost(path: PathRecord, problem: ProblemSpec) -> float:
     G = problem.terminal_weights()[path.regimes[-1]]
     xT = path.X[-1]
-    return float(xT @ G @ xT)
+    return float(total + xT @ G @ xT)
 
 
 def simulate_closed_loop(
@@ -125,36 +124,21 @@ def simulate_closed_loop(
     The law should be solved on a grid at least as fine as N; off-node gains
     come from the law's P interpolation either way.
     """
-    rng = derive_rng(seed, "path")
-    T = problem.T
-    h = T / N
-    times = np.linspace(0.0, T, N + 1)
-    chain = sample_chain_path(problem.generator, problem.i0, 0.0, T, rng)
-    regimes = chain.regimes_on_grid(times)
-    dW = rng.standard_normal(N) * np.sqrt(h)
-
-    X = np.empty((N + 1, problem.n))
-    U = np.empty((N, problem.m))
-    X[0] = problem.x0
-    for i in range(N):
-        k = int(regimes[i])
-        cs = problem.coefficients[problem.segment_index(times[i])][k]
-        U[i] = law.gain(times[i], k) @ X[i]
-        X[i + 1] = euler_maruyama_step(X[i], U[i], cs, dW[i], h)
-
-    record = PathRecord(
+    times = np.linspace(0.0, problem.T, N + 1)
+    table = _loop_table(problem, law, times)
+    regimes, dW = _draw_chunk_noise(problem, times, derive_rng(seed, "path"), 1)
+    X = np.empty((1, N + 1, problem.n))
+    running, terminal, _ = _evolve(problem, table, regimes, dW, states=X)
+    gains = table.gains[np.arange(N), regimes[0, :-1]]  # (N, m, n)
+    return PathRecord(
         times=times,
-        dW=dW,
-        chain=chain,
-        regimes=regimes,
-        X=X,
-        U=U,
-        running_cost=0.0,
-        terminal_cost=0.0,
+        dW=dW[0],
+        regimes=regimes[0],
+        X=X[0],
+        U=np.einsum("imn,in->im", gains, X[0, :-1]),
+        running_cost=float(running[0]),
+        terminal_cost=float(terminal[0]),
     )
-    record.running_cost = _running_cost(record, problem)
-    record.terminal_cost = _terminal_cost(record, problem)
-    return record
 
 
 # --- batch engine ---------------------------------------------------------
@@ -179,107 +163,85 @@ def _resolve_control(control: Control, problem: ProblemSpec, times) -> tuple:
     return gains, table
 
 
+class _LoopTable(NamedTuple):
+    """One control on one grid, per (node, regime); see the module docstring."""
+
+    h: float
+    gains: NDArray | None  # (N, D, m, n) Theta; None for a pure ControlTable
+    W: NDArray  # (N, D, 3n, n): Acl, Ccl, Mcl stacked
+    w: NDArray | None  # (N, D, 3n): B v, D v, 2 (S'v + Theta'R v); None without v
+    c: NDArray | None  # (N, D): v'R v
+
+
+def _loop_table(problem: ProblemSpec, control: Control, times) -> _LoopTable:
+    """Closed-loop coefficients of ``control`` at every grid node and regime."""
+    gains, v = _resolve_control(control, problem, times)
+    stacks = _stacks(problem)
+    seg = [problem.segment_index(t) for t in times[:-1]]
+    A, B, C, D, Q, S, R = (
+        np.stack([getattr(stacks[j], name) for j in seg]) for name in "ABCDQSR"
+    )
+    Theta = np.zeros(B.shape[:2] + (problem.m, problem.n)) if gains is None else gains
+    ThetaT = Theta.swapaxes(-1, -2)
+    cross = ThetaT @ S
+    W = np.concatenate(
+        [A + B @ Theta, C + D @ Theta, Q + cross + cross.swapaxes(-1, -2) + ThetaT @ R @ Theta],
+        axis=-2,
+    )
+    h = float(times[1] - times[0])
+    if v is None:
+        return _LoopTable(h, gains, W, None, None)
+    v = np.broadcast_to(v[:, None, :, None], B.shape[:2] + (problem.m, 1))
+    Rv = R @ v
+    w = np.concatenate([B @ v, D @ v, 2.0 * (S.swapaxes(-1, -2) @ v + ThetaT @ Rv)], axis=-2)
+    c = v.swapaxes(-1, -2) @ Rv
+    return _LoopTable(h, gains, W, w[..., 0], c[..., 0, 0])
+
+
 def _draw_chunk_noise(problem: ProblemSpec, times, rng, n_chunk: int):
-    """Exact chain paths projected on the grid, plus Brownian increments."""
+    """Exact chain regimes on the grid, plus Brownian increments.
+
+    Both (paths, nodes) arrays are node-major in memory, so each kernel
+    step reads contiguous rows without a transposed copy.
+    """
+    regimes = sample_regimes_on_grid(problem.generator, problem.i0, times, rng, n_chunk)
     N = len(times) - 1
-    h = times[1] - times[0]
-    if problem.generator.is_zero:
-        regimes = np.full((n_chunk, N + 1), problem.i0, dtype=np.int64)
-    else:
-        paths = sample_chain_paths(
-            problem.generator, problem.i0, 0.0, problem.T, rng, n_chunk
-        )
-        regimes = np.empty((n_chunk, N + 1), dtype=np.int64)
-        for j, p in enumerate(paths):
-            if len(p.jump_times) == 0:
-                regimes[j] = p.initial_regime
-            else:
-                regimes[j] = p.regimes_on_grid(times)
-    dW = rng.standard_normal((n_chunk, N)) * np.sqrt(h)
+    dW = np.empty((N, n_chunk)).T
+    np.multiply(rng.standard_normal((n_chunk, N)), np.sqrt(times[1] - times[0]), out=dW)
     return regimes, dW
 
 
-def _evolve_costs_scalar(problem, stacks, seg_idx, gains, table, times, regimes, dW):
-    """Fast path for n = m = 1: coefficients become regime-indexed vectors."""
-    N = len(times) - 1
-    h = times[1] - times[0]
-    n_chunk = regimes.shape[0]
-    flat = lambda M: M[:, 0, 0]
-    coef = [
-        tuple(flat(getattr(st, name)) for name in ("A", "B", "C", "D", "Q", "S", "R"))
-        for st in stacks
-    ]
-    gains_flat = gains[:, :, 0, 0] if gains is not None else None
-    X = np.full(n_chunk, problem.x0[0])
-    costs = np.zeros(n_chunk)
-    for i in range(N):
-        a, b, c, d, q, s, r = coef[seg_idx[i]]
-        reg = regimes[:, i]
-        if gains_flat is not None:
-            u = gains_flat[i][reg] * X
-            if table is not None:
-                u = u + table[i, 0]
+def _evolve(problem: ProblemSpec, table: _LoopTable, regimes, dW, states=None):
+    """Step every path of a chunk; returns (running costs, terminal costs, X_T).
+
+    ``states``, when given, receives X at every node, shape (paths, N+1, n).
+    """
+    n = problem.n
+    h = table.h
+    X = np.broadcast_to(problem.x0, (regimes.shape[0], n)).copy()
+    running = np.zeros(regimes.shape[0])
+    for i, (reg, dw) in enumerate(zip(regimes.T, dW.T)):
+        if states is not None:
+            states[:, i] = X
+        Y = np.einsum("pij,pj->pi", np.take(table.W[i], reg, axis=0), X)
+        if table.w is None:
+            running += h * np.einsum("pi,pi->p", X, Y[:, 2 * n :])
         else:
-            u = np.full(n_chunk, table[i, 0])
-        costs += h * (q[reg] * X * X + 2.0 * s[reg] * u * X + r[reg] * u * u)
-        X = X + (a[reg] * X + b[reg] * u) * h + (c[reg] * X + d[reg] * u) * dW[:, i]
+            Y += np.take(table.w[i], reg, axis=0)
+            running += h * (np.einsum("pi,pi->p", X, Y[:, 2 * n :]) + np.take(table.c[i], reg))
+        X = X + Y[:, :n] * h + Y[:, n : 2 * n] * dw[:, None]
     if not np.all(np.isfinite(X)):
         raise NonFiniteState("state became non-finite during batch simulation")
-    g = problem.terminal_weights()[:, 0, 0]
-    costs += g[regimes[:, N]] * X * X
-    return costs, X[:, None]
-
-
-def _evolve_costs(
-    problem: ProblemSpec,
-    stacks,
-    seg_idx,
-    gains,
-    table,
-    times,
-    regimes,
-    dW,
-):
-    """Vectorized closed-form stepping of one chunk; returns (costs, X_T)."""
-    if problem.n == 1 and problem.m == 1:
-        return _evolve_costs_scalar(
-            problem, stacks, seg_idx, gains, table, times, regimes, dW
-        )
-    N = len(times) - 1
-    h = times[1] - times[0]
-    n_chunk = regimes.shape[0]
-    X = np.broadcast_to(problem.x0, (n_chunk, problem.n)).copy()
-    costs = np.zeros(n_chunk)
-    for i in range(N):
-        st = stacks[seg_idx[i]]
-        reg = regimes[:, i]
-        X_next = np.empty_like(X)
-        for k in np.unique(reg):
-            idx = reg == k
-            Xk = X[idx]
-            if gains is not None:
-                uk = Xk @ gains[i, k].T
-                if table is not None:
-                    uk = uk + table[i]
-            else:
-                uk = np.broadcast_to(table[i], (Xk.shape[0], problem.m))
-            drift = Xk @ st.A[k].T + uk @ st.B[k].T
-            diff = Xk @ st.C[k].T + uk @ st.D[k].T
-            X_next[idx] = Xk + drift * h + diff * dW[idx, i][:, None]
-            costs[idx] += h * (
-                np.einsum("pi,ij,pj->p", Xk, st.Q[k], Xk)
-                + 2.0 * np.einsum("pi,ij,pj->p", uk, st.S[k], Xk)
-                + np.einsum("pi,ij,pj->p", uk, st.R[k], uk)
-            )
-        X = X_next
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteState("state became non-finite during batch simulation")
+    if states is not None:
+        states[:, -1] = X
     G = problem.terminal_weights()
-    reg_T = regimes[:, N]
-    for k in np.unique(reg_T):
-        idx = reg_T == k
-        costs[idx] += np.einsum("pi,ij,pj->p", X[idx], G[k], X[idx])
-    return costs, X
+    terminal = np.einsum("pi,pij,pj->p", X, G[regimes[:, -1]], X)
+    return running, terminal, X
+
+
+def _cost_and_state(problem: ProblemSpec, table: _LoopTable, regimes, dW):
+    running, terminal, X_T = _evolve(problem, table, regimes, dW)
+    return running + terminal, X_T
 
 
 def mc_run(
@@ -297,46 +259,18 @@ def mc_run(
     ``control_b`` is given, ``(costs_a, costs_b, X_T_a)`` where both control
     variants share the same chain and Brownian draws (common random numbers).
     """
-    if n_paths < 1:
-        raise ValidationError("need at least one path")
-    T = problem.T
-    times = np.linspace(0.0, T, N + 1)
-    stacks = _stacks(problem)
-    seg_idx = np.array([problem.segment_index(t) for t in times[:-1]])
-    gains_a, table_a = _resolve_control(control, problem, times)
-    paired = control_b is not None
-    if paired:
-        gains_b, table_b = _resolve_control(control_b, problem, times)
+    times = np.linspace(0.0, problem.T, N + 1)
+    table_a = _loop_table(problem, control, times)
+    table_b = None if control_b is None else _loop_table(problem, control_b, times)
 
-    costs = np.empty(n_paths)
-    costs_b = np.empty(n_paths) if paired else None
-    X_T = np.empty((n_paths, problem.n))
-    chunks = [
-        (c, lo, min(lo + CHUNK_SIZE, n_paths))
-        for c, lo in enumerate(range(0, n_paths, CHUNK_SIZE))
-    ]
+    def chunk(rng, n):
+        regimes, dW = _draw_chunk_noise(problem, times, rng, n)
+        costs, X_T = _cost_and_state(problem, table_a, regimes, dW)
+        if table_b is None:
+            return costs, X_T
+        return costs, _cost_and_state(problem, table_b, regimes, dW)[0], X_T
 
-    def run_chunk(spec):
-        c, lo, hi = spec
-        rng = derive_rng(seed, "chunk", c)
-        regimes, dW = _draw_chunk_noise(problem, times, rng, hi - lo)
-        costs[lo:hi], X_T[lo:hi] = _evolve_costs(
-            problem, stacks, seg_idx, gains_a, table_a, times, regimes, dW
-        )
-        if paired:
-            costs_b[lo:hi], _ = _evolve_costs(
-                problem, stacks, seg_idx, gains_b, table_b, times, regimes, dW
-            )
-
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, chunks))
-    else:
-        for spec in chunks:
-            run_chunk(spec)
-    if paired:
-        return costs, costs_b, X_T
-    return costs, X_T
+    return run_chunks(n_paths, seed, "chunk", chunk, workers)
 
 
 def paired_refinement_run(
@@ -355,44 +289,18 @@ def paired_refinement_run(
     ``control_for(N)`` must return the control source for an N-step grid.
     Returns (costs_N, costs_2N, X_T_N, X_T_2N).
     """
-    T = problem.T
-    times2 = np.linspace(0.0, T, 2 * N + 1)
-    times1 = times2[::2]
-    stacks = _stacks(problem)
-    seg1 = np.array([problem.segment_index(t) for t in times1[:-1]])
-    seg2 = np.array([problem.segment_index(t) for t in times2[:-1]])
-    gains1, table1 = _resolve_control(control_for(N), problem, times1)
-    gains2, table2 = _resolve_control(control_for(2 * N), problem, times2)
+    times2 = np.linspace(0.0, problem.T, 2 * N + 1)
+    table1 = _loop_table(problem, control_for(N), times2[::2])
+    table2 = _loop_table(problem, control_for(2 * N), times2)
 
-    costs1 = np.empty(n_paths)
-    costs2 = np.empty(n_paths)
-    xT1 = np.empty((n_paths, problem.n))
-    xT2 = np.empty((n_paths, problem.n))
-    chunks = [
-        (c, lo, min(lo + CHUNK_SIZE, n_paths))
-        for c, lo in enumerate(range(0, n_paths, CHUNK_SIZE))
-    ]
-
-    def run_chunk(spec):
-        c, lo, hi = spec
-        rng = derive_rng(seed, "refine", c)
-        regimes2, dW2 = _draw_chunk_noise(problem, times2, rng, hi - lo)
-        regimes1 = regimes2[:, ::2]
+    def chunk(rng, n):
+        regimes2, dW2 = _draw_chunk_noise(problem, times2, rng, n)
         dW1 = dW2[:, 0::2] + dW2[:, 1::2]
-        costs1[lo:hi], xT1[lo:hi] = _evolve_costs(
-            problem, stacks, seg1, gains1, table1, times1, regimes1, dW1
-        )
-        costs2[lo:hi], xT2[lo:hi] = _evolve_costs(
-            problem, stacks, seg2, gains2, table2, times2, regimes2, dW2
-        )
+        costs1, xT1 = _cost_and_state(problem, table1, regimes2[:, ::2], dW1)
+        costs2, xT2 = _cost_and_state(problem, table2, regimes2, dW2)
+        return costs1, costs2, xT1, xT2
 
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, chunks))
-    else:
-        for spec in chunks:
-            run_chunk(spec)
-    return costs1, costs2, xT1, xT2
+    return run_chunks(n_paths, seed, "refine", chunk, workers)
 
 
 def _estimate(values: NDArray, seed: int) -> MCEstimate:

@@ -1,15 +1,22 @@
-"""Deterministic derivation of independent random streams.
+"""Deterministic derivation of independent random streams, and the chunk driver.
 
 Every stochastic routine in the package takes an explicit integer seed and
 derives sub-streams with :func:`derive_seed`, so results are reproducible
-bit-for-bit and independent of execution order or worker count.
+bit-for-bit and independent of execution order or worker count.  Batch
+simulations split their paths with :func:`run_chunks`, which owns the chunk
+layout and the per-chunk stream keys.
 """
 
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+from .errors import ValidationError
+
+CHUNK_SIZE = 4096
 
 
 def derive_seed(master_seed: int, *key) -> int:
@@ -29,3 +36,35 @@ def derive_seed(master_seed: int, *key) -> int:
 def derive_rng(master_seed: int, *key) -> np.random.Generator:
     """Independent ``numpy`` Generator keyed by ``(master_seed, *key)``."""
     return np.random.default_rng(derive_seed(master_seed, *key))
+
+
+def run_chunks(n_paths: int, seed: int, key: str, draw, workers: int = 1) -> tuple:
+    """Run ``draw(rng, n)`` on consecutive chunks of at most ``CHUNK_SIZE`` paths.
+
+    ``draw`` returns a tuple of arrays whose first axis runs over the
+    chunk's n paths; the result is the same tuple over all ``n_paths``
+    paths, in path order.  Chunk c draws from ``derive_rng(seed, key, c)``,
+    so the result does not depend on ``workers``; with ``workers > 1`` the
+    chunks run on a thread pool.  Raises :class:`ValidationError` when
+    ``n_paths < 1``.
+    """
+    if n_paths < 1:
+        raise ValidationError("need at least one path")
+    sizes = [min(CHUNK_SIZE, n_paths - lo) for lo in range(0, n_paths, CHUNK_SIZE)]
+    run = lambda c: draw(derive_rng(seed, key, c), sizes[c])
+    if workers > 1 and len(sizes) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return _in_path_order(pool.map(run, range(len(sizes))), n_paths)
+    return _in_path_order(map(run, range(len(sizes))), n_paths)
+
+
+def _in_path_order(parts, n_paths: int) -> tuple:
+    """Copy each chunk's arrays into whole-run arrays as the chunks arrive."""
+    out, lo = None, 0
+    for part in parts:
+        if out is None:
+            out = tuple(np.empty((n_paths,) + a.shape[1:], a.dtype) for a in part)
+        for dst, a in zip(out, part):
+            dst[lo : lo + len(a)] = a
+        lo += len(part[0])
+    return out

@@ -7,6 +7,9 @@ non-convex instance:
 * two_regime_coupling: pure jump coupling, P_1(0) = 1 + e^-2, P_2(0) = 1 - e^-2.
 * det_lqr: no diffusion, no chain; oracle is a fine RK4 integration.
 * nonconvex: terminal weight -10 with D = 1, so R + D'PD < 0 at T.
+
+It also holds two instances without oracles for the simulation engine: a
+switching scalar problem and a multidimensional one.
 """
 
 import numpy as np
@@ -60,6 +63,51 @@ def stochastic_scalar() -> rl.ProblemSpec:
         n=1, m=1, T=1.0, generator=[[0.0]],
         coefficients=[[{"A": 0.1, "B": 0.5, "C": 0.2, "D": 0.3, "Q": 1.0, "S": 0.1, "R": 1.0}]],
         G=[[[1.0]]], x0=[1.0], i0=0,
+    )
+
+
+def switching_scalar() -> rl.ProblemSpec:
+    """Two regimes with different scalar dynamics and genuine noise."""
+    return rl.make_problem(
+        n=1, m=1, T=1.0, generator=[[-2.0, 2.0], [1.5, -1.5]],
+        coefficients=[[
+            {"A": 0.1, "B": 0.5, "C": 0.2, "D": 0.3, "Q": 1.0, "S": 0.1, "R": 1.0},
+            {"A": -0.3, "B": 1.0, "C": 0.4, "D": 0.1, "Q": 0.5, "S": -0.2, "R": 2.0},
+        ]],
+        G=[[[1.0]], [[0.5]]], x0=[1.0], i0=0,
+    )
+
+
+def multidim_two_segment() -> rl.ProblemSpec:
+    """n = 3, m = 2, three regimes, coefficients switching at t = 0.5.
+
+    Convex by construction: R = I, G and Q - S'S are positive semidefinite
+    (||S||_2 <= 0.5), so Rhat = R + D'PD >= I along the whole solve.
+    """
+    rng = np.random.default_rng(2024)
+    n, m, d = 3, 2, 3
+
+    def regime():
+        S = rng.standard_normal((m, n))
+        L = rng.standard_normal((n, n))
+        return {
+            "A": -0.3 * np.eye(n) + 0.2 * rng.standard_normal((n, n)),
+            "B": 0.5 * rng.standard_normal((n, m)),
+            "C": 0.2 * rng.standard_normal((n, n)),
+            "D": 0.2 * rng.standard_normal((n, m)),
+            "Q": np.eye(n) + 0.1 * L @ L.T,
+            "S": 0.5 * S / np.linalg.norm(S, 2),
+            "R": np.eye(m),
+        }
+
+    rates = rng.uniform(0.5, 2.0, size=(d, d))
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    return rl.make_problem(
+        n=n, m=m, T=1.0, generator=rates,
+        coefficients=[[regime() for _ in range(d)] for _ in range(2)],
+        G=[0.5 * np.eye(n) for _ in range(d)], x0=[1.0, -0.5, 0.3], i0=1,
+        breakpoints=[0.0, 0.5, 1.0],
     )
 
 

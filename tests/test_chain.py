@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import regimelq as rl
-from regimelq.errors import DimensionMismatch, EmptySample, NegativeOffDiagonal
+from regimelq.errors import DimensionMismatch, EmptySample, NegativeOffDiagonal, ValidationError
 from regimelq.streams import derive_rng, derive_seed
 
 
@@ -37,20 +37,18 @@ class TestValidateGenerator:
 class TestSampleChainPath:
     def test_zero_generator_never_jumps(self):
         gen = rl.validate_generator([[0.0]])
-        path = rl.sample_chain_path(gen, 0, 0.0, 5.0, derive_rng(1))
-        assert len(path.jump_times) == 0
-        assert path.regime_at(3.0) == 0
+        paths = rl.sample_chain_paths(gen, 0, 0.0, 5.0, derive_rng(1), 20)
+        assert all(len(p.jump_times) == 0 for p in paths)
+        assert all(p.regime_at(3.0) == 0 for p in paths)
 
     def test_absorbing_state_stops(self):
         gen = rl.validate_generator([[-3.0, 3.0], [0.0, 0.0]])
-        path = rl.sample_chain_path(gen, 0, 0.0, 100.0, derive_rng(2))
-        assert len(path.jump_times) == 1
-        assert path.states[0] == 1
+        paths = rl.sample_chain_paths(gen, 0, 0.0, 100.0, derive_rng(2), 200)
+        assert all(len(p.jump_times) == 1 and p.states[0] == 1 for p in paths)
 
     def test_path_invariants(self):
         gen = rl.validate_generator([[-2.0, 2.0], [2.0, -2.0]])
-        for j in range(200):
-            path = rl.sample_chain_path(gen, 0, 0.0, 1.0, derive_rng(3, j))
+        for path in rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(3), 200):
             assert np.all(np.diff(path.jump_times) > 0)
             assert np.all(path.jump_times > 0.0) and np.all(path.jump_times <= 1.0)
             seq = np.concatenate(([path.initial_regime], path.states))
@@ -60,22 +58,20 @@ class TestSampleChainPath:
         # first holding time in state 0 is Exponential(2): mean 0.5
         gen = rl.validate_generator([[-2.0, 2.0], [2.0, -2.0]])
         n = 20_000
-        first = np.array([
-            rl.sample_chain_path(gen, 0, 0.0, 10.0, derive_rng(4, j)).jump_times[0]
-            for j in range(n)
-        ])
+        paths = rl.sample_chain_paths(gen, 0, 0.0, 10.0, derive_rng(4), n)
+        first = np.array([p.jump_times[0] for p in paths])
         assert abs(first.mean() - 0.5) <= 3.0 * 0.5 / np.sqrt(n)
 
     def test_deterministic_given_seed(self):
         gen = rl.validate_generator([[-2.0, 2.0], [1.0, -1.0]])
-        a = rl.sample_chain_path(gen, 0, 0.0, 1.0, derive_rng(5))
-        b = rl.sample_chain_path(gen, 0, 0.0, 1.0, derive_rng(5))
+        (a,) = rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(5), 1)
+        (b,) = rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(5), 1)
         np.testing.assert_array_equal(a.jump_times, b.jump_times)
         np.testing.assert_array_equal(a.states, b.states)
 
 
 class TestBatchSampler:
-    def test_matches_distribution_of_single_sampler(self):
+    def test_occupation_mean_matches_exact(self):
         # occupation fraction of state 0 for the symmetric rate-2 chain is 1/2
         gen = rl.validate_generator([[-2.0, 2.0], [2.0, -2.0]])
         paths = rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(6), 40_000)
@@ -91,6 +87,17 @@ class TestBatchSampler:
         for pa, pb in zip(a, b):
             np.testing.assert_array_equal(pa.jump_times, pb.jump_times)
             np.testing.assert_array_equal(pa.states, pb.states)
+
+    @pytest.mark.parametrize(
+        "i0, t0, T, n_paths",
+        [(-1, 0.0, 1.0, 5), (2, 0.0, 1.0, 5), (0, 1.0, 1.0, 5), (0, 2.0, 1.0, 5), (0, 0.0, 1.0, 0)],
+    )
+    def test_bad_arguments_rejected(self, i0, t0, T, n_paths):
+        gen = rl.validate_generator([[-2.0, 2.0], [1.0, -1.0]])
+        with pytest.raises(ValidationError):
+            rl.sample_chain_paths(gen, i0, t0, T, derive_rng(8), n_paths)
+        with pytest.raises(ValidationError):
+            rl.sample_regimes_on_grid(gen, i0, np.array([t0, T]), derive_rng(8), n_paths)
 
 
 class TestCountingProcess:
@@ -121,7 +128,7 @@ class TestCountingProcess:
 class TestMartingaleResidual:
     def test_zero_generator_exact(self):
         gen = rl.validate_generator([[0.0, 0.0], [0.0, 0.0]])
-        paths = [rl.sample_chain_path(gen, 0, 0.0, 1.0, derive_rng(8, j)) for j in range(50)]
+        paths = rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(8), 50)
         res = rl.martingale_residual(paths, gen, 1.0)
         np.testing.assert_array_equal(res.mean, np.zeros((2, 2)))
 
@@ -143,7 +150,7 @@ class TestMartingaleResidual:
     def test_single_path_stderr_flagged(self):
         gen = rl.validate_generator([[-1.0, 1.0], [1.0, -1.0]])
         res = rl.martingale_residual(
-            [rl.sample_chain_path(gen, 0, 0.0, 1.0, derive_rng(11))], gen, 1.0
+            rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(11), 1), gen, 1.0
         )
         assert res.n == 1
         assert np.all(np.isfinite(res.mean))
@@ -184,3 +191,17 @@ def test_property_compensated_counts_mean_zero(raw):
         assert np.all(seq[:-1] != seq[1:])
     res = rl.martingale_residual(paths, gen, 1.0)
     assert res.max_zscore() <= 3.0
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(generators())
+@example(np.array([[-3.0, 3.0], [0.0, 0.0]]))  # absorbing second state
+@example(np.array([[0.0, 0.0], [0.0, 0.0]]))  # no jumps at all
+def test_property_grid_sampler_matches_projected_paths(raw):
+    # same stream: the grid sampler equals regimes_on_grid of each batch path
+    gen = rl.validate_generator(raw)
+    seed = derive_seed(13, raw.tobytes().hex())
+    times = np.linspace(0.0, 1.0, 17)
+    grid = rl.sample_regimes_on_grid(gen, 0, times, derive_rng(seed), 300)
+    paths = rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(seed), 300)
+    np.testing.assert_array_equal(grid, [p.regimes_on_grid(times) for p in paths])

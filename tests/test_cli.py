@@ -108,19 +108,38 @@ class TestSimulate:
         assert rc == 1
 
 
+def _write_multidim_config(tmp_path: Path) -> Path:
+    from canonical import multidim_two_segment
+
+    path = tmp_path / "multidim.json"
+    path.write_text(json.dumps(rl.problem_to_config(multidim_two_segment())))
+    return path
+
+
 class TestVerifyDeterminism:
-    def test_byte_identical_reports_and_worker_independence(self, tmp_path, capsys):
+    # the multidim run has more than CHUNK_SIZE paths, so two lanes share it
+    @pytest.mark.parametrize(
+        "config, grid, paths, workers",
+        [
+            (lambda tmp: CONFIGS / "two_regime.json", "50", "2000", ("1", "1", "4")),
+            (_write_multidim_config, "10", "4200", ("1", "1", "2")),
+        ],
+        ids=["two_regime", "multidim"],
+    )
+    def test_byte_identical_reports_and_worker_independence(
+        self, tmp_path, capsys, config, grid, paths, workers
+    ):
         args = [
-            "verify", "--config", str(CONFIGS / "two_regime.json"),
-            "--grid", "50", "--paths", "2000", "--seed", "11",
+            "verify", "--config", str(config(tmp_path)),
+            "--grid", grid, "--paths", paths, "--seed", "11",
         ]
         outs = []
-        for name, workers in (("a", "1"), ("b", "1"), ("c", "4")):
-            out = tmp_path / name
-            rc = main(args + ["--out", str(out), "--workers", workers])
+        for j, w in enumerate(workers):
+            out = tmp_path / f"run{j}"
+            rc = main(args + ["--out", str(out), "--workers", w])
             assert rc == 0
             outs.append((out / "verify_report.json").read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+        assert all(o == outs[0] for o in outs)
 
 
 class TestFrontier:

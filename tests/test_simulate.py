@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 import regimelq as rl
-from regimelq.simulate import mc_run, paired_refinement_run
+from regimelq.errors import ValidationError
+from regimelq.simulate import _draw_chunk_noise, mc_run, paired_refinement_run
+from regimelq.streams import derive_rng
 
 from canonical import (
     det_lqr,
     det_lqr_oracle,
+    multidim_two_segment,
     scalar_analytic,
     stochastic_scalar,
+    switching_scalar,
     two_regime_coupling,
 )
 
@@ -183,8 +187,8 @@ class TestMcCost:
         assert biases[0] > biases[1] > biases[2]
 
     def test_scalar_and_general_paths_agree(self):
-        # force the general-dimension evolve path via an equivalent 2-state
-        # embedding: duplicate the scalar dynamics on a decoupled second state
+        # the kernel gives the same cost on a scalar problem and on its
+        # embedding with a decoupled, unweighted second state
         prob1 = stochastic_scalar()
         cs = prob1.coefficients[0][0]
         prob2 = rl.make_problem(
@@ -215,6 +219,14 @@ class TestMcCost:
         assert est.mean == 0.0
         assert est.stderr == 0.0
 
+    def test_zero_paths_rejected(self):
+        prob = stochastic_scalar()
+        law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 20))
+        with pytest.raises(ValidationError):
+            mc_run(prob, law, 0, 19, 20)
+        with pytest.raises(ValidationError):
+            paired_refinement_run(prob, lambda n: law, 0, 19, 20)
+
     def test_terminal_state_returned(self):
         prob = two_regime_coupling()
         grid = rl.solve_riccati(prob, 50)
@@ -222,3 +234,70 @@ class TestMcCost:
         # B = D = 0 and A = C = 0: state frozen, cost = G(alpha_T) x0^2
         np.testing.assert_array_equal(x_T, np.ones((300, 1)))
         assert set(np.round(costs, 12)) <= {0.0, 2.0}
+
+
+def _reference_paths(prob, gains, table, times, regimes, dW):
+    """Step each path alone with euler_maruyama_step; cost it with evaluate_cost."""
+    N = len(times) - 1
+    h = times[1] - times[0]
+    costs, x_T = [], []
+    for reg, dw in zip(regimes, dW):
+        X = np.empty((N + 1, prob.n))
+        U = np.zeros((N, prob.m))
+        X[0] = prob.x0
+        for i in range(N):
+            cs = rl.coeff_at(prob, times[i], reg[i])
+            if gains is not None:
+                U[i] = gains(times[i], reg[i]) @ X[i]
+            if table is not None:
+                U[i] += table[i]
+            X[i + 1] = rl.euler_maruyama_step(X[i], U[i], cs, dw[i], h)
+        path = rl.PathRecord(times, dw, reg, X, U, running_cost=0.0, terminal_cost=0.0)
+        costs.append(rl.evaluate_cost(path, prob))
+        x_T.append(X[-1])
+    return np.array(costs), np.array(x_T)
+
+
+def _assert_close(actual, expected):
+    scale = np.max(np.abs(expected))
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestKernelMatchesReference:
+    """The batch kernel against per-path Euler stepping on the same noise."""
+
+    N = 20
+
+    @pytest.mark.parametrize("make_problem", [switching_scalar, multidim_two_segment])
+    @pytest.mark.parametrize("kind", ["feedback", "perturbed", "table"])
+    def test_mc_run_costs_and_terminal_state(self, make_problem, kind):
+        prob = make_problem()
+        times = np.linspace(0.0, prob.T, self.N + 1)
+        law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, self.N))
+        v = 0.3 * derive_rng(20).standard_normal((self.N, prob.m))
+        control = {
+            "feedback": law,
+            "perturbed": rl.PerturbedFeedback(law, rl.ControlTable(v)),
+            "table": rl.ControlTable(v),
+        }[kind]
+        n_paths, seed = 40, 21
+        costs, x_T = mc_run(prob, control, n_paths, seed, self.N)
+        regimes, dW = _draw_chunk_noise(prob, times, derive_rng(seed, "chunk", 0), n_paths)
+        ref_costs, ref_x_T = _reference_paths(
+            prob, None if kind == "table" else law.gain,
+            None if kind == "feedback" else v, times, regimes, dW,
+        )
+        _assert_close(costs, ref_costs)
+        _assert_close(x_T, ref_x_T)
+
+    def test_recorded_path_matches_reference(self):
+        prob = multidim_two_segment()
+        law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, self.N))
+        path = rl.simulate_closed_loop(prob, law, self.N, 22)
+        costs, x_T = _reference_paths(
+            prob, law.gain, None, path.times, path.regimes[None], path.dW[None]
+        )
+        _assert_close(path.cost, costs[0])
+        _assert_close(path.X[-1], x_T[0])
+        U = np.array([law.gain(t, k) @ x for t, k, x in zip(path.times, path.regimes, path.X[:-1])])
+        _assert_close(path.U, U)
