@@ -19,7 +19,15 @@ jump term needs no separate estimator), the expectation over y is a
 least-squares polynomial regression, and the Brownian coefficient Lbar is
 estimated by regressing dW-weighted next-node values.  The driver uses the
 same Qhat - Shat^2 / Rhat algebra as the Riccati drift, evaluated at the
-regressed next-node values (explicit scheme).
+regressed next-node values (explicit scheme).  This is the least-squares
+Monte Carlo scheme of Gobet, Lemor & Warin (Ann. Appl. Probab. 15(3), 2005).
+
+Each node takes one thin SVD of the scaled basis.  Its singular values give
+the condition number S[0] / S[-1] that is checked against CONDITION_MAX,
+and the value targets, the dW-weighted targets (one stacked right-hand
+side) and the refit of the new values are all solved through the same
+factors.  Normal equations are never formed: they would square the
+condition number.
 """
 
 from __future__ import annotations
@@ -86,9 +94,24 @@ class RandomCoefficientModel:
 
     def coeff_selected(self, name: str, regimes: NDArray, y: NDArray) -> NDArray:
         """Vectorized evaluation with a per-sample regime index."""
-        const = np.array([self.coeffs[k][name].const for k in range(self.num_regimes)])
-        slope = np.array([self.coeffs[k][name].slope for k in range(self.num_regimes)])
-        return const[regimes] + slope[regimes] * self.clip(y)
+        return self.coeff_rows(y, regimes)(name)
+
+    def coeff_rows(self, y: NDArray, regimes: NDArray | None = None):
+        """Evaluator ``name -> map`` at the driver samples ``y``, clipped once.
+
+        Without ``regimes`` each map comes as (d, M) rows, one per regime;
+        with a per-sample regime index it comes as the (M,) selected values.
+        """
+        yc = self.clip(y)
+
+        def evaluate(name: str) -> NDArray:
+            const = np.array([c[name].const for c in self.coeffs])
+            slope = np.array([c[name].slope for c in self.coeffs])
+            if regimes is None:
+                return const[:, None] + slope[:, None] * yc
+            return const[regimes] + slope[regimes] * yc
+
+        return evaluate
 
 
 def make_model(
@@ -210,7 +233,7 @@ class PathBundle:
     """Training data: driver paths, Brownian increments, chain paths on a grid."""
 
     times: NDArray[np.float64]  # (N+1,)
-    y: NDArray[np.float64]  # (M, N+1)
+    y: NDArray[np.float64]  # (M, N+1); generated bundles hold a node-major array's .T
     dW: NDArray[np.float64]  # (M, N)
     regimes: NDArray[np.int64]  # (M, N+1)
     seed: int
@@ -238,12 +261,12 @@ def generate_training_paths(
         return regimes, rng.standard_normal((n, N)) * np.sqrt(h)
 
     regimes, dW = run_chunks(M, seed, "bundle", chunk)
-    y = np.empty((M, N + 1))
-    y[:, 0] = model.y0
+    # node-major storage: each node's driver column is contiguous in y.T
+    y = np.empty((N + 1, M))
+    y[0] = model.y0
     for i in range(N):
-        yi = y[:, i]
-        y[:, i + 1] = yi + model.kappa * (model.theta_bar - yi) * h + model.nu * dW[:, i]
-    return PathBundle(times=times, y=y, dW=dW, regimes=regimes, seed=seed)
+        y[i + 1] = y[i] + model.kappa * (model.theta_bar - y[i]) * h + model.nu * dW[:, i]
+    return PathBundle(times=times, y=y.T, dW=dW, regimes=regimes, seed=seed)
 
 
 @dataclass
@@ -262,6 +285,7 @@ class BsdeSolution:
     lambda_weights: NDArray[np.float64]  # (N, D, degree+1)
     model: RandomCoefficientModel
     regression_residuals: NDArray[np.float64]  # (N,)
+    basis_condition: NDArray[np.float64]  # (N,) S[0] / S[-1] of the scaled basis
 
     @property
     def num_steps(self) -> int:
@@ -289,51 +313,58 @@ class BsdeSolution:
         return float(self.value_at(i, np.array([k]), np.array([y]))[0])
 
 
-def _basis(y: NDArray, degree: int) -> tuple[NDArray, float, float]:
-    """Column-scaled polynomial basis; constant-only when y is degenerate."""
+def _basis_svd(y: NDArray, degree: int):
+    """Thin SVD of the column-scaled polynomial basis Phi = U S V'.
+
+    Returns ``(U', S, V', centre, scale)`` with U' a contiguous (B, M)
+    array.  The basis holds the powers z^0 .. z^degree of
+    z = (y - centre) / scale, built as the rows of a (B, M) array so that
+    each power is one contiguous pass; it is constant-only when y is
+    degenerate.
+    """
     c = float(y.mean())
     s = float(y.std())
     if s < DEGENERATE_STD:
-        return np.ones((len(y), 1)), c, 1.0
-    z = (y - c) / s
-    return np.vander(z, degree + 1, increasing=True), c, s
+        s, degree = 1.0, 0
+    PhiT = np.empty((degree + 1, len(y)))
+    PhiT[0] = 1.0
+    if degree >= 1:
+        np.divide(y - c, s, out=PhiT[1])
+    for p in range(2, degree + 1):
+        np.multiply(PhiT[p - 1], PhiT[1], out=PhiT[p])
+    # LAPACK factors the tall (M, B) layout several times faster than the wide
+    U, sv, Vt = np.linalg.svd(PhiT.T, full_matrices=False)
+    del PhiT  # the sweep's working set sits on top of the bundle: free early
+    return np.ascontiguousarray(U.T), sv, Vt, c, s
 
 
-def _lstsq_guarded(Phi: NDArray, targets: NDArray, t: float) -> NDArray:
-    w, _, _, sv = np.linalg.lstsq(Phi, targets, rcond=None)
-    if Phi.shape[1] > 1:
-        cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
-        if cond > CONDITION_MAX:
-            raise IllConditionedRegression(
-                f"basis condition number {cond:.3e} at t={t:.6g}"
-            )
-    return w
+def _driver(coef, Pbar, Lbar, t):
+    """Qhat - Shat^2 / Rhat with the regressed (Pbar, Lbar) plugged in.
 
-
-def _pad_weights(w: NDArray, num_regimes: int, width: int) -> NDArray:
-    out = np.zeros((num_regimes, width))
-    out[:, : w.shape[0]] = w.T
-    return out
-
-
-def _driver(model, regimes_or_k, y, Pbar, Lbar, t):
-    """Qhat - Shat^2 / Rhat with the regressed (Pbar, Lbar) plugged in."""
-    if np.isscalar(regimes_or_k):
-        get = lambda name: model.coeff(name, regimes_or_k, y)
-    else:
-        get = lambda name: model.coeff_selected(name, regimes_or_k, y)
-    a, b, c, d = get("A"), get("B"), get("C"), get("D")
-    q, s, r = get("Q"), get("S"), get("R")
-    Qhat = 2.0 * a * Pbar + c * c * Pbar + 2.0 * Lbar * c + q
-    Shat = b * Pbar + d * c * Pbar + d * Lbar + s
-    Rhat = r + d * d * Pbar
-    bad = Rhat <= RHAT_FLOOR
-    if np.mean(bad) > 1e-3:
+    ``coef(name)`` returns a coefficient map evaluated on the samples in the
+    shape of ``Pbar``: (d, M) rows, one per regime, in the sweep and (M,)
+    per-sample values in :func:`bsde_residual`.  Maps are fetched where they
+    are used and each of C, D is dropped after its last use, so few
+    sample-sized arrays are alive at once.  The Rhat floor is checked per
+    row, that is per regime in the sweep.
+    """
+    c, d = coef("C"), coef("D")
+    Rhat = coef("R") + d * d * Pbar
+    bad = np.atleast_1d(np.mean(Rhat <= RHAT_FLOOR, axis=-1))
+    if np.any(bad > 1e-3):
+        frac = bad[np.argmax(bad > 1e-3)]
         raise NegativeRhat(
-            f"Rhat <= {RHAT_FLOOR} on {100 * np.mean(bad):.2f}% of samples at t={t:.6g}"
+            f"Rhat <= {RHAT_FLOOR} on {100 * frac:.2f}% of samples at t={t:.6g}"
         )
-    Rhat = np.maximum(Rhat, RHAT_FLOOR)
-    return Qhat - Shat * Shat / Rhat
+    np.maximum(Rhat, RHAT_FLOOR, out=Rhat)
+    Shat = coef("B") * Pbar + d * c * Pbar + d * Lbar + coef("S")
+    del d
+    Qhat = 2.0 * coef("A") * Pbar + c * c * Pbar + 2.0 * Lbar * c + coef("Q")
+    del c
+    Shat *= Shat
+    Shat /= Rhat
+    Qhat -= Shat
+    return Qhat
 
 
 def backward_regression_solve(
@@ -341,9 +372,16 @@ def backward_regression_solve(
 ) -> BsdeSolution:
     """Backward least-squares sweep over the bundle.
 
+    Each node takes one thin SVD Phi = U S V' of the scaled basis.  Its
+    condition number S[0] / S[-1] is recorded, and every least-squares
+    solve at the node goes through the same factors: the fitted values of
+    targets Y are U U'Y and the weights V S^-1 U'Y.  Work arrays are
+    regime-major (d, M).
+
     Raises :class:`IllConditionedRegression` when the scaled basis is
     numerically rank-deficient and :class:`NegativeRhat` when the regressed
-    Rhat falls below the positivity floor on more than 0.1% of samples.
+    Rhat falls below the positivity floor on more than 0.1% of one regime's
+    samples.
     """
     M, N = bundle.num_paths, bundle.num_steps
     B = degree + 1
@@ -360,28 +398,34 @@ def backward_regression_solve(
     centers = np.zeros(N)
     scales = np.ones(N)
     resid = np.zeros(N)
+    conds = np.empty(N)
 
-    yN = bundle.y[:, N]
-    Vnext = np.stack([model.coeff("G", l, yN) for l in range(d)], axis=1)  # (M, d)
+    # one stacked right-hand side: next-node values over the same times dW/h;
+    # once projected, the lower rows hold the regressed Brownian coefficient
+    rhs = np.empty((2 * d, M))
+    rhs[:d] = model.coeff_rows(bundle.y[:, N])("G")
     for i in range(N - 1, -1, -1):
         t = float(bundle.times[i])
         yi = bundle.y[:, i]
-        Phi, c, s = _basis(yi, degree)
-        g = _lstsq_guarded(Phi, Vnext, t)
-        lam_raw = _lstsq_guarded(Phi, Vnext * (bundle.dW[:, i] / h)[:, None], t)
-        CE = (Phi @ g) @ trans.T  # (M, d): E over both y and the regime jump
-        LAM = (Phi @ lam_raw) @ trans.T
-        Vnew = np.empty((M, d))
-        for k in range(d):
-            F = _driver(model, k, yi, CE[:, k], LAM[:, k], t)
-            Vnew[:, k] = CE[:, k] + h * F
-        w = _lstsq_guarded(Phi, Vnew, t)
-        value_weights[i] = _pad_weights(w, d, B)
-        lambda_weights[i] = _pad_weights(lam_raw @ trans.T, d, B)
-        centers[i], scales[i] = c, s
-        fitted = Phi @ w
-        resid[i] = float(np.linalg.norm(fitted - Vnew) / np.sqrt(M * d))
-        Vnext = fitted
+        Ut, sv, Vt, centers[i], scales[i] = _basis_svd(yi, degree)
+        b = len(sv)
+        conds[i] = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
+        if b > 1 and conds[i] > CONDITION_MAX:
+            raise IllConditionedRegression(
+                f"basis condition number {conds[i]:.3e} at t={t:.6g}"
+            )
+        np.multiply(rhs[:d], bundle.dW[:, i] / h, out=rhs[d:])
+        # basis coordinates U'Y, carried through the regime jump
+        jump = trans @ (rhs @ Ut.T).reshape(2, d, b)
+        lambda_weights[i, :, :b] = (jump[1] / sv) @ Vt
+        LAM = np.matmul(jump[1], Ut, out=rhs[d:])
+        V = jump[0] @ Ut  # E over both y and the regime jump
+        V += h * _driver(model.coeff_rows(yi), V, LAM, t)
+        coords = V @ Ut.T
+        value_weights[i, :, :b] = (coords / sv) @ Vt
+        np.matmul(coords, Ut, out=rhs[:d])  # fitted values: the next targets
+        resid[i] = float(np.linalg.norm(rhs[:d] - V) / np.sqrt(M * d))
+        del Ut, V  # free before the next factorization, which sets peak memory
     return BsdeSolution(
         times=bundle.times,
         degree=degree,
@@ -391,6 +435,7 @@ def backward_regression_solve(
         lambda_weights=lambda_weights,
         model=model,
         regression_residuals=resid,
+        basis_condition=conds,
     )
 
 
@@ -424,7 +469,8 @@ def bsde_residual(
         ki = bundle.regimes[:, i]
         Vi = solution.value_at(i, ki, yi)
         Vn = solution.value_at(i + 1, bundle.regimes[:, i + 1], bundle.y[:, i + 1])
-        F = _driver(model, ki, yi, Vi, solution.lambda_at(i, ki, yi), float(bundle.times[i]))
+        Li = solution.lambda_at(i, ki, yi)
+        F = _driver(model.coeff_rows(yi, ki), Vi, Li, float(bundle.times[i]))
         r = Vi - Vn - h * F
         mean[i] = float(r.mean())
         stderr[i] = float(r.std(ddof=1) / np.sqrt(M)) if M >= 2 else float("nan")

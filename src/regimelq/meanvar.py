@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import expm
 
 from .chain import GeneratorMatrix, validate_generator
 from .errors import (
@@ -233,6 +232,10 @@ def mv_moment_odes(market: MarketSpec, grid: RiccatiGrid | None = None) -> Momen
     against that identity.  Segment propagation uses matrix exponentials of
     diag(growth) + rates', exact for piecewise-constant coefficients.
     """
+    # imported on use: scipy is slow and large to import, and this is the
+    # package's only use of it
+    from scipy.linalg import expm
+
     theta = market.theta()  # (J, D)
     if grid is not None:
         expected = -theta / market.sigma

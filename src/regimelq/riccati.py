@@ -221,16 +221,34 @@ class FeedbackLaw:
         w = (t - times[i]) / h
         return (1.0 - w) * self.grid.P[i] + w * self.grid.P[i + 1]
 
+    def node_indices(self, times) -> NDArray[np.int64]:
+        """Grid index of each time that is exactly a grid node, -1 elsewhere.
+
+        At a node the interpolation weight is 0, so ``interpolated_P`` is
+        ``grid.P[i]`` and the re-solved gain is ``grid.Theta[i]``, bit for bit.
+        """
+        times = np.asarray(times, dtype=np.float64)
+        nodes = self.grid.times
+        idx = np.minimum(np.searchsorted(nodes, times), len(nodes) - 1)
+        return np.where(nodes[idx] == times, idx, -1)
+
     def gain(self, t: float, k: int) -> NDArray:
         return feedback_gain(self, t, k)
 
     def gains_at_times(self, times) -> NDArray:
-        """Stacked gains (len(times), D, m, n) for all regimes."""
+        """Stacked gains (len(times), D, m, n) for all regimes.
+
+        Times on grid nodes read the solved ``grid.Theta``; only off-node
+        times interpolate P and re-solve.
+        """
         out = np.empty(
             (len(times), self.problem.num_regimes, self.problem.m, self.problem.n)
         )
         stacks = _stacks(self.problem)
-        for i, t in enumerate(times):
+        for i, (t, node) in enumerate(zip(times, self.node_indices(times))):
+            if node >= 0:
+                out[i] = self.grid.Theta[node]
+                continue
             P = self.interpolated_P(t)
             st = stacks[self.problem.segment_index(t)]
             out[i], _ = _node_gain(P, st, t)

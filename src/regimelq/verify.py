@@ -28,7 +28,7 @@ from .riccati import (
     _hat_terms,
     _integrate_backward,
     _lyapunov_rhs,
-    _stack_segment,
+    _stacks,
     rhat_certificate,
     solve_riccati,
 )
@@ -190,13 +190,14 @@ def stationarity_residual(
     (Shat + Rhat Theta) X_i, zero up to linear-solve roundoff.
     """
     law = FeedbackLaw(problem, grid)
+    stacks = _stacks(problem)
+    nodes = law.node_indices(path.times[: len(path.U)])
     worst = 0.0
     for i in range(len(path.U)):
         t = float(path.times[i])
         k = int(path.regimes[i])
-        P = law.interpolated_P(t)
-        st = _stack_segment(problem, problem.segment_index(t))
-        Shat, Rhat = _hat_terms(P, st)
+        P = grid.P[nodes[i]] if nodes[i] >= 0 else law.interpolated_P(t)
+        Shat, Rhat = _hat_terms(P, stacks[problem.segment_index(t)])
         F = Shat[k] @ path.X[i] + Rhat[k] @ path.U[i]
         worst = max(worst, float(np.linalg.norm(F)))
     return worst

@@ -1,0 +1,112 @@
+"""Reference backward sweep: three ``lstsq`` solves per node, path-major data.
+
+This is the regression sweep that ``bsde.backward_regression_solve``
+replaced, kept as the oracle its one-SVD-per-node form is tested against.
+Each node builds the Vandermonde basis of the scaled driver, solves the
+value targets, the dW-weighted targets and the refit with separate
+``np.linalg.lstsq`` calls, evaluates the coefficient maps once per regime
+and works on (M, d) arrays.  The recorded condition number is the one
+lstsq's singular values give.
+"""
+
+import numpy as np
+
+from regimelq.bsde import CONDITION_MAX, DEGENERATE_STD, BsdeSolution
+from regimelq.errors import IllConditionedRegression, NegativeRhat, ValidationError
+from regimelq.riccati import RHAT_FLOOR
+
+
+def _basis(y, degree):
+    c = float(y.mean())
+    s = float(y.std())
+    if s < DEGENERATE_STD:
+        return np.ones((len(y), 1)), c, 1.0
+    z = (y - c) / s
+    return np.vander(z, degree + 1, increasing=True), c, s
+
+
+def _lstsq_guarded(Phi, targets, t):
+    w, _, _, sv = np.linalg.lstsq(Phi, targets, rcond=None)
+    cond = 1.0
+    if Phi.shape[1] > 1:
+        cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
+        if cond > CONDITION_MAX:
+            raise IllConditionedRegression(
+                f"basis condition number {cond:.3e} at t={t:.6g}"
+            )
+    return w, cond
+
+
+def _pad_weights(w, num_regimes, width):
+    out = np.zeros((num_regimes, width))
+    out[:, : w.shape[0]] = w.T
+    return out
+
+
+def _driver(model, k, y, Pbar, Lbar, t):
+    get = lambda name: model.coeff(name, k, y)
+    a, b, c, d = get("A"), get("B"), get("C"), get("D")
+    q, s, r = get("Q"), get("S"), get("R")
+    Qhat = 2.0 * a * Pbar + c * c * Pbar + 2.0 * Lbar * c + q
+    Shat = b * Pbar + d * c * Pbar + d * Lbar + s
+    Rhat = r + d * d * Pbar
+    bad = Rhat <= RHAT_FLOOR
+    if np.mean(bad) > 1e-3:
+        raise NegativeRhat(
+            f"Rhat <= {RHAT_FLOOR} on {100 * np.mean(bad):.2f}% of samples at t={t:.6g}"
+        )
+    Rhat = np.maximum(Rhat, RHAT_FLOOR)
+    return Qhat - Shat * Shat / Rhat
+
+
+def reference_regression_solve(model, bundle, degree=3):
+    """The three-lstsq sweep; same inputs, checks and output as the package's."""
+    M, N = bundle.num_paths, bundle.num_steps
+    B = degree + 1
+    if M < 10 * B:
+        raise ValidationError(f"need at least {10 * B} paths for degree {degree}")
+    d = model.num_regimes
+    h = model.T / N
+    trans = np.eye(d) + h * model.generator.rates
+    if np.any(np.diag(trans) < 0.0):
+        raise ValidationError("grid too coarse for the generator: negative stay probability")
+
+    value_weights = np.zeros((N, d, B))
+    lambda_weights = np.zeros((N, d, B))
+    centers = np.zeros(N)
+    scales = np.ones(N)
+    resid = np.zeros(N)
+    conds = np.ones(N)
+
+    yN = bundle.y[:, N]
+    Vnext = np.stack([model.coeff("G", l, yN) for l in range(d)], axis=1)  # (M, d)
+    for i in range(N - 1, -1, -1):
+        t = float(bundle.times[i])
+        yi = bundle.y[:, i]
+        Phi, c, s = _basis(yi, degree)
+        g, conds[i] = _lstsq_guarded(Phi, Vnext, t)
+        lam_raw, _ = _lstsq_guarded(Phi, Vnext * (bundle.dW[:, i] / h)[:, None], t)
+        CE = (Phi @ g) @ trans.T  # (M, d)
+        LAM = (Phi @ lam_raw) @ trans.T
+        Vnew = np.empty((M, d))
+        for k in range(d):
+            F = _driver(model, k, yi, CE[:, k], LAM[:, k], t)
+            Vnew[:, k] = CE[:, k] + h * F
+        w, _ = _lstsq_guarded(Phi, Vnew, t)
+        value_weights[i] = _pad_weights(w, d, B)
+        lambda_weights[i] = _pad_weights(lam_raw @ trans.T, d, B)
+        centers[i], scales[i] = c, s
+        fitted = Phi @ w
+        resid[i] = float(np.linalg.norm(fitted - Vnew) / np.sqrt(M * d))
+        Vnext = fitted
+    return BsdeSolution(
+        times=bundle.times,
+        degree=degree,
+        y_center=centers,
+        y_scale=scales,
+        value_weights=value_weights,
+        lambda_weights=lambda_weights,
+        model=model,
+        regression_residuals=resid,
+        basis_condition=conds,
+    )

@@ -1,11 +1,18 @@
 """BSDE module: path bundles, backward regression, residual diagnostics."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import regimelq as rl
-from regimelq.bsde import PathBundle, constant_problem
+from regimelq.bsde import PathBundle, _driver, constant_problem, model_from_config
 from regimelq.errors import IllConditionedRegression, NegativeRhat, ValidationError
+
+from bsde_reference import reference_regression_solve
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _constant_coeffs(**kw):
@@ -42,6 +49,23 @@ def y_dependent_model():
             _constant_coeffs(A=(0.05, 0.0), B=(0.2, 0.03), C=(0.1, 0.0),
                              D=(0.1, 0.0), Q=(0.3, 0.05), R=(0.8, 0.02),
                              G=(0.6, 0.02)),
+        ],
+    )
+
+
+def three_regime_model():
+    return rl.make_model(
+        T=1.0, generator=[[-0.5, 0.3, 0.2], [0.4, -0.6, 0.2], [0.1, 0.5, -0.6]], i0=1,
+        kappa=0.8, theta_bar=0.2, nu=0.6, y0=0.1, y_range=(-2.5, 2.5),
+        coeffs=[
+            _constant_coeffs(A=(0.1, 0.02), B=(0.3, 0.05), D=(0.2, 0.02),
+                             Q=(0.2, 0.02), R=(1.0, 0.05), G=(1.0, 0.05)),
+            _constant_coeffs(A=(0.05, -0.03), B=(0.2, 0.03), C=(0.1, 0.02),
+                             Q=(0.3, 0.05), S=(0.05, 0.01), R=(0.8, 0.02),
+                             G=(0.6, 0.02)),
+            _constant_coeffs(A=(-0.1, 0.01), B=(0.4, -0.05), C=(-0.1, 0.0),
+                             D=(0.3, 0.05), Q=(0.1, 0.03), R=(1.2, -0.1),
+                             G=(0.8, -0.1)),
         ],
     )
 
@@ -255,3 +279,64 @@ class TestBsdeResidual:
             res = rl.bsde_residual(sol, model, fresh)
             maxima.append(res.max_abs_mean())
         assert maxima[0] > maxima[1] > maxima[2]
+
+
+class TestSweepAgainstReference:
+    """The one-SVD sweep against the three-lstsq sweep it replaced."""
+
+    CASES = {
+        # the bsde command's bundled config at its benchmark size and seed
+        "random_coeff": (
+            lambda: model_from_config(json.loads((CONFIGS / "random_coeff.json").read_text())),
+            30_000, 100, 42,
+        ),
+        "y_dependent": (y_dependent_model, 8000, 40, 21),
+        "three_regime": (three_regime_model, 8000, 40, 22),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_reference_sweep(self, case):
+        make, M, N, seed = self.CASES[case]
+        model = make()
+        bundle = rl.generate_training_paths(model, M, N, seed)
+        sol = rl.backward_regression_solve(model, bundle, degree=3)
+        ref = reference_regression_solve(model, bundle, degree=3)
+        np.testing.assert_array_equal(sol.y_center, ref.y_center)
+        np.testing.assert_array_equal(sol.y_scale, ref.y_scale)
+        # per field, i.e. per basis power over all nodes and regimes: a
+        # weight near zero carries the absolute rounding of the large ones
+        for name in ("value_weights", "lambda_weights"):
+            got, want = getattr(sol, name), getattr(ref, name)
+            err = np.max(np.abs(got - want), axis=(0, 1))
+            assert np.all(err <= 1e-10 * np.max(np.abs(want), axis=(0, 1))), name
+        # a residual of a degenerate (constant) basis is pure rounding, so
+        # residuals are compared on the scale of the values they measure
+        scale = float(np.max(np.abs(ref.value_weights)))
+        np.testing.assert_allclose(
+            sol.regression_residuals, ref.regression_residuals,
+            rtol=1e-10, atol=1e-10 * scale,
+        )
+        np.testing.assert_allclose(sol.basis_condition, ref.basis_condition, rtol=1e-12)
+
+    def test_condition_number_is_that_of_the_basis(self):
+        model = three_regime_model()
+        bundle = rl.generate_training_paths(model, 3000, 10, 23)
+        sol = rl.backward_regression_solve(model, bundle, degree=3)
+        for i in range(bundle.num_steps):
+            z = (bundle.y[:, i] - sol.y_center[i]) / sol.y_scale[i]
+            Phi = np.vander(z, 4, increasing=True) if np.std(z) > 0.0 else np.ones((len(z), 1))
+            assert sol.basis_condition[i] == pytest.approx(np.linalg.cond(Phi), rel=1e-12)
+
+    def test_negative_rhat_checked_per_regime(self):
+        # regime 1 below the floor on 0.15% of its samples, regime 2 nowhere:
+        # 0.075% of all samples, yet one regime crosses the 0.1% limit
+        M = 20_000
+        R = np.ones((2, M))
+        R[0, :30] = -1.0
+        coef = lambda name: R.copy() if name == "R" else np.zeros((2, M))
+        zero = np.zeros((2, M))
+        with pytest.raises(NegativeRhat, match="0.15% of samples"):
+            _driver(coef, zero, zero, 0.5)
+        R[0, :30] = 1.0
+        R[0, :10] = -1.0  # 0.05% of regime 1's samples: tolerated
+        assert np.all(_driver(coef, zero, zero, 0.5) == 0.0)

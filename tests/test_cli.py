@@ -1,6 +1,9 @@
 """CLI: exit codes, artifact shapes, determinism across runs and workers."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -174,3 +177,14 @@ class TestBsdeCommand:
         data = [l for l in lines if not l.startswith("#")]
         assert data[0].split(",")[:3] == ["node", "regime", "t"]
         assert len(data) - 1 == 20 * 2  # nodes x regimes
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported on use by the frontier's moment propagation only
+    src = Path(rl.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, regimelq.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"

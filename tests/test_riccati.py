@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 import regimelq as rl
 from regimelq.errors import SingularRhat
-from regimelq.riccati import stationarity_defect
+from regimelq.riccati import feedback_gain, stationarity_defect
 
 from canonical import (
     TWO_REGIME_P0,
     det_lqr,
     det_lqr_oracle,
+    multidim_two_segment,
     nonconvex,
     scalar_analytic,
     scalar_p_exact,
@@ -164,6 +165,23 @@ class TestFeedbackGain:
                 np.testing.assert_allclose(
                     law.gain(grid.times[i], k), grid.Theta[i, k], atol=1e-13
                 )
+
+    @pytest.mark.parametrize(
+        "make", [two_regime_coupling, det_lqr, scalar_analytic, multidim_two_segment]
+    )
+    @pytest.mark.parametrize("N", [25, 100])
+    def test_gain_table_reads_nodes_and_solves_between(self, make, N):
+        prob = make()
+        grid = rl.solve_riccati(prob, N)
+        law = rl.FeedbackLaw(prob, grid)
+        assert law.gains_at_times(grid.times[:-1]).tobytes() == grid.Theta[:-1].tobytes()
+        # the refinement grid: even nodes are solved nodes, odd ones lie between
+        fine = np.linspace(0.0, prob.T, 2 * N + 1)[:-1]
+        gains = law.gains_at_times(fine)
+        assert gains[::2].tobytes() == grid.Theta[:-1].tobytes()
+        for j in range(1, 2 * N, 2):
+            for k in range(prob.num_regimes):
+                np.testing.assert_array_equal(gains[j, k], feedback_gain(law, fine[j], k))
 
     def test_zero_gain_when_shat_vanishes(self):
         # B = 0, S = 0, C = 0 make Shat identically zero

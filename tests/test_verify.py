@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import regimelq as rl
+from regimelq.riccati import _hat_terms, _stack_segment
 from regimelq.verify import stationarity_check
 
 from canonical import (
     det_lqr,
+    multidim_two_segment,
     nonconvex,
     scalar_analytic,
     stochastic_scalar,
@@ -111,6 +113,24 @@ class TestStationarity:
             residual = rl.stationarity_residual(prob, path, grid)
             scale = max(float(np.max(np.abs(path.X))), 1e-30)
             assert residual <= 1e-8 * scale
+
+    @pytest.mark.parametrize("sim_N", [50, 100])
+    def test_residual_equals_per_node_restack(self, sim_N):
+        # on and off the law's nodes: the same bytes as interpolating P and
+        # re-stacking the segment at every node
+        prob = multidim_two_segment()
+        grid = rl.solve_riccati(prob, 50)
+        law = rl.FeedbackLaw(prob, grid)
+        path = rl.simulate_closed_loop(prob, law, sim_N, 109)
+        worst = 0.0
+        for i in range(len(path.U)):
+            t = float(path.times[i])
+            k = int(path.regimes[i])
+            st = _stack_segment(prob, prob.segment_index(t))
+            Shat, Rhat = _hat_terms(law.interpolated_P(t), st)
+            F = Shat[k] @ path.X[i] + Rhat[k] @ path.U[i]
+            worst = max(worst, float(np.linalg.norm(F)))
+        assert rl.stationarity_residual(prob, path, grid) == worst
 
     def test_perturbed_gain_detected(self):
         prob = stochastic_scalar()
