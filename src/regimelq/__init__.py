@@ -23,7 +23,6 @@ from .model import (
 from .riccati import (
     FeedbackLaw,
     RiccatiGrid,
-    feedback_gain,
     rhat_certificate,
     riccati_rhs,
     solve_riccati,

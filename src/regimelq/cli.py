@@ -69,7 +69,17 @@ def _load_config(path: str) -> tuple[dict, str]:
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"config {path} must be a JSON object")
     return cfg, hashlib.sha256(raw).hexdigest()
+
+
+def _parse(parser, cfg: dict):
+    """Run a config parser; a missing key or an ill-typed value is bad input."""
+    try:
+        return parser(cfg)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed config: {type(exc).__name__}: {exc}") from exc
 
 
 def _require_seed(args) -> int:
@@ -125,11 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args, cfg, meta, out: Path) -> int:
     if cfg.get("kind") == "market":
-        market, _ = market_from_config(cfg)
+        market, _ = _parse(market_from_config, cfg)
         grid = mv_riccati(market, args.grid)
         n = m = 1
     else:
-        problem = problem_from_config(cfg)
+        problem = _parse(problem_from_config, cfg)
         grid = solve_riccati(problem, args.grid)
         n, m = problem.n, problem.m
     columns = (
@@ -157,7 +167,7 @@ def _cmd_simulate(args, cfg, meta, out: Path) -> int:
     seed = meta["seed"]
     if args.paths < 100:
         raise ValidationError("need at least 100 paths")
-    problem = problem_from_config(cfg)
+    problem = _parse(problem_from_config, cfg)
     grid = solve_riccati(problem, args.grid)
     law = FeedbackLaw(problem, grid)
     est = mc_cost(problem, law, args.paths, seed, args.grid, workers=args.workers)
@@ -199,7 +209,7 @@ def _cmd_verify(args, cfg, meta, out: Path) -> int:
     seed = meta["seed"]
     if args.paths < 100:
         raise ValidationError("need at least 100 paths")
-    problem = problem_from_config(cfg)
+    problem = _parse(problem_from_config, cfg)
     checks = run_standard_checks(
         problem, args.grid, args.paths, seed, workers=args.workers
     )
@@ -215,7 +225,7 @@ def _cmd_frontier(args, cfg, meta, out: Path) -> int:
     seed = meta["seed"]
     if args.paths < 100:
         raise ValidationError("need at least 100 paths")
-    market, targets = market_from_config(cfg)
+    market, targets = _parse(market_from_config, cfg)
     if not targets:
         raise ValidationError("market config has no targets")
     points, grid = efficient_frontier(market, targets, N=args.grid)
@@ -245,7 +255,9 @@ def _cmd_frontier(args, cfg, meta, out: Path) -> int:
 
 def _cmd_bsde(args, cfg, meta, out: Path) -> int:
     seed = meta["seed"]
-    model = model_from_config(cfg)
+    if args.degree < 0:
+        raise ValidationError("need --degree >= 0")
+    model = _parse(model_from_config, cfg)
     bundle = generate_training_paths(model, args.paths, args.grid, seed)
     solution = backward_regression_solve(model, bundle, degree=args.degree)
     columns = (

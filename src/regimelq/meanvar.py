@@ -40,7 +40,7 @@ from .model import ProblemSpec, make_problem, with_initial_state
 from .riccati import FeedbackLaw, RiccatiGrid, solve_riccati
 from .simulate import mc_run, paired_refinement_run
 from .streams import derive_seed
-from .verify import CheckResult
+from .verify import CheckResult, paired_allowance
 
 P_FLOOR = 1e-12
 DEGENERATE_TOL = 1e-12
@@ -391,39 +391,19 @@ def mv_simulate_check(
     )
     x_n, x_2n = xt_n[:, 0], xt_2n[:, 0]
     mean_diff = x_2n - x_n
-    mean_allow = 3.0 * abs(float(mean_diff.mean())) + 3.0 * float(
-        mean_diff.std(ddof=1) / np.sqrt(n_cal)
-    )
+    mean_allow, _ = paired_allowance(mean_diff.mean(), mean_diff)
     # paired influence values of the variance difference
-    var_infl = (x_2n - x_2n.mean()) ** 2 - (x_n - x_n.mean()) ** 2
-    var_allow = 3.0 * abs(float(np.var(x_2n, ddof=1) - np.var(x_n, ddof=1))) + 3.0 * float(
-        var_infl.std(ddof=1) / np.sqrt(n_cal)
+    var_allow, _ = paired_allowance(
+        np.var(x_2n, ddof=1) - np.var(x_n, ddof=1),
+        (x_2n - x_2n.mean()) ** 2 - (x_n - x_n.mean()) ** 2,
     )
-    mean_stat = stats["mean"] - point.d
-    mean_tol = 3.0 * stats["mean_stderr"] + mean_allow
-    var_stat = stats["var"] - point.variance
-    var_tol = 3.0 * stats["var_stderr"] + var_allow
     return [
-        CheckResult(
-            name="mv_terminal_mean",
-            passed=bool(abs(mean_stat) <= mean_tol),
-            statistic=mean_stat,
-            tolerance=mean_tol,
-            stderr=stats["mean_stderr"],
-            bias_allowance=float(mean_allow),
-            n=n_paths,
-            seed=seed,
-            details={"mc_mean": stats["mean"], "target": point.d},
+        CheckResult.within(
+            "mv_terminal_mean", stats["mean"] - point.d, stats["mean_stderr"],
+            mean_allow, n_paths, seed, {"mc_mean": stats["mean"], "target": point.d},
         ),
-        CheckResult(
-            name="mv_terminal_variance",
-            passed=bool(abs(var_stat) <= var_tol),
-            statistic=var_stat,
-            tolerance=var_tol,
-            stderr=stats["var_stderr"],
-            bias_allowance=float(var_allow),
-            n=n_paths,
-            seed=seed,
-            details={"mc_var": stats["var"], "target": point.variance},
+        CheckResult.within(
+            "mv_terminal_variance", stats["var"] - point.variance, stats["var_stderr"],
+            var_allow, n_paths, seed, {"mc_var": stats["var"], "target": point.variance},
         ),
     ]

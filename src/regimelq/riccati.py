@@ -46,7 +46,6 @@ class _SegmentStack(NamedTuple):
     Q: NDArray
     S: NDArray
     R: NDArray
-    At: NDArray
     Bt: NDArray
     Ct: NDArray
     Dt: NDArray
@@ -62,7 +61,7 @@ def _stack_segment(problem: ProblemSpec, j: int) -> _SegmentStack:
     S = np.stack([cs.S for cs in sets])
     R = np.stack([cs.R for cs in sets])
     t = lambda M: M.swapaxes(-1, -2).copy()
-    return _SegmentStack(A, B, C, D, Q, S, R, t(A), t(B), t(C), t(D))
+    return _SegmentStack(A, B, C, D, Q, S, R, t(B), t(C), t(D))
 
 
 def _stacks(problem: ProblemSpec) -> list[_SegmentStack]:
@@ -88,24 +87,21 @@ def _guard_rhat(Rhat: NDArray, t: float) -> NDArray:
     return min_eigs
 
 
-def _rhs(P: NDArray, t: float, st: _SegmentStack, rates: NDArray) -> NDArray:
-    """Forward-time derivative dP/dt of the stacked system; symmetrized."""
-    PA = P @ st.A
-    CtPC = st.Ct @ P @ st.C
-    Shat, Rhat = _hat_terms(P, st)
-    _guard_rhat(Rhat, t)
-    quad = Shat.swapaxes(-1, -2) @ np.linalg.solve(Rhat, Shat)
-    coupling = np.einsum("kl,lij->kij", rates, P)
-    dP = -(PA + PA.swapaxes(-1, -2) + CtPC + st.Q - quad + coupling)
-    return 0.5 * (dP + dP.swapaxes(-1, -2))
+def _rhs(
+    P: NDArray, t: float, st: _SegmentStack, rates: NDArray, quadratic: bool = True
+) -> NDArray:
+    """Forward-time derivative dP/dt of the stacked system; symmetrized.
 
-
-def _lyapunov_rhs(P: NDArray, t: float, st: _SegmentStack, rates: NDArray) -> NDArray:
-    """Same drift without the quadratic feedback term (linear system)."""
+    Without the quadratic feedback term it is the linear (zero-control)
+    Lyapunov system.
+    """
     PA = P @ st.A
-    CtPC = st.Ct @ P @ st.C
-    coupling = np.einsum("kl,lij->kij", rates, P)
-    dP = -(PA + PA.swapaxes(-1, -2) + CtPC + st.Q + coupling)
+    drift = PA + PA.swapaxes(-1, -2) + st.Ct @ P @ st.C + st.Q
+    if quadratic:
+        Shat, Rhat = _hat_terms(P, st)
+        _guard_rhat(Rhat, t)
+        drift = drift - Shat.swapaxes(-1, -2) @ np.linalg.solve(Rhat, Shat)
+    dP = -(drift + np.einsum("kl,lij->kij", rates, P))
     return 0.5 * (dP + dP.swapaxes(-1, -2))
 
 
@@ -150,7 +146,9 @@ def _node_gain(P: NDArray, st: _SegmentStack, t: float):
     return Theta, min_eigs
 
 
-def _integrate_backward(problem: ProblemSpec, N: int, rhs) -> tuple[NDArray, NDArray]:
+def _integrate_backward(
+    problem: ProblemSpec, N: int, quadratic: bool = True
+) -> tuple[NDArray, NDArray]:
     """RK4 backward integration from P(T) = G on the uniform N-step grid."""
     if N < 2:
         raise ValidationError("need at least N=2 grid steps")
@@ -173,10 +171,10 @@ def _integrate_backward(problem: ProblemSpec, N: int, rhs) -> tuple[NDArray, NDA
         # breakpoint node (segment_index is right-continuous)
         st = stacks[seg_of(tm)]
         Pi = P[i]
-        k1 = rhs(Pi, t1, st, rates)
-        k2 = rhs(sym(Pi - 0.5 * h * k1), tm, st, rates)
-        k3 = rhs(sym(Pi - 0.5 * h * k2), tm, st, rates)
-        k4 = rhs(sym(Pi - h * k3), t0, st, rates)
+        k1 = _rhs(Pi, t1, st, rates, quadratic)
+        k2 = _rhs(sym(Pi - 0.5 * h * k1), tm, st, rates, quadratic)
+        k3 = _rhs(sym(Pi - 0.5 * h * k2), tm, st, rates, quadratic)
+        k4 = _rhs(sym(Pi - h * k3), t0, st, rates, quadratic)
         P[i - 1] = sym(Pi - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         if not np.all(np.isfinite(P[i - 1])):
             raise NonFiniteState(f"non-finite Riccati state at t={t0:.6g}")
@@ -190,7 +188,7 @@ def solve_riccati(problem: ProblemSpec, N: int) -> RiccatiGrid:
     every node.  Raises :class:`SingularRhat` or :class:`NonFiniteState` on
     failure, reporting the failing node and regime.
     """
-    times, P = _integrate_backward(problem, N, _rhs)
+    times, P = _integrate_backward(problem, N)
     stacks = _stacks(problem)
     Theta = np.empty((len(times), problem.num_regimes, problem.m, problem.n))
     rhat_min = np.empty((len(times), problem.num_regimes))
@@ -233,7 +231,11 @@ class FeedbackLaw:
         return np.where(nodes[idx] == times, idx, -1)
 
     def gain(self, t: float, k: int) -> NDArray:
-        return feedback_gain(self, t, k)
+        """Feedback gain Theta(t, k), recomputed from the interpolated P."""
+        P = self.interpolated_P(t)
+        st = _stack_segment(self.problem, self.problem.segment_index(t))
+        Theta, _ = _node_gain(P, st, t)
+        return Theta[k]
 
     def gains_at_times(self, times) -> NDArray:
         """Stacked gains (len(times), D, m, n) for all regimes.
@@ -253,14 +255,6 @@ class FeedbackLaw:
             st = stacks[self.problem.segment_index(t)]
             out[i], _ = _node_gain(P, st, t)
         return out
-
-
-def feedback_gain(law: FeedbackLaw, t: float, k: int) -> NDArray:
-    """Feedback gain Theta(t, k), recomputed from the interpolated P."""
-    P = law.interpolated_P(t)
-    st = _stack_segment(law.problem, law.problem.segment_index(t))
-    Theta, _ = _node_gain(P, st, t)
-    return Theta[k]
 
 
 def rhat_certificate(grid: RiccatiGrid) -> float:

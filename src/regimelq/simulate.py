@@ -305,8 +305,10 @@ def paired_refinement_run(
 
 def _estimate(values: NDArray, seed: int) -> MCEstimate:
     n = len(values)
+    if n < 100:
+        raise ValidationError("a Monte Carlo estimate needs at least 100 paths")
     mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / np.sqrt(n)) if n >= 2 else float("nan")
+    stderr = float(np.std(values, ddof=1) / np.sqrt(n))
     return MCEstimate(mean=mean, stderr=stderr, n=n, seed=seed)
 
 
@@ -319,8 +321,6 @@ def mc_cost(
     workers: int = 1,
 ) -> MCEstimate:
     """Monte Carlo estimate of the cost under the given control source."""
-    if n_paths < 100:
-        raise ValidationError("mc_cost needs at least 100 paths")
     costs, _ = mc_run(problem, control, n_paths, seed, N, workers)
     return _estimate(costs, seed)
 

@@ -1,7 +1,10 @@
 """Statistical and algebraic verification of the optimality structure.
 
-Each check reduces to |statistic| <= 3 * stderr + bias_allowance, with both
-tolerance terms recorded separately.  The bias allowance absorbs the O(h)
+Every check is built by one of the three :class:`CheckResult`
+constructors.  ``within`` passes when |statistic| <= 3 * stderr +
+bias_allowance, with both tolerance terms recorded separately; ``above``
+when every value is >= -3 stderr; ``exact`` is algebra with no statistical
+slack.  The bias allowance absorbs the O(h)
 weak error of the Euler scheme and is calibrated per check by a Richardson
 comparison of the estimate at N and 2N steps; statistical error alone
 cannot absorb discretization bias, so the two are never mixed.
@@ -27,7 +30,6 @@ from .riccati import (
     RiccatiGrid,
     _hat_terms,
     _integrate_backward,
-    _lyapunov_rhs,
     _stacks,
     rhat_certificate,
     solve_riccati,
@@ -47,10 +49,11 @@ STATIONARITY_RTOL = 1e-8
 # quadratic-form targets come from an RK4 grid, so identity checks cannot
 # resolve differences below the backward solver's own truncation scale
 SOLVER_RESOLUTION = 1e-10
-
-
-def _floored_allowance(allowance: float, target: float) -> float:
-    return max(allowance, SOLVER_RESOLUTION * (1.0 + abs(target)))
+PERTURBATION_DIRECTIONS = 10
+PROBE_CONTROLS = 8
+CONTROL_BLOCKS = 8  # constant blocks of every random control table
+STATIONARITY_PATHS = 5
+MAX_PROBE_PATHS = 10_000  # paths per perturbation direction or probe control
 
 
 @dataclass
@@ -66,6 +69,26 @@ class CheckResult:
     n: int
     seed: int
     details: dict = field(default_factory=dict)
+
+    @classmethod
+    def within(cls, name, statistic, stderr, bias_allowance, n, seed, details):
+        """Two-sided check: |statistic| <= 3 stderr + bias_allowance."""
+        tolerance = 3.0 * stderr + bias_allowance
+        return cls(name, bool(abs(statistic) <= tolerance), statistic, tolerance,
+                   stderr, bias_allowance, n, seed, details)
+
+    @classmethod
+    def above(cls, name, values, stderrs, n, seed, details):
+        """One-sided check: every value >= -3 stderr; reports the smallest."""
+        values, stderrs = np.asarray(values), np.asarray(stderrs)
+        worst = int(np.argmin(values))
+        return cls(name, bool(np.all(values >= -3.0 * stderrs)), float(values[worst]),
+                   float(3.0 * stderrs[worst]), float(stderrs[worst]), 0.0, n, seed, details)
+
+    @classmethod
+    def exact(cls, name, passed, statistic, tolerance, n, seed, details):
+        """Algebraic check: no statistical error and no bias allowance."""
+        return cls(name, bool(passed), statistic, tolerance, 0.0, 0.0, n, seed, details)
 
     def to_json_dict(self) -> dict:
         return {
@@ -95,7 +118,7 @@ def lyapunov_solve(problem: ProblemSpec, N: int) -> LyapunovGrid:
     Same integrator as the Riccati solve with the quadratic feedback term
     removed, so x0' M(0, i0) x0 is the exact cost of the zero control.
     """
-    times, M = _integrate_backward(problem, N, _lyapunov_rhs)
+    times, M = _integrate_backward(problem, N, quadratic=False)
     return LyapunovGrid(times=times, M=M)
 
 
@@ -103,18 +126,28 @@ def random_control_table(
     problem: ProblemSpec,
     N: int,
     rng: np.random.Generator,
-    num_blocks: int = 8,
     normalize: bool = False,
 ) -> ControlTable:
     """Block-constant random control table; optionally int |u|^2 dt = 1."""
-    blocks = rng.standard_normal((num_blocks, problem.m))
-    reps = np.diff(np.linspace(0, N, num_blocks + 1).astype(int))
+    blocks = rng.standard_normal((CONTROL_BLOCKS, problem.m))
+    reps = np.diff(np.linspace(0, N, CONTROL_BLOCKS + 1).astype(int))
     values = np.repeat(blocks, reps, axis=0)
     table = ControlTable(values=values)
     if normalize:
         norm = np.sqrt(table.l2_norm_sq(problem.T))
         table = ControlTable(values=values / norm)
     return table
+
+
+def paired_allowance(delta, influence) -> tuple[float, float]:
+    """Bias allowance 3 |delta| + 3 stderr from a paired N vs 2N comparison.
+
+    ``delta`` is the estimated change of the statistic from N to 2N steps and
+    ``influence`` its per-path paired influence values, whose standard error
+    measures the calibration noise.  Returns (allowance, stderr).
+    """
+    stderr = float(influence.std(ddof=1) / np.sqrt(len(influence)))
+    return 3.0 * abs(float(delta)) + 3.0 * stderr, stderr
 
 
 def richardson_allowance(
@@ -129,22 +162,44 @@ def richardson_allowance(
 
     ``control_for(N)`` must return the control source for an N-step grid.
     Both runs share refined common noise, so the per-path cost differences
-    estimate the weak-error step directly; the additive allowance
-    3 |mean diff| + 3 stderr(diff) bounds the O(h) bias of the N-step
-    estimate with margin for calibration noise.
+    estimate the weak-error step directly; :func:`paired_allowance` bounds
+    the O(h) bias of the N-step estimate with margin for calibration noise.
     """
     costs_n, costs_2n, _, _ = paired_refinement_run(
         problem, control_for, n_paths, seed, N, workers
     )
     diff = costs_2n - costs_n
     delta = float(diff.mean())
-    stderr = float(diff.std(ddof=1) / np.sqrt(len(diff)))
-    allowance = 3.0 * abs(delta) + 3.0 * stderr
+    allowance, stderr = paired_allowance(delta, diff)
     return allowance, {
         "richardson_delta": delta,
         "richardson_stderr": stderr,
         "calibration_paths": n_paths,
     }
+
+
+def _identity_check(
+    name: str, tag: str, problem: ProblemSpec, control_for, target: float,
+    n_paths: int, seed: int, N: int, workers: int,
+) -> CheckResult:
+    """MC cost of ``control_for(N)`` vs a quadratic-form target.
+
+    Streams ``{tag}-mc`` (estimate) and ``{tag}-cal`` (Richardson
+    calibration on max(1000, n_paths / 10) paths); the allowance never
+    falls below the solver's resolution of the target.
+    """
+    est = mc_cost(
+        problem, control_for(N), n_paths, derive_seed(seed, f"{tag}-mc"), N, workers
+    )
+    n_cal = max(1000, n_paths // 10)
+    allowance, cal = richardson_allowance(
+        problem, control_for, N, n_cal, derive_seed(seed, f"{tag}-cal"), workers
+    )
+    allowance = max(allowance, SOLVER_RESOLUTION * (1.0 + abs(target)))
+    return CheckResult.within(
+        name, est.mean - target, est.stderr, allowance, n_paths, seed,
+        {"mc_mean": est.mean, "target": target, **cal},
+    )
 
 
 def value_identity_check(
@@ -156,29 +211,12 @@ def value_identity_check(
     workers: int = 1,
 ) -> CheckResult:
     """MC cost under the feedback law vs the quadratic value x0' P(0, i0) x0."""
-    N = N or len(grid.times) - 1
     law = FeedbackLaw(problem, grid)
-    est = mc_cost(problem, law, n_paths, derive_seed(seed, "value-mc"), N, workers)
-    n_cal = max(1000, n_paths // 10)
-    allowance, cal = richardson_allowance(
-        problem, lambda n: law, N, n_cal, derive_seed(seed, "value-cal"), workers
-    )
     target = float(problem.x0 @ grid.P[0, problem.i0] @ problem.x0)
-    allowance = _floored_allowance(allowance, target)
-    statistic = est.mean - target
-    tolerance = 3.0 * est.stderr + allowance
-    return CheckResult(
-        name="value_identity",
-        passed=bool(abs(statistic) <= tolerance),
-        statistic=statistic,
-        tolerance=tolerance,
-        stderr=est.stderr,
-        bias_allowance=allowance,
-        n=n_paths,
-        seed=seed,
-        details={"mc_mean": est.mean, "target": target, **cal},
+    return _identity_check(
+        "value_identity", "value", problem, lambda n: law, target,
+        n_paths, seed, N or len(grid.times) - 1, workers,
     )
-
 
 def stationarity_residual(
     problem: ProblemSpec, path: PathRecord, grid: RiccatiGrid
@@ -207,29 +245,21 @@ def stationarity_check(
     problem: ProblemSpec,
     grid: RiccatiGrid,
     seed: int,
-    num_paths: int = 5,
     N: int | None = None,
 ) -> CheckResult:
     """Algebraic stationarity along simulated closed-loop paths; no MC slack."""
     N = N or len(grid.times) - 1
     law = FeedbackLaw(problem, grid)
     worst_ratio = 0.0
-    for j in range(num_paths):
+    for j in range(STATIONARITY_PATHS):
         path = simulate_closed_loop(problem, law, N, derive_seed(seed, "stat", j))
         residual = stationarity_residual(problem, path, grid)
         scale = float(np.max(np.linalg.norm(path.X, axis=1)))
         ratio = residual / scale if scale > 0.0 else residual
         worst_ratio = max(worst_ratio, ratio)
-    return CheckResult(
-        name="stationarity",
-        passed=bool(worst_ratio <= STATIONARITY_RTOL),
-        statistic=worst_ratio,
-        tolerance=STATIONARITY_RTOL,
-        stderr=0.0,
-        bias_allowance=0.0,
-        n=num_paths,
-        seed=seed,
-        details={"paths": num_paths},
+    return CheckResult.exact(
+        "stationarity", worst_ratio <= STATIONARITY_RTOL, worst_ratio,
+        STATIONARITY_RTOL, STATIONARITY_PATHS, seed, {"paths": STATIONARITY_PATHS},
     )
 
 
@@ -268,24 +298,13 @@ def perturbation_test(
         )
         deltas.append(est.mean)
         stderrs.append(est.stderr)
-    deltas = np.array(deltas)
-    stderrs = np.array(stderrs)
-    passed = bool(np.all(deltas >= -3.0 * stderrs))
-    worst = int(np.argmin(deltas))
-    return CheckResult(
-        name="perturbation_optimality",
-        passed=passed,
-        statistic=float(deltas[worst]),
-        tolerance=float(3.0 * stderrs[worst]),
-        stderr=float(stderrs[worst]),
-        bias_allowance=0.0,
-        n=n_paths,
-        seed=seed,
-        details={
+    return CheckResult.above(
+        "perturbation_optimality", deltas, stderrs, n_paths, seed,
+        {
             "directions": K,
-            "deltas": deltas.tolist(),
-            "stderrs": stderrs.tolist(),
-            "empirical_convexity": float(deltas.min()),
+            "deltas": deltas,
+            "stderrs": stderrs,
+            "empirical_convexity": min(deltas),
         },
     )
 
@@ -299,29 +318,11 @@ def lyapunov_identity_check(
     workers: int = 1,
 ) -> CheckResult:
     """Zero-control MC cost vs the quadratic form x0' M(0, i0) x0."""
-    N = N or len(lyap.times) - 1
-    zero_table = lambda n: ControlTable(values=np.zeros((n, problem.m)))
-    est = mc_cost(
-        problem, zero_table(N), n_paths, derive_seed(seed, "lyap-mc"), N, workers
-    )
-    n_cal = max(1000, n_paths // 10)
-    allowance, cal = richardson_allowance(
-        problem, zero_table, N, n_cal, derive_seed(seed, "lyap-cal"), workers
-    )
     target = float(problem.x0 @ lyap.M[0, problem.i0] @ problem.x0)
-    allowance = _floored_allowance(allowance, target)
-    statistic = est.mean - target
-    tolerance = 3.0 * est.stderr + allowance
-    return CheckResult(
-        name="lyapunov_identity",
-        passed=bool(abs(statistic) <= tolerance),
-        statistic=statistic,
-        tolerance=tolerance,
-        stderr=est.stderr,
-        bias_allowance=allowance,
-        n=n_paths,
-        seed=seed,
-        details={"mc_mean": est.mean, "target": target, **cal},
+    return _identity_check(
+        "lyapunov_identity", "lyap", problem,
+        lambda n: ControlTable(values=np.zeros((n, problem.m))), target,
+        n_paths, seed, N or len(lyap.times) - 1, workers,
     )
 
 
@@ -351,23 +352,12 @@ def convexity_probe(
         )
         ratios.append(est.mean / denom)
         rel_errs.append(est.stderr / denom)
-    ratios = np.array(ratios)
-    rel_errs = np.array(rel_errs)
-    passed = bool(np.all(ratios >= -3.0 * rel_errs))
-    worst = int(np.argmin(ratios))
-    return CheckResult(
-        name="convexity_probe",
-        passed=passed,
-        statistic=float(ratios[worst]),
-        tolerance=float(3.0 * rel_errs[worst]),
-        stderr=float(rel_errs[worst]),
-        bias_allowance=0.0,
-        n=n_paths,
-        seed=seed,
-        details={
+    return CheckResult.above(
+        "convexity_probe", ratios, rel_errs, n_paths, seed,
+        {
             "controls": K,
-            "ratios": ratios.tolist(),
-            "empirical_convexity_lower_bound": float(ratios.min()),
+            "ratios": ratios,
+            "empirical_convexity_lower_bound": min(ratios),
         },
     )
 
@@ -378,8 +368,6 @@ def run_standard_checks(
     n_paths: int,
     seed: int,
     workers: int = 1,
-    perturbation_paths: int | None = None,
-    probe_paths: int | None = None,
 ) -> list[CheckResult]:
     """Full verification suite on one problem.
 
@@ -387,58 +375,39 @@ def run_standard_checks(
     check (correct detection of a non-convex instance) and the convexity
     probe still runs; every other check needs the solved grid.
     """
-    perturbation_paths = perturbation_paths or min(n_paths, 10_000)
-    probe_paths = probe_paths or min(n_paths, 10_000)
-    checks: list[CheckResult] = []
+    probe_paths = min(n_paths, MAX_PROBE_PATHS)
     try:
         grid = solve_riccati(problem, N)
     except NumericalError as exc:
-        checks.append(
-            CheckResult(
-                name="sre_solve",
-                passed=False,
-                statistic=float("nan"),
-                tolerance=0.0,
-                stderr=0.0,
-                bias_allowance=0.0,
-                n=0,
-                seed=seed,
-                details={"error": type(exc).__name__, "message": str(exc)},
+        checks = [
+            CheckResult.exact(
+                "sre_solve", False, float("nan"), 0.0, 0, seed,
+                {"error": type(exc).__name__, "message": str(exc)},
             )
+        ]
+    else:
+        eps_hat = rhat_certificate(grid)
+        checks = [
+            CheckResult.exact(
+                "rhat_certificate", eps_hat > 0.0, eps_hat, 0.0,
+                grid.rhat_min_eig.size, seed, {},
+            ),
+            value_identity_check(
+                problem, grid, n_paths, derive_seed(seed, "value"), N, workers
+            ),
+            stationarity_check(problem, grid, derive_seed(seed, "stat"), N=N),
+            perturbation_test(
+                problem, grid, PERTURBATION_DIRECTIONS, probe_paths,
+                derive_seed(seed, "pert"), N, workers,
+            ),
+            lyapunov_identity_check(
+                problem, lyapunov_solve(problem, N), n_paths,
+                derive_seed(seed, "lyap"), N, workers,
+            ),
+        ]
+    checks.append(
+        convexity_probe(
+            problem, PROBE_CONTROLS, probe_paths, derive_seed(seed, "probe"), N, workers
         )
-        checks.append(
-            convexity_probe(problem, 8, probe_paths, derive_seed(seed, "probe"), N, workers)
-        )
-        return checks
-
-    eps_hat = rhat_certificate(grid)
-    checks.append(
-        CheckResult(
-            name="rhat_certificate",
-            passed=bool(eps_hat > 0.0),
-            statistic=eps_hat,
-            tolerance=0.0,
-            stderr=0.0,
-            bias_allowance=0.0,
-            n=grid.rhat_min_eig.size,
-            seed=seed,
-            details={},
-        )
-    )
-    checks.append(
-        value_identity_check(problem, grid, n_paths, derive_seed(seed, "value"), N, workers)
-    )
-    checks.append(stationarity_check(problem, grid, derive_seed(seed, "stat"), N=N))
-    checks.append(
-        perturbation_test(
-            problem, grid, 10, perturbation_paths, derive_seed(seed, "pert"), N, workers
-        )
-    )
-    lyap = lyapunov_solve(problem, N)
-    checks.append(
-        lyapunov_identity_check(problem, lyap, n_paths, derive_seed(seed, "lyap"), N, workers)
-    )
-    checks.append(
-        convexity_probe(problem, 8, probe_paths, derive_seed(seed, "probe"), N, workers)
     )
     return checks

@@ -14,6 +14,13 @@ from regimelq.cli import main
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+def _bundled(name: str, change) -> dict:
+    """A bundled config after ``change`` edited it in place."""
+    cfg = json.loads((CONFIGS / name).read_text())
+    change(cfg)
+    return cfg
+
+
 def _write_nonconvex_config(tmp_path: Path) -> Path:
     from canonical import nonconvex
 
@@ -61,11 +68,34 @@ class TestExitCodes:
         ])
         assert rc == 1
 
-    def test_invalid_schema_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, config, extra",
+        [
+            ("solve", lambda: {"spec_version": 1, "kind": "slq"}, []),
+            ("solve", lambda: [1, 2], []),
+            ("solve", lambda: _bundled("market_one_regime.json", lambda c: c.pop("generator")), []),
+            ("bsde", lambda: _bundled("random_coeff.json", lambda c: c.pop("generator")), []),
+            ("solve", lambda: _bundled("scalar.json", lambda c: c["segments"][0].pop("t_start")), []),
+            ("solve", lambda: _bundled("scalar.json", lambda c: c.update(x0="abc")), []),
+            ("bsde", lambda: _bundled("random_coeff.json", lambda c: None), ["--degree", "-1"]),
+        ],
+        ids=[
+            "missing-fields", "not-an-object", "market-missing-generator",
+            "random-coefficients-missing-generator", "segment-missing-t_start",
+            "ill-typed-x0", "negative-degree",
+        ],
+    )
+    def test_invalid_schema_exits_one(self, tmp_path, capsys, command, config, extra):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"spec_version": 1, "kind": "slq"}))
-        rc = main(["solve", "--config", str(bad), "--seed", "1", "--out", str(tmp_path)])
+        bad.write_text(json.dumps(config()))
+        rc = main([
+            command, "--config", str(bad), "--seed", "1", "--grid", "10",
+            "--paths", "2000", "--out", str(tmp_path),
+        ] + extra)
         assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "error" in json.loads(err)
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         cfg = _write_nonconvex_config(tmp_path)

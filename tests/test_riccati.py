@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import regimelq as rl
 from regimelq.errors import SingularRhat
-from regimelq.riccati import feedback_gain, stationarity_defect
+from regimelq.riccati import stationarity_defect
 
 from canonical import (
     TWO_REGIME_P0,
@@ -181,7 +181,7 @@ class TestFeedbackGain:
         assert gains[::2].tobytes() == grid.Theta[:-1].tobytes()
         for j in range(1, 2 * N, 2):
             for k in range(prob.num_regimes):
-                np.testing.assert_array_equal(gains[j, k], feedback_gain(law, fine[j], k))
+                np.testing.assert_array_equal(gains[j, k], law.gain(fine[j], k))
 
     def test_zero_gain_when_shat_vanishes(self):
         # B = 0, S = 0, C = 0 make Shat identically zero

@@ -227,6 +227,18 @@ class TestMcCost:
         with pytest.raises(ValidationError):
             paired_refinement_run(prob, lambda n: law, 0, 19, 20)
 
+    def test_estimators_need_one_hundred_paths(self):
+        prob = stochastic_scalar()
+        grid = rl.solve_riccati(prob, 20)
+        law = rl.FeedbackLaw(prob, grid)
+        with pytest.raises(ValidationError):
+            rl.mc_cost(prob, law, 99, 20, 20)
+        with pytest.raises(ValidationError):
+            rl.mc_cost_diff(prob, law, law, 5, 20, 20)
+        # a check built on too few paths is refused, not reported with a nan tolerance
+        with pytest.raises(ValidationError):
+            rl.perturbation_test(prob, grid, 5, 1, 3)
+
     def test_terminal_state_returned(self):
         prob = two_regime_coupling()
         grid = rl.solve_riccati(prob, 50)

@@ -11,10 +11,31 @@ from canonical import (
     det_lqr,
     multidim_two_segment,
     nonconvex,
+    one_regime_market,
     scalar_analytic,
     stochastic_scalar,
     two_regime_coupling,
 )
+
+TWO_SIDED = {"value_identity", "lyapunov_identity", "mv_terminal_mean", "mv_terminal_variance"}
+ONE_SIDED = {"perturbation_optimality": "deltas", "convexity_probe": "ratios"}
+EXACT = {"sre_solve", "rhat_certificate", "stationarity"}
+
+
+def assert_check_contract(check):
+    """The pass rule and tolerance terms of each kind of check."""
+    if check.name in TWO_SIDED:
+        assert check.tolerance == 3.0 * check.stderr + check.bias_allowance
+        assert check.passed == (abs(check.statistic) <= check.tolerance)
+    elif check.name in ONE_SIDED:
+        assert check.statistic == min(check.details[ONE_SIDED[check.name]])
+        assert check.tolerance == 3.0 * check.stderr
+        assert check.bias_allowance == 0.0
+        if check.passed:
+            assert check.statistic >= -check.tolerance
+    else:
+        assert check.name in EXACT
+        assert check.stderr == 0.0 and check.bias_allowance == 0.0
 
 
 class TestLyapunovSolve:
@@ -95,13 +116,6 @@ class TestValueIdentity:
         assert check.stderr == 0.0  # no randomness at all
         assert check.bias_allowance > 0.0
 
-    def test_records_tolerance_terms_separately(self):
-        prob = stochastic_scalar()
-        grid = rl.solve_riccati(prob, 100)
-        check = rl.value_identity_check(prob, grid, 5000, 104)
-        assert check.tolerance == pytest.approx(
-            3.0 * check.stderr + check.bias_allowance
-        )
 
 
 class TestStationarity:
@@ -271,6 +285,26 @@ class TestMultiDimensional:
         path = rl.simulate_closed_loop(prob, law, 100, 123)
         residual = rl.stationarity_residual(prob, path, grid)
         assert residual <= 1e-8 * float(np.max(np.abs(path.X)))
+
+
+class TestCheckContract:
+    @pytest.mark.parametrize("make", [stochastic_scalar, nonconvex])
+    def test_records_tolerance_terms_separately(self, make):
+        checks = rl.run_standard_checks(make(), 50, 2000, 104)
+        for check in checks:
+            assert_check_contract(check)
+        names = {c.name for c in checks}
+        assert names & EXACT and names & set(ONE_SIDED)
+        if make is stochastic_scalar:
+            assert {"value_identity", "lyapunov_identity"} <= names
+
+    def test_frontier_checks(self):
+        market = one_regime_market()
+        points, grid = rl.efficient_frontier(market, [1.2], N=100)
+        checks = rl.mv_simulate_check(market, points[0], 2000, 104, N=100, grid=grid)
+        assert [c.name for c in checks] == ["mv_terminal_mean", "mv_terminal_variance"]
+        for check in checks:
+            assert_check_contract(check)
 
 
 class TestStandardChecks:
