@@ -28,7 +28,7 @@ from .errors import NumericalError, ValidationError
 from .meanvar import efficient_frontier, market_from_config, mv_riccati, mv_simulate_check
 from .model import problem_from_config
 from .riccati import FeedbackLaw, solve_riccati
-from .simulate import mc_cost, simulate_closed_loop
+from .simulate import MIN_PATHS, mc_cost, simulate_closed_loop
 from .streams import derive_seed
 from .verify import run_standard_checks
 
@@ -165,8 +165,6 @@ def _cmd_solve(args, cfg, meta, out: Path) -> int:
 
 def _cmd_simulate(args, cfg, meta, out: Path) -> int:
     seed = meta["seed"]
-    if args.paths < 100:
-        raise ValidationError("need at least 100 paths")
     problem = _parse(problem_from_config, cfg)
     grid = solve_riccati(problem, args.grid)
     law = FeedbackLaw(problem, grid)
@@ -207,8 +205,6 @@ def _cmd_simulate(args, cfg, meta, out: Path) -> int:
 
 def _cmd_verify(args, cfg, meta, out: Path) -> int:
     seed = meta["seed"]
-    if args.paths < 100:
-        raise ValidationError("need at least 100 paths")
     problem = _parse(problem_from_config, cfg)
     checks = run_standard_checks(
         problem, args.grid, args.paths, seed, workers=args.workers
@@ -223,8 +219,6 @@ def _cmd_verify(args, cfg, meta, out: Path) -> int:
 
 def _cmd_frontier(args, cfg, meta, out: Path) -> int:
     seed = meta["seed"]
-    if args.paths < 100:
-        raise ValidationError("need at least 100 paths")
     market, targets = _parse(market_from_config, cfg)
     if not targets:
         raise ValidationError("market config has no targets")
@@ -280,6 +274,8 @@ def _cmd_bsde(args, cfg, meta, out: Path) -> int:
     return 0
 
 
+_MC_COMMANDS = ("simulate", "verify", "frontier")  # report Monte Carlo estimates
+
 _COMMANDS = {
     "solve": _cmd_solve,
     "simulate": _cmd_simulate,
@@ -302,6 +298,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.grid < 2:
             raise ValidationError("need grid N >= 2")
+        if args.workers < 1:
+            raise ValidationError("need --workers >= 1")
+        if args.command in _MC_COMMANDS and args.paths < MIN_PATHS:
+            raise ValidationError(f"need at least {MIN_PATHS} paths")
         seed = _require_seed(args)
         cfg, config_hash = _load_config(args.config)
         meta = _meta(args, config_hash, seed)

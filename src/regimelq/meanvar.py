@@ -40,7 +40,7 @@ from .model import ProblemSpec, make_problem, with_initial_state
 from .riccati import FeedbackLaw, RiccatiGrid, solve_riccati
 from .simulate import mc_run, paired_refinement_run
 from .streams import derive_seed
-from .verify import CheckResult, paired_allowance
+from .verify import CheckResult, calibration_paths, paired_allowance
 
 P_FLOOR = 1e-12
 DEGENERATE_TOL = 1e-12
@@ -385,9 +385,9 @@ def mv_simulate_check(
     stats = _terminal_wealth_stats(
         problem, law, n_paths, derive_seed(seed, "mv-mc"), N, point.gamma, workers
     )
-    n_cal = max(1000, n_paths // 10)
     _, _, xt_n, xt_2n = paired_refinement_run(
-        problem, lambda n: law, n_cal, derive_seed(seed, "mv-cal"), N, workers
+        problem, lambda n: law, calibration_paths(n_paths),
+        derive_seed(seed, "mv-cal"), N, workers,
     )
     x_n, x_2n = xt_n[:, 0], xt_2n[:, 0]
     mean_diff = x_2n - x_n

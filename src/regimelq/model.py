@@ -64,12 +64,19 @@ class ProblemSpec:
     def num_segments(self) -> int:
         return len(self.breakpoints) - 1
 
-    def segment_index(self, t: float) -> int:
-        """Segment owning t; [s_j, s_{j+1}) is right-continuous, T maps to the last."""
-        if t < 0.0 or t > self.T:
-            raise OutOfHorizon(f"t={t} outside [0, {self.T}]")
-        j = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return min(j, self.num_segments - 1)
+    def segment_index(self, t):
+        """Segment owning t; [s_j, s_{j+1}) is right-continuous, T maps to the last.
+
+        ``t`` may be a scalar (returns an int) or an array (returns an index
+        array of its shape).  A time outside [0, T], or NaN, is an error.
+        """
+        t = np.asarray(t, dtype=np.float64)
+        inside = (t >= 0.0) & (t <= self.T)
+        if not np.all(inside):
+            raise OutOfHorizon(f"t={t[~inside].flat[0]} outside [0, {self.T}]")
+        j = np.minimum(np.searchsorted(self.breakpoints, t, side="right") - 1,
+                       self.num_segments - 1)
+        return j if j.ndim else int(j)
 
     def terminal_weights(self) -> NDArray[np.float64]:
         """Stacked (D, n, n) terminal weights G_k."""

@@ -37,7 +37,7 @@ RHAT_FLOOR = 1e-8
 
 
 class _SegmentStack(NamedTuple):
-    """Per-regime coefficient arrays of one segment, stacked to (D, ., .)."""
+    """Per-regime coefficients of one segment (D, ., .), or of K times (K, D, ., .)."""
 
     A: NDArray
     B: NDArray
@@ -64,12 +64,15 @@ def _stack_segment(problem: ProblemSpec, j: int) -> _SegmentStack:
     return _SegmentStack(A, B, C, D, Q, S, R, t(B), t(C), t(D))
 
 
-def _stacks(problem: ProblemSpec) -> list[_SegmentStack]:
-    return [_stack_segment(problem, j) for j in range(problem.num_segments)]
+def _on_grid(problem: ProblemSpec, times) -> _SegmentStack:
+    """Coefficients in force at each of ``times``, stacked to (len(times), D, ., .)."""
+    segments = [_stack_segment(problem, j) for j in range(problem.num_segments)]
+    rows = problem.segment_index(times)
+    return _SegmentStack(*(np.stack(field)[rows] for field in zip(*segments)))
 
 
 def _hat_terms(P: NDArray, st: _SegmentStack):
-    """Shat, Rhat for stacked symmetric P of shape (D, n, n)."""
+    """Shat, Rhat for stacked symmetric P of shape (D, n, n) or (K, D, n, n)."""
     DtP = st.Dt @ P
     Shat = st.Bt @ P + DtP @ st.C + st.S
     Rhat = st.R + DtP @ st.D
@@ -77,13 +80,18 @@ def _hat_terms(P: NDArray, st: _SegmentStack):
     return Shat, Rhat
 
 
-def _guard_rhat(Rhat: NDArray, t: float) -> NDArray:
-    """Smallest eigenvalue of Rhat per regime; raises below RHAT_FLOOR."""
-    w = np.linalg.eigvalsh(Rhat)
-    min_eigs = w[..., 0]
-    if np.any(min_eigs < RHAT_FLOOR):
-        k = int(np.argmin(min_eigs))
-        raise SingularRhat(t, k, float(min_eigs[k]))
+def _guard_rhat(Rhat: NDArray, times) -> NDArray:
+    """Smallest eigenvalue of Rhat per (time, regime) of a (K, D, m, m) stack.
+
+    Raises :class:`SingularRhat` at the earliest time where some regime falls
+    below ``RHAT_FLOOR``, naming the regime of smallest eigenvalue there.
+    """
+    min_eigs = np.linalg.eigvalsh(Rhat)[..., 0]
+    failing = np.any(min_eigs < RHAT_FLOOR, axis=-1)
+    if np.any(failing):
+        i = int(np.argmax(failing))
+        k = int(np.argmin(min_eigs[i]))
+        raise SingularRhat(float(times[i]), k, float(min_eigs[i, k]))
     return min_eigs
 
 
@@ -99,7 +107,7 @@ def _rhs(
     drift = PA + PA.swapaxes(-1, -2) + st.Ct @ P @ st.C + st.Q
     if quadratic:
         Shat, Rhat = _hat_terms(P, st)
-        _guard_rhat(Rhat, t)
+        _guard_rhat(Rhat[None], [t])
         drift = drift - Shat.swapaxes(-1, -2) @ np.linalg.solve(Rhat, Shat)
     dP = -(drift + np.einsum("kl,lij->kij", rates, P))
     return 0.5 * (dP + dP.swapaxes(-1, -2))
@@ -134,16 +142,12 @@ class RiccatiGrid:
     Theta: NDArray[np.float64]  # (N+1, D, m, n)
     rhat_min_eig: NDArray[np.float64]  # (N+1, D)
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self.times)
 
-
-def _node_gain(P: NDArray, st: _SegmentStack, t: float):
+def _node_gain(P: NDArray, st: _SegmentStack, times):
+    """Gains and Rhat spectra of a (K, D, n, n) stack of P at ``times``."""
     Shat, Rhat = _hat_terms(P, st)
-    min_eigs = _guard_rhat(Rhat, t)
-    Theta = np.linalg.solve(Rhat, -Shat)
-    return Theta, min_eigs
+    min_eigs = _guard_rhat(Rhat, times)
+    return np.linalg.solve(Rhat, -Shat), min_eigs
 
 
 def _integrate_backward(
@@ -155,9 +159,12 @@ def _integrate_backward(
     T = problem.T
     h = T / N
     times = np.linspace(0.0, T, N + 1)
-    stacks = _stacks(problem)
+    # one segment owns the whole step when breakpoints sit on grid nodes;
+    # the midpoint lookup avoids grabbing the right-hand segment at a
+    # breakpoint node (segment_index is right-continuous)
+    mids = times[1:] - 0.5 * h
+    steps = _on_grid(problem, mids)
     rates = problem.generator.rates
-    seg_of = problem.segment_index
 
     P = np.empty((N + 1, problem.num_regimes, problem.n, problem.n))
     P[N] = problem.terminal_weights()
@@ -165,11 +172,8 @@ def _integrate_backward(
     for i in range(N, 0, -1):
         t1 = times[i]
         t0 = times[i - 1]
-        tm = t1 - 0.5 * h
-        # one segment owns the whole step when breakpoints sit on grid nodes;
-        # the midpoint lookup avoids grabbing the right-hand segment at a
-        # breakpoint node (segment_index is right-continuous)
-        st = stacks[seg_of(tm)]
+        tm = mids[i - 1]
+        st = _SegmentStack(*(a[i - 1] for a in steps))
         Pi = P[i]
         k1 = _rhs(Pi, t1, st, rates, quadratic)
         k2 = _rhs(sym(Pi - 0.5 * h * k1), tm, st, rates, quadratic)
@@ -189,11 +193,7 @@ def solve_riccati(problem: ProblemSpec, N: int) -> RiccatiGrid:
     failure, reporting the failing node and regime.
     """
     times, P = _integrate_backward(problem, N)
-    stacks = _stacks(problem)
-    Theta = np.empty((len(times), problem.num_regimes, problem.m, problem.n))
-    rhat_min = np.empty((len(times), problem.num_regimes))
-    for i, t in enumerate(times):
-        Theta[i], rhat_min[i] = _node_gain(P[i], stacks[problem.segment_index(t)], t)
+    Theta, rhat_min = _node_gain(P, _on_grid(problem, times), times)
     return RiccatiGrid(times=times, P=P, Theta=Theta, rhat_min_eig=rhat_min)
 
 
@@ -201,60 +201,42 @@ def solve_riccati(problem: ProblemSpec, N: int) -> RiccatiGrid:
 class FeedbackLaw:
     """State-feedback law u = Theta(t, k) x backed by a solved grid.
 
-    Off-node gains interpolate P linearly between the bracketing nodes and
-    re-solve Rhat Theta = -Shat at the interpolated P, which keeps the
-    stationarity identity exact off nodes as well.
+    P is interpolated linearly between the bracketing nodes and Theta
+    re-solved from Rhat Theta = -Shat at the interpolated P, which keeps the
+    stationarity identity exact off nodes as well.  At a node the
+    interpolation weight is 0, so the re-solved gain is ``grid.Theta`` there,
+    bit for bit.
     """
 
     problem: ProblemSpec
     grid: RiccatiGrid
 
-    def interpolated_P(self, t: float) -> NDArray:
-        times = self.grid.times
-        if t < times[0] or t > times[-1]:
-            raise ValidationError(f"t={t} outside the solved grid")
-        i = min(int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2)
-        i = max(i, 0)
-        h = times[i + 1] - times[i]
-        w = (t - times[i]) / h
+    def interpolated_P(self, t) -> NDArray:
+        """P at time t, shape (D, n, n); an array of times adds leading axes."""
+        nodes = self.grid.times
+        t = np.asarray(t, dtype=np.float64)
+        inside = (t >= nodes[0]) & (t <= nodes[-1])
+        if not np.all(inside):
+            raise ValidationError(f"t={t[~inside].flat[0]} outside the solved grid")
+        i = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 2)
+        w = ((t - nodes[i]) / (nodes[i + 1] - nodes[i]))[..., None, None, None]
         return (1.0 - w) * self.grid.P[i] + w * self.grid.P[i + 1]
 
-    def node_indices(self, times) -> NDArray[np.int64]:
-        """Grid index of each time that is exactly a grid node, -1 elsewhere.
-
-        At a node the interpolation weight is 0, so ``interpolated_P`` is
-        ``grid.P[i]`` and the re-solved gain is ``grid.Theta[i]``, bit for bit.
-        """
-        times = np.asarray(times, dtype=np.float64)
-        nodes = self.grid.times
-        idx = np.minimum(np.searchsorted(nodes, times), len(nodes) - 1)
-        return np.where(nodes[idx] == times, idx, -1)
+    def hat_terms(self, times):
+        """Shat (K, D, m, n) and Rhat (K, D, m, m) at the interpolated P of K times."""
+        return _hat_terms(self.interpolated_P(times), _on_grid(self.problem, times))
 
     def gain(self, t: float, k: int) -> NDArray:
         """Feedback gain Theta(t, k), recomputed from the interpolated P."""
         P = self.interpolated_P(t)
         st = _stack_segment(self.problem, self.problem.segment_index(t))
-        Theta, _ = _node_gain(P, st, t)
-        return Theta[k]
+        Theta, _ = _node_gain(P[None], st, [t])
+        return Theta[0, k]
 
     def gains_at_times(self, times) -> NDArray:
-        """Stacked gains (len(times), D, m, n) for all regimes.
-
-        Times on grid nodes read the solved ``grid.Theta``; only off-node
-        times interpolate P and re-solve.
-        """
-        out = np.empty(
-            (len(times), self.problem.num_regimes, self.problem.m, self.problem.n)
-        )
-        stacks = _stacks(self.problem)
-        for i, (t, node) in enumerate(zip(times, self.node_indices(times))):
-            if node >= 0:
-                out[i] = self.grid.Theta[node]
-                continue
-            P = self.interpolated_P(t)
-            st = stacks[self.problem.segment_index(t)]
-            out[i], _ = _node_gain(P, st, t)
-        return out
+        """Stacked gains (len(times), D, m, n) for all regimes, one batched solve."""
+        P = self.interpolated_P(times)
+        return _node_gain(P, _on_grid(self.problem, times), times)[0]
 
 
 def rhat_certificate(grid: RiccatiGrid) -> float:
@@ -268,11 +250,5 @@ def rhat_certificate(grid: RiccatiGrid) -> float:
 
 def stationarity_defect(problem: ProblemSpec, grid: RiccatiGrid) -> float:
     """Max over nodes/regimes of ||Shat + Rhat Theta||_inf (pure algebra)."""
-    worst = 0.0
-    stacks = _stacks(problem)
-    for i, t in enumerate(grid.times):
-        st = stacks[problem.segment_index(t)]
-        Shat, Rhat = _hat_terms(grid.P[i], st)
-        defect = Shat + Rhat @ grid.Theta[i]
-        worst = max(worst, float(np.max(np.abs(defect))))
-    return worst
+    Shat, Rhat = _hat_terms(grid.P, _on_grid(problem, grid.times))
+    return float(np.max(np.abs(Shat + Rhat @ grid.Theta)))

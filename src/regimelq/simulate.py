@@ -32,9 +32,11 @@ from numpy.typing import NDArray
 from .chain import sample_regimes_on_grid
 from .errors import NonFiniteState, ValidationError
 from .model import CoefficientSet, ProblemSpec
-from .riccati import FeedbackLaw, _stacks
+from .riccati import FeedbackLaw, _on_grid
 # CHUNK_SIZE is re-exported: it is the path count of one batch chunk
 from .streams import CHUNK_SIZE, derive_rng, run_chunks
+
+MIN_PATHS = 100  # fewest paths behind a Monte Carlo estimate or a CLI run
 
 
 @dataclass(frozen=True)
@@ -176,11 +178,7 @@ class _LoopTable(NamedTuple):
 def _loop_table(problem: ProblemSpec, control: Control, times) -> _LoopTable:
     """Closed-loop coefficients of ``control`` at every grid node and regime."""
     gains, v = _resolve_control(control, problem, times)
-    stacks = _stacks(problem)
-    seg = [problem.segment_index(t) for t in times[:-1]]
-    A, B, C, D, Q, S, R = (
-        np.stack([getattr(stacks[j], name) for j in seg]) for name in "ABCDQSR"
-    )
+    A, B, C, D, Q, S, R = _on_grid(problem, times[:-1])[:7]
     Theta = np.zeros(B.shape[:2] + (problem.m, problem.n)) if gains is None else gains
     ThetaT = Theta.swapaxes(-1, -2)
     cross = ThetaT @ S
@@ -305,8 +303,8 @@ def paired_refinement_run(
 
 def _estimate(values: NDArray, seed: int) -> MCEstimate:
     n = len(values)
-    if n < 100:
-        raise ValidationError("a Monte Carlo estimate needs at least 100 paths")
+    if n < MIN_PATHS:
+        raise ValidationError(f"a Monte Carlo estimate needs at least {MIN_PATHS} paths")
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / np.sqrt(n))
     return MCEstimate(mean=mean, stderr=stderr, n=n, seed=seed)

@@ -28,9 +28,7 @@ from .model import ProblemSpec, with_initial_state
 from .riccati import (
     FeedbackLaw,
     RiccatiGrid,
-    _hat_terms,
     _integrate_backward,
-    _stacks,
     rhat_certificate,
     solve_riccati,
 )
@@ -54,6 +52,11 @@ PROBE_CONTROLS = 8
 CONTROL_BLOCKS = 8  # constant blocks of every random control table
 STATIONARITY_PATHS = 5
 MAX_PROBE_PATHS = 10_000  # paths per perturbation direction or probe control
+
+
+def calibration_paths(n_paths: int) -> int:
+    """Paths of the Richardson calibration run behind an n_paths estimate."""
+    return max(1000, n_paths // 10)
 
 
 @dataclass
@@ -185,15 +188,15 @@ def _identity_check(
     """MC cost of ``control_for(N)`` vs a quadratic-form target.
 
     Streams ``{tag}-mc`` (estimate) and ``{tag}-cal`` (Richardson
-    calibration on max(1000, n_paths / 10) paths); the allowance never
+    calibration on ``calibration_paths(n_paths)``); the allowance never
     falls below the solver's resolution of the target.
     """
     est = mc_cost(
         problem, control_for(N), n_paths, derive_seed(seed, f"{tag}-mc"), N, workers
     )
-    n_cal = max(1000, n_paths // 10)
     allowance, cal = richardson_allowance(
-        problem, control_for, N, n_cal, derive_seed(seed, f"{tag}-cal"), workers
+        problem, control_for, N, calibration_paths(n_paths),
+        derive_seed(seed, f"{tag}-cal"), workers,
     )
     allowance = max(allowance, SOLVER_RESOLUTION * (1.0 + abs(target)))
     return CheckResult.within(
@@ -227,18 +230,12 @@ def stationarity_residual(
     recorded controls; under the grid's feedback law this is
     (Shat + Rhat Theta) X_i, zero up to linear-solve roundoff.
     """
-    law = FeedbackLaw(problem, grid)
-    stacks = _stacks(problem)
-    nodes = law.node_indices(path.times[: len(path.U)])
-    worst = 0.0
-    for i in range(len(path.U)):
-        t = float(path.times[i])
-        k = int(path.regimes[i])
-        P = grid.P[nodes[i]] if nodes[i] >= 0 else law.interpolated_P(t)
-        Shat, Rhat = _hat_terms(P, stacks[problem.segment_index(t)])
-        F = Shat[k] @ path.X[i] + Rhat[k] @ path.U[i]
-        worst = max(worst, float(np.linalg.norm(F)))
-    return worst
+    steps = len(path.U)
+    Shat, Rhat = FeedbackLaw(problem, grid).hat_terms(path.times[:steps])
+    rows = np.arange(steps), path.regimes[:steps]
+    F = Shat[rows] @ path.X[:steps, :, None] + Rhat[rows] @ path.U[:, :, None]
+    # F'F per node is the dot product np.linalg.norm takes of one vector
+    return float(np.sqrt(F.swapaxes(-1, -2) @ F).max())
 
 
 def stationarity_check(

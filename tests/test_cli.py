@@ -78,11 +78,13 @@ class TestExitCodes:
             ("solve", lambda: _bundled("scalar.json", lambda c: c["segments"][0].pop("t_start")), []),
             ("solve", lambda: _bundled("scalar.json", lambda c: c.update(x0="abc")), []),
             ("bsde", lambda: _bundled("random_coeff.json", lambda c: None), ["--degree", "-1"]),
+            ("verify", lambda: _bundled("scalar.json", lambda c: None), ["--workers", "0"]),
+            ("verify", lambda: _bundled("scalar.json", lambda c: None), ["--workers", "-1"]),
         ],
         ids=[
             "missing-fields", "not-an-object", "market-missing-generator",
             "random-coefficients-missing-generator", "segment-missing-t_start",
-            "ill-typed-x0", "negative-degree",
+            "ill-typed-x0", "negative-degree", "zero-workers", "negative-workers",
         ],
     )
     def test_invalid_schema_exits_one(self, tmp_path, capsys, command, config, extra):

@@ -107,6 +107,10 @@ class TestCoeffAt:
             rl.coeff_at(prob, 1.5, 0)
         with pytest.raises(OutOfHorizon):
             rl.coeff_at(prob, -0.1, 0)
+        with pytest.raises(OutOfHorizon):
+            rl.coeff_at(prob, float("nan"), 0)
+        with pytest.raises(OutOfHorizon):
+            prob.segment_index(np.array([0.2, np.nan]))
 
     def test_deterministic(self):
         prob = scalar_analytic()

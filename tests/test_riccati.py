@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import regimelq as rl
-from regimelq.errors import SingularRhat
-from regimelq.riccati import stationarity_defect
+from regimelq.errors import SingularRhat, ValidationError
+from regimelq.riccati import RHAT_FLOOR, _guard_rhat, stationarity_defect
 
 from canonical import (
     TWO_REGIME_P0,
@@ -202,6 +202,15 @@ class TestFeedbackGain:
         law = rl.FeedbackLaw(prob, grid)
         assert law.gain(0.5, 0)[0, 0] == pytest.approx(-1.0 / 1.5, abs=1e-5)
 
+    def test_interpolated_p_rejects_times_off_the_grid(self):
+        prob = det_lqr()
+        law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 20))
+        for t in (-0.1, prob.T + 0.1, float("nan"), [0.3, float("nan")]):
+            with pytest.raises(ValidationError):
+                law.interpolated_P(t)
+        with pytest.raises(ValidationError):
+            law.gain(float("nan"), 0)
+
     def test_interpolated_gain_keeps_identity(self):
         prob = det_lqr()
         grid = rl.solve_riccati(prob, 50)
@@ -213,6 +222,21 @@ class TestFeedbackGain:
             Rhat = cs.R + cs.D.T @ P[0] @ cs.D
             defect = Shat + Rhat @ law.gain(t, 0)
             assert np.max(np.abs(defect)) <= 1e-12
+
+
+class TestGuardRhat:
+    def test_names_earliest_failing_time_and_argmin_regime(self):
+        # min eigenvalues per (time, regime); times 1 and 2 fail, time 1 first
+        eigs = np.array([[1.0, 2.0, 0.5], [0.3, -2.0, -1.0], [-5.0, 1.0, 1.0]])
+        Rhat = eigs[..., None, None] * np.eye(2)
+        with pytest.raises(SingularRhat) as info:
+            _guard_rhat(Rhat, [0.0, 0.25, 0.5])
+        assert (info.value.t, info.value.regime, info.value.eigenvalue) == (0.25, 1, -2.0)
+        assert str(info.value) == str(SingularRhat(0.25, 1, -2.0))
+
+    def test_returns_smallest_eigenvalue_per_time_and_regime(self):
+        Rhat = np.array([[[[2.0, 0.0], [0.0, 3.0]]], [[[1.0, 0.0], [0.0, RHAT_FLOOR]]]])
+        np.testing.assert_array_equal(_guard_rhat(Rhat, [0.0, 1.0]), [[2.0], [RHAT_FLOOR]])
 
 
 class TestRhatCertificate:
@@ -282,3 +306,55 @@ def test_property_positivity_preserved(prob):
     min_eig = np.min(np.linalg.eigvalsh(grid.P))
     assert min_eig >= -1e-9
     assert np.max(np.abs(grid.P - grid.P.swapaxes(-1, -2))) <= 1e-10
+
+
+@st.composite
+def gain_instances(draw):
+    """Convex problems with n, m, D <= 3 and one or two segments, plus a grid size.
+
+    R >= I, Q >= I and ||S||_2 <= 0.75 keep Q - S'R^{-1}S positive definite,
+    so P stays psd and Rhat = R + D'PD >= I; small A, C, D and at least four
+    steps keep the RK4 stages there too.  A second segment starts on a grid
+    node.
+    """
+    n, m, d = (draw(st.integers(min_value=1, max_value=3)) for _ in range(3))
+    N = draw(st.integers(min_value=4, max_value=12))
+    vals = st.floats(min_value=-1.0, max_value=1.0)
+    mat = lambda rows, cols: np.array(
+        draw(st.lists(vals, min_size=rows * cols, max_size=rows * cols))
+    ).reshape(rows, cols)
+    psd = lambda k: np.eye(k) + _psd(mat(k, k).ravel(), k)
+    cell = lambda: {
+        "A": 0.5 * mat(n, n), "B": mat(n, m), "C": 0.5 * mat(n, n), "D": 0.1 * mat(n, m),
+        "Q": psd(n), "S": 0.25 * mat(m, n), "R": psd(m),
+    }
+    nodes = np.linspace(0.0, 1.0, N + 1)
+    breakpoints = [0.0, 1.0]
+    if draw(st.booleans()):
+        breakpoints.insert(1, nodes[draw(st.integers(min_value=1, max_value=N - 1))])
+    rates = np.array(
+        draw(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=d * d, max_size=d * d))
+    ).reshape(d, d)
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    prob = rl.make_problem(
+        n=n, m=m, T=1.0, generator=rates,
+        coefficients=[[cell() for _ in range(d)] for _ in breakpoints[1:]],
+        G=[_psd(mat(n, n).ravel(), n) for _ in range(d)], x0=np.ones(n), i0=0,
+        breakpoints=breakpoints,
+    )
+    times = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8))
+    return prob, N, np.array(times + list(breakpoints))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(gain_instances())
+def test_property_gain_table_equals_pointwise_gain(instance):
+    # the batched table reads every time exactly as the one-time law.gain does
+    prob, N, times = instance
+    law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, N))
+    gains = law.gains_at_times(times)
+    assert gains.shape == (len(times), prob.num_regimes, prob.m, prob.n)
+    for t, row in zip(times, gains):
+        for k in range(prob.num_regimes):
+            assert row[k].tobytes() == law.gain(t, k).tobytes()
