@@ -43,7 +43,7 @@ from .errors import (
     NegativeRhat,
     ValidationError,
 )
-from .model import ProblemSpec, make_problem
+from .model import ConfigReader, ProblemSpec, check_horizon, make_problem
 from .riccati import RHAT_FLOOR
 from .streams import run_chunks
 
@@ -130,9 +130,14 @@ def make_model(
 
     ``coeffs`` maps each regime to ``{name: (const, slope)}`` for the names
     A, B, C, D, Q, S, R, G.  Over the declared driver range R must stay
-    strictly positive and G nonnegative.
+    strictly positive and G nonnegative, and every number must be finite.
     """
-    gen = generator if isinstance(generator, GeneratorMatrix) else validate_generator(generator)
+    gen = validate_generator(generator)
+    T = check_horizon(T)
+    scalars = {"kappa": kappa, "theta_bar": theta_bar, "nu": nu, "y0": y0, "y_range": y_range}
+    bad = [name for name, v in scalars.items() if not np.all(np.isfinite(v))]
+    if bad:
+        raise ValidationError(f"driver {', '.join(bad)} must be finite")
     lo, hi = float(y_range[0]), float(y_range[1])
     if not lo < hi:
         raise ValidationError("driver range must satisfy y_low < y_high")
@@ -140,8 +145,6 @@ def make_model(
         raise ValidationError("y0 must lie inside the declared driver range")
     if nu < 0.0:
         raise ValidationError("driver volatility nu must be nonnegative")
-    if not 0 <= int(i0) < gen.size:
-        raise ValidationError(f"initial regime {i0} out of range")
     per_regime = []
     for k in range(gen.size):
         entry = {}
@@ -149,6 +152,8 @@ def make_model(
             spec = coeffs[k][name]
             amap = spec if isinstance(spec, AffineMap) else AffineMap(*np.atleast_1d(spec))
             entry[name] = AffineMap(float(amap.const), float(amap.slope))
+            if not np.isfinite([amap.const, amap.slope]).all():
+                raise ValidationError(f"{name} (regime {k + 1}) must be finite")
         r_min, _ = entry["R"].range_bounds(lo, hi)
         if r_min <= 0.0:
             raise ValidationError(
@@ -161,9 +166,9 @@ def make_model(
             )
         per_regime.append(entry)
     return RandomCoefficientModel(
-        T=float(T),
+        T=T,
         generator=gen,
-        i0=int(i0),
+        i0=gen.initial_regime(i0),
         kappa=float(kappa),
         theta_bar=float(theta_bar),
         nu=float(nu),
@@ -176,26 +181,21 @@ def make_model(
 
 def model_from_config(cfg: dict) -> RandomCoefficientModel:
     """Parse the ``kind: "random_coefficients"`` JSON config."""
-    if cfg.get("spec_version") != 1:
-        raise ValidationError("config must declare spec_version: 1")
-    if cfg.get("kind") != "random_coefficients":
-        raise ValidationError(f"expected kind 'random_coefficients', got {cfg.get('kind')!r}")
-    gen = validate_generator(cfg["generator"])
+    read = ConfigReader(cfg, "random_coefficients", ("driver", "coefficients"))
     driver = cfg["driver"]
-    coeffs = []
-    for k in range(gen.size):
-        raw = cfg["coefficients"][str(k + 1)]
-        coeffs.append({name: tuple(raw[name]) for name in COEFF_NAMES})
     return make_model(
-        T=float(cfg["T"]),
-        generator=gen,
-        i0=int(cfg["i0"]) - 1,
+        T=read.T,
+        generator=read.generator,
+        i0=read.i0,
         kappa=float(driver["kappa"]),
         theta_bar=float(driver["theta_bar"]),
         nu=float(driver["nu"]),
         y0=float(driver["y0"]),
         y_range=tuple(driver["y_range"]),
-        coeffs=coeffs,
+        coeffs=[
+            {name: tuple(raw[name]) for name in COEFF_NAMES}
+            for raw in read.by_regime(cfg["coefficients"], "coefficients")
+        ],
     )
 
 

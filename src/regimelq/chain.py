@@ -39,14 +39,25 @@ class GeneratorMatrix:
     def is_zero(self) -> bool:
         return not np.any(self.rates)
 
+    def initial_regime(self, i0) -> int:
+        """``i0`` as a 0-based regime index; the error names the 1-based label."""
+        if not 0 <= int(i0) < self.size:
+            raise ValidationError(
+                f"initial regime label {int(i0) + 1} outside the labels 1..{self.size}"
+            )
+        return int(i0)
+
 
 def validate_generator(raw) -> GeneratorMatrix:
     """Validate a raw rate matrix and return a :class:`GeneratorMatrix`.
 
-    Off-diagonal entries must be nonnegative.  The diagonal is recomputed
-    as the negative off-diagonal row sum whenever the supplied diagonal
-    deviates from that by more than 1e-12; otherwise it is kept as given.
+    A :class:`GeneratorMatrix` is returned unchanged.  Off-diagonal entries
+    must be nonnegative.  The diagonal is recomputed as the negative
+    off-diagonal row sum whenever the supplied diagonal deviates from that
+    by more than 1e-12; otherwise it is kept as given.
     """
+    if isinstance(raw, GeneratorMatrix):
+        return raw
     rates = np.array(raw, dtype=np.float64)
     if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
         raise DimensionMismatch(f"generator must be square, got shape {rates.shape}")
@@ -110,8 +121,7 @@ class ChainPath:
 
 def _check_sampler_args(gen: GeneratorMatrix, i0: int, t0: float, T: float, n_paths: int):
     """Reject what the samplers cannot draw (checked before any draw)."""
-    if not 0 <= i0 < gen.size:
-        raise ValidationError(f"initial regime {i0} out of range [0, {gen.size})")
+    gen.initial_regime(i0)
     if not t0 < T:
         raise ValidationError(f"require t0 < T, got t0={t0}, T={T}")
     if n_paths < 1:

@@ -78,7 +78,7 @@ def _parse(parser, cfg: dict):
     """Run a config parser; a missing key or an ill-typed value is bad input."""
     try:
         return parser(cfg)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed config: {type(exc).__name__}: {exc}") from exc
 
 
@@ -117,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=os.cpu_count() or 1,
             help="worker lanes for path chunks (output-invariant)",
         )
-        p.add_argument("--verbose", action="store_true")
 
     common(sub.add_parser("solve", help="solve the Riccati system, write CSV"), 0)
     p_sim = sub.add_parser("simulate", help="MC cost under the feedback law")
@@ -158,8 +157,6 @@ def _cmd_solve(args, cfg, meta, out: Path) -> int:
                 + [float(grid.rhat_min_eig[i, k])]
             )
     _write_csv(out / "riccati.csv", meta, columns, rows)
-    if args.verbose:
-        print(f"wrote {out / 'riccati.csv'} ({len(rows)} rows)")
     return 0
 
 
@@ -240,9 +237,6 @@ def _cmd_frontier(args, cfg, meta, out: Path) -> int:
             mean_check.details["mc_mean"], mean_check.stderr,
             var_check.details["mc_var"], var_check.stderr,
         ])
-        if args.verbose:
-            print(f"d={point.d}: var={point.variance!r} "
-                  f"mc_mean={mean_check.details['mc_mean']!r}")
     _write_csv(out / "frontier.csv", meta, columns, rows)
     return 3 if failed else 0
 

@@ -30,13 +30,18 @@ from numpy.typing import NDArray
 
 from .chain import GeneratorMatrix, validate_generator
 from .errors import (
-    BadSegments,
     DegenerateConstraint,
     NonPositiveP,
     NumericalError,
     ValidationError,
 )
-from .model import ProblemSpec, make_problem, with_initial_state
+from .model import (
+    ConfigReader,
+    ProblemSpec,
+    make_problem,
+    validate_breakpoints,
+    with_initial_state,
+)
 from .riccati import FeedbackLaw, RiccatiGrid, solve_riccati
 from .simulate import mc_run, paired_refinement_run
 from .streams import derive_seed
@@ -97,14 +102,9 @@ def make_market(
     volatility must satisfy sigma^2 >= delta > 0 everywhere and the rate
     must be positive.
     """
-    gen = generator if isinstance(generator, GeneratorMatrix) else validate_generator(generator)
+    gen = validate_generator(generator)
     d = gen.size
-    if breakpoints is None:
-        bp = np.array([0.0, float(T)])
-    else:
-        bp = np.asarray(breakpoints, dtype=np.float64)
-    if bp[0] != 0.0 or bp[-1] != float(T) or np.any(np.diff(bp) <= 0.0):
-        raise BadSegments(f"breakpoints must increase from 0 to T={T}")
+    bp = validate_breakpoints(T, breakpoints)
     J = len(bp) - 1
     r_arr = np.broadcast_to(np.asarray(r, dtype=np.float64), (J,)).copy()
     b_arr = np.broadcast_to(np.asarray(b, dtype=np.float64), (J, d)).copy()
@@ -117,10 +117,8 @@ def make_market(
         raise ValidationError("sigma^2 >= delta violated")
     if np.any(r_arr <= 0.0):
         raise ValidationError("interest rate must be positive")
-    if not float(x0) > 0.0:
-        raise ValidationError("initial wealth must be positive")
-    if not 0 <= int(i0) < d:
-        raise ValidationError(f"initial regime {i0} out of range")
+    if not 0.0 < float(x0) < np.inf:
+        raise ValidationError("initial wealth must be finite and positive")
     return MarketSpec(
         T=float(T),
         generator=gen,
@@ -130,42 +128,31 @@ def make_market(
         sigma=s_arr,
         delta=float(delta),
         x0=float(x0),
-        i0=int(i0),
+        i0=gen.initial_regime(i0),
     )
 
 
 def market_from_config(cfg: dict) -> tuple[MarketSpec, list[float]]:
     """Parse the ``kind: "market"`` JSON config; returns (market, targets)."""
-    if cfg.get("spec_version") != 1:
-        raise ValidationError("config must declare spec_version: 1")
-    if cfg.get("kind") != "market":
-        raise ValidationError(f"expected kind 'market', got {cfg.get('kind')!r}")
-    gen = validate_generator(cfg["generator"])
-    d = gen.size
-    T = float(cfg["T"])
-    if "segments" in cfg:
-        segs = cfg["segments"]
-        bp = [float(s["t_start"]) for s in segs] + [T]
-        r = [float(s["r"]) for s in segs]
-        b = [[float(s["per_regime"][str(k + 1)]["b"]) for k in range(d)] for s in segs]
-        sigma = [[float(s["per_regime"][str(k + 1)]["sigma"]) for k in range(d)] for s in segs]
-    else:
-        bp = None
-        r = float(cfg["r"])
-        b = [float(cfg["per_regime"][str(k + 1)]["b"]) for k in range(d)]
-        sigma = [float(cfg["per_regime"][str(k + 1)]["sigma"]) for k in range(d)]
+    read = ConfigReader(cfg, "market", ("delta", "x0"))
+    bp, segs = read.segments(flat=("r", "per_regime"))
+    per_regime = [
+        read.by_regime(s["per_regime"], f"segment {j} per_regime") for j, s in enumerate(segs)
+    ]
     market = make_market(
-        T=T,
-        generator=gen,
-        r=r,
-        b=b,
-        sigma=sigma,
+        T=read.T,
+        generator=read.generator,
+        r=[float(s["r"]) for s in segs],
+        b=[[float(v["b"]) for v in row] for row in per_regime],
+        sigma=[[float(v["sigma"]) for v in row] for row in per_regime],
         delta=float(cfg["delta"]),
         x0=float(cfg["x0"]),
-        i0=int(cfg["i0"]) - 1,
+        i0=read.i0,
         breakpoints=bp,
     )
     targets = [float(v) for v in cfg.get("targets", [])]
+    if not np.all(np.isfinite(targets)):
+        raise ValidationError("targets must be finite")
     return market, targets
 
 
@@ -229,7 +216,7 @@ def mv_moment_odes(market: MarketSpec, grid: RiccatiGrid | None = None) -> Momen
 
     In the deterministic-coefficient case Theta = -(b - r) / sigma^2 in
     closed form; when a solved grid is supplied its gains are checked
-    against that identity.  Segment propagation uses matrix exponentials of
+    against that identity at every node.  Segment propagation uses matrix exponentials of
     diag(growth) + rates', exact for piecewise-constant coefficients.
     """
     # imported on use: scipy is slow and large to import, and this is the
@@ -238,17 +225,13 @@ def mv_moment_odes(market: MarketSpec, grid: RiccatiGrid | None = None) -> Momen
 
     theta = market.theta()  # (J, D)
     if grid is not None:
-        expected = -theta / market.sigma
-        for j in range(market.num_segments):
-            mid = 0.5 * (market.breakpoints[j] + market.breakpoints[j + 1])
-            i = int(np.searchsorted(grid.times, mid) - 1)
-            if not market.breakpoints[j] <= grid.times[i] < market.breakpoints[j + 1]:
-                continue  # grid too coarse to place a node inside this segment
-            got = grid.Theta[i, :, 0, 0]
-            if np.max(np.abs(got - expected[j])) > 1e-8:
-                raise NumericalError(
-                    "solved feedback gains deviate from the closed-form market gains"
-                )
+        # closed-form gains in force at every node, by the grid's own segment rule
+        seg = market_to_problem(market).segment_index(grid.times)
+        expected = (-theta / market.sigma)[seg]
+        if np.max(np.abs(grid.Theta[:, :, 0, 0] - expected)) > 1e-8:
+            raise NumericalError(
+                "solved feedback gains deviate from the closed-form market gains"
+            )
     rates_t = market.generator.rates.T
     d = market.num_regimes
     E_mean = np.eye(d)

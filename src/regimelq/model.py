@@ -105,6 +105,25 @@ def _symmetrized(M: NDArray[np.float64], name: str) -> NDArray[np.float64]:
     return (M + M.T) / 2.0
 
 
+def check_horizon(T) -> float:
+    """The horizon as a float; it must be finite and positive."""
+    T = float(T)
+    if not 0.0 < T < np.inf:
+        raise BadSegments(f"horizon T={T} must be finite and positive")
+    return T
+
+
+def validate_breakpoints(T, breakpoints=None) -> NDArray[np.float64]:
+    """Segment partition 0 = s_0 < ... < s_J = T; ``None`` is the one segment [0, T]."""
+    T = check_horizon(T)
+    bp = np.array([0.0, T] if breakpoints is None else breakpoints, dtype=np.float64)
+    if bp.ndim != 1 or len(bp) < 2 or bp[0] != 0.0 or bp[-1] != T:
+        raise BadSegments(f"breakpoints must run from 0 to T={T}, got {bp}")
+    if not np.all(np.diff(bp) > 0.0):  # also rejects NaN
+        raise BadSegments("breakpoints must be strictly increasing")
+    return bp
+
+
 def make_problem(
     *,
     n: int,
@@ -126,19 +145,9 @@ def make_problem(
     """
     if n < 1 or m < 1:
         raise DimensionMismatch("state and control dimensions must be >= 1")
-    if not T > 0.0:
-        raise BadSegments(f"horizon T={T} must be positive")
-    gen = generator if isinstance(generator, GeneratorMatrix) else validate_generator(generator)
+    gen = validate_generator(generator)
     d = gen.size
-
-    if breakpoints is None:
-        bp = np.array([0.0, float(T)])
-    else:
-        bp = np.array(breakpoints, dtype=np.float64)
-    if bp.ndim != 1 or len(bp) < 2 or bp[0] != 0.0 or bp[-1] != float(T):
-        raise BadSegments(f"breakpoints must run from 0 to T={T}, got {bp}")
-    if np.any(np.diff(bp) <= 0.0):
-        raise BadSegments("breakpoints must be strictly increasing")
+    bp = validate_breakpoints(T, breakpoints)
     num_segments = len(bp) - 1
     if len(coefficients) != num_segments:
         raise BadSegments(
@@ -177,8 +186,6 @@ def make_problem(
         raise DimensionMismatch(f"x0 must have length {n}, got {x0_arr.shape}")
     if not np.all(np.isfinite(x0_arr)):
         raise ValidationError("x0 has non-finite entries")
-    if not 0 <= int(i0) < d:
-        raise ValidationError(f"initial regime {i0} out of range for {d} regimes")
 
     return ProblemSpec(
         n=int(n),
@@ -189,7 +196,7 @@ def make_problem(
         breakpoints=bp,
         coefficients=tuple(segments),
         x0=x0_arr,
-        i0=int(i0),
+        i0=gen.initial_regime(i0),
     )
 
 
@@ -210,52 +217,69 @@ def with_initial_state(problem: ProblemSpec, x0) -> ProblemSpec:
 
 # --- JSON config adapter -------------------------------------------------
 
-def _regime_key_map(mapping: dict, d: int, what: str) -> list:
-    """JSON regime keys are the 1-based labels '1'..'D'."""
-    out = []
-    for k in range(d):
-        key = str(k + 1)
-        if key not in mapping:
-            raise ValidationError(f"{what} missing regime '{key}'")
-        out.append(mapping[key])
-    return out
+class ConfigReader:
+    """Reads what every config kind states the same way: the header, the
+    required ``fields``, ``T``, the generator (an optional ``regimes`` count
+    must match it) and the 1-based ``i0`` label.  Range rules stay with the
+    constructors.
+    """
+
+    def __init__(self, cfg: dict, kind: str, fields: tuple = ()):
+        if cfg.get("spec_version") != 1:
+            raise ValidationError("config must declare spec_version: 1")
+        if cfg.get("kind") != kind:
+            raise ValidationError(f"expected kind {kind!r}, got {cfg.get('kind')!r}")
+        for field in ("T", "generator", "i0") + fields:
+            if field not in cfg:
+                raise ValidationError(f"config missing field {field!r}")
+        self.cfg = cfg
+        self.T = float(cfg["T"])
+        self.generator = validate_generator(cfg["generator"])
+        d = self.generator.size
+        if "regimes" in cfg and cfg["regimes"] != d:
+            raise DimensionMismatch(f"generator is {d}x{d} but regimes={cfg['regimes']}")
+        self.i0 = int(cfg["i0"]) - 1
+        if self.i0 + 1 != cfg["i0"]:
+            raise ValidationError(f"i0 must be an integer regime label, got {cfg['i0']!r}")
+
+    def by_regime(self, mapping: dict, what: str) -> list:
+        """Values of a mapping keyed by the regime labels '1'..'D', in regime order."""
+        labels = [str(k + 1) for k in range(self.generator.size)]
+        if set(mapping) != set(labels):
+            raise ValidationError(
+                f"{what} must be keyed by the regime labels {labels}, got {sorted(mapping)}"
+            )
+        return [mapping[label] for label in labels]
+
+    def segments(self, flat: tuple = ()) -> tuple[list[float], list[dict]]:
+        """Breakpoints and entries of the ``t_start`` segments list; without
+        the list, the top-level ``flat`` fields are the one segment [0, T].
+        """
+        if "segments" in self.cfg:
+            segs = self.cfg["segments"]
+        else:
+            segs = [{"t_start": 0.0, **{f: self.cfg[f] for f in flat}}]
+        if not segs:
+            raise BadSegments("config needs at least one segment")
+        return [float(s["t_start"]) for s in segs] + [self.T], segs
 
 
 def problem_from_config(cfg: dict) -> ProblemSpec:
     """Parse the ``kind: "slq"`` JSON config into a :class:`ProblemSpec`."""
-    if cfg.get("spec_version") != 1:
-        raise ValidationError("config must declare spec_version: 1")
-    if cfg.get("kind") != "slq":
-        raise ValidationError(f"expected kind 'slq', got {cfg.get('kind')!r}")
-    for field in ("n", "m", "regimes", "T", "generator", "segments", "G", "x0", "i0"):
-        if field not in cfg:
-            raise ValidationError(f"config missing field {field!r}")
-    gen = validate_generator(cfg["generator"])
-    if gen.size != int(cfg["regimes"]):
-        raise DimensionMismatch(
-            f"generator is {gen.size}x{gen.size} but regimes={cfg['regimes']}"
-        )
-    T = float(cfg["T"])
-    segs = cfg["segments"]
-    if not segs:
-        raise BadSegments("config needs at least one segment")
-    starts = [float(s["t_start"]) for s in segs]
-    breakpoints = starts + [T]
-    coefficients = [
-        _regime_key_map(s["coefficients"], gen.size, f"segment {j} coefficients")
-        for j, s in enumerate(segs)
-    ]
-    G = _regime_key_map(cfg["G"], gen.size, "G")
-    i0 = int(cfg["i0"]) - 1
+    read = ConfigReader(cfg, "slq", ("n", "m", "regimes", "segments", "G", "x0"))
+    breakpoints, segs = read.segments()
     return make_problem(
         n=int(cfg["n"]),
         m=int(cfg["m"]),
-        T=T,
-        generator=gen,
-        coefficients=coefficients,
-        G=G,
+        T=read.T,
+        generator=read.generator,
+        coefficients=[
+            read.by_regime(s["coefficients"], f"segment {j} coefficients")
+            for j, s in enumerate(segs)
+        ],
+        G=read.by_regime(cfg["G"], "G"),
         x0=cfg["x0"],
-        i0=i0,
+        i0=read.i0,
         breakpoints=breakpoints,
     )
 

@@ -12,6 +12,7 @@ import regimelq as rl
 from regimelq.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+NAN, INF = float("nan"), float("inf")
 
 
 def _bundled(name: str, change) -> dict:
@@ -69,25 +70,65 @@ class TestExitCodes:
         assert rc == 1
 
     @pytest.mark.parametrize(
-        "command, config, extra",
+        "command, config, extra, says",
         [
-            ("solve", lambda: {"spec_version": 1, "kind": "slq"}, []),
-            ("solve", lambda: [1, 2], []),
-            ("solve", lambda: _bundled("market_one_regime.json", lambda c: c.pop("generator")), []),
-            ("bsde", lambda: _bundled("random_coeff.json", lambda c: c.pop("generator")), []),
-            ("solve", lambda: _bundled("scalar.json", lambda c: c["segments"][0].pop("t_start")), []),
-            ("solve", lambda: _bundled("scalar.json", lambda c: c.update(x0="abc")), []),
-            ("bsde", lambda: _bundled("random_coeff.json", lambda c: None), ["--degree", "-1"]),
-            ("verify", lambda: _bundled("scalar.json", lambda c: None), ["--workers", "0"]),
-            ("verify", lambda: _bundled("scalar.json", lambda c: None), ["--workers", "-1"]),
+            ("solve", lambda: {"spec_version": 1, "kind": "slq"}, [], ""),
+            ("solve", lambda: [1, 2], [], ""),
+            ("solve", lambda: _bundled("market_one_regime.json", lambda c: c.pop("generator")),
+             [], ""),
+            ("bsde", lambda: _bundled("random_coeff.json", lambda c: c.pop("generator")), [], ""),
+            ("solve", lambda: _bundled("scalar.json", lambda c: c["segments"][0].pop("t_start")),
+             [], ""),
+            ("solve", lambda: _bundled("scalar.json", lambda c: c.update(x0="abc")), [], ""),
+            ("bsde", lambda: _bundled("random_coeff.json", lambda c: None), ["--degree", "-1"], ""),
+            ("verify", lambda: _bundled("scalar.json", lambda c: None), ["--workers", "0"], ""),
+            ("verify", lambda: _bundled("scalar.json", lambda c: None), ["--workers", "-1"], ""),
+            ("bsde", lambda: _bundled("random_coeff.json", lambda c: c.update(regimes=3)), [],
+             "regimes=3"),
+            ("solve", lambda: _bundled("two_regime.json", lambda c: c.update(i0=0)), [], "label 0"),
+            ("frontier", lambda: _bundled("market_one_regime.json", lambda c: c.update(i0=0)), [],
+             "label 0"),
+            ("bsde", lambda: _bundled("random_coeff.json", lambda c: c.update(i0=0)), [],
+             "label 0"),
+            ("solve", lambda: _bundled("two_regime.json", lambda c: c.update(i0=1.5)), [], "1.5"),
+            ("frontier", lambda: _bundled(
+                "market_one_regime.json", lambda c: c.update(generator=[[-1, 1], [1, -1]])
+            ), [], "['1', '2']"),
+            ("bsde", lambda: _bundled("random_coeff.json", lambda c: c["coefficients"].pop("2")),
+             [], "['1', '2']"),
+            ("bsde", lambda: _bundled(
+                "random_coeff.json", lambda c: c["coefficients"]["1"].update(A=[NAN, 0.0])
+            ), [], "A (regime 1)"),
+            ("bsde", lambda: _bundled(
+                "random_coeff.json", lambda c: c["coefficients"]["2"].update(Q=[0.1, INF])
+            ), [], "Q (regime 2)"),
+            ("bsde", lambda: _bundled("random_coeff.json", lambda c: c["driver"].update(kappa=NAN)),
+             [], "kappa"),
+            ("bsde", lambda: _bundled("random_coeff.json", lambda c: c["driver"].update(nu=INF)),
+             [], "nu"),
+            ("bsde", lambda: _bundled(
+                "random_coeff.json", lambda c: c["driver"].update(theta_bar=-INF)
+            ), [], "theta_bar"),
+            ("bsde", lambda: _bundled("random_coeff.json", lambda c: c["driver"].update(y0=NAN)),
+             [], "y0"),
+            ("bsde", lambda: _bundled(
+                "random_coeff.json", lambda c: c["driver"].update(y_range=[-3.0, INF])
+            ), [], "y_range"),
+            ("bsde", lambda: _bundled("random_coeff.json", lambda c: c.update(T=NAN)), [], "T=nan"),
+            ("bsde", lambda: _bundled("random_coeff.json", lambda c: c.update(T=0.0)), [], "T=0.0"),
         ],
         ids=[
             "missing-fields", "not-an-object", "market-missing-generator",
             "random-coefficients-missing-generator", "segment-missing-t_start",
             "ill-typed-x0", "negative-degree", "zero-workers", "negative-workers",
+            "random-coefficients-regimes-mismatch", "slq-i0-zero", "market-i0-zero",
+            "random-coefficients-i0-zero", "fractional-i0", "market-missing-label",
+            "random-coefficients-missing-label", "random-coefficients-nan-const",
+            "random-coefficients-infinite-slope", "nan-kappa", "infinite-nu",
+            "infinite-theta_bar", "nan-y0", "infinite-y_range", "nan-T", "zero-T",
         ],
     )
-    def test_invalid_schema_exits_one(self, tmp_path, capsys, command, config, extra):
+    def test_invalid_schema_exits_one(self, tmp_path, capsys, command, config, extra, says):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(config()))
         rc = main([
@@ -97,7 +138,21 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "error" in json.loads(err)
+        payload = json.loads(err)
+        assert "error" in payload
+        assert says in payload["message"]
+
+    @pytest.mark.parametrize(
+        "config", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem
+    )
+    def test_bundled_config_runs(self, tmp_path, capsys, config):
+        kind = json.loads(config.read_text())["kind"]
+        command = {"slq": "solve", "market": "frontier", "random_coefficients": "bsde"}[kind]
+        rc = main([
+            command, "--config", str(config), "--seed", "3", "--grid", "20",
+            "--paths", "2000", "--out", str(tmp_path),
+        ])
+        assert rc == 0
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         cfg = _write_nonconvex_config(tmp_path)

@@ -1,10 +1,14 @@
 """Mean-variance module: market Riccati, moments, multiplier solve, frontier."""
 
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import regimelq as rl
-from regimelq.errors import DegenerateConstraint, ValidationError
+from regimelq.errors import DegenerateConstraint, NumericalError, ValidationError
 
 from canonical import one_regime_market
 
@@ -27,6 +31,25 @@ class TestMarketValidation:
         with pytest.raises(ValidationError):
             rl.make_market(T=1.0, generator=[[0.0]], r=-0.01, b=[0.12],
                            sigma=[0.2], delta=0.01, x0=1.0, i0=0)
+
+
+    def test_flat_market_is_one_segment(self):
+        flat = json.loads(
+            (Path(__file__).resolve().parent.parent / "configs" / "market_one_regime.json")
+            .read_text()
+        )
+        segmented = {k: v for k, v in flat.items() if k not in ("r", "per_regime")}
+        segmented["segments"] = [
+            {"t_start": 0.0, "r": flat["r"], "per_regime": flat["per_regime"]}
+        ]
+        (a, targets_a), (b, targets_b) = map(rl.market_from_config, (flat, segmented))
+        assert targets_a == targets_b
+        for field in dataclasses.fields(rl.MarketSpec):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if field.name == "generator":
+                x, y = x.rates, y.rates
+            np.testing.assert_array_equal(x, y, err_msg=field.name)
+            assert type(x) is type(y)
 
 
 class TestMvRiccati:
@@ -97,6 +120,24 @@ class TestMomentOdes:
         factors = rl.mv_moment_odes(market, grid)
         p0 = float(grid.P[0, 0, 0, 0])
         assert abs(factors.rho[0] - p0) <= 1e-8 * abs(p0)
+
+    @pytest.mark.parametrize("N", [2, 3, 7])
+    def test_gains_checked_at_every_node(self, N):
+        # at N = 2 the middle segment holds the node t = 0.5 and no segment midpoint
+        market = rl.make_market(
+            T=1.0, generator=[[-0.5, 0.5], [0.5, -0.5]],
+            r=[0.04, 0.07, 0.05],
+            b=[[0.10, 0.08], [0.12, 0.06], [0.09, 0.11]],
+            sigma=[[0.25, 0.2], [0.3, 0.22], [0.2, 0.24]],
+            delta=0.01, x0=1.0, i0=0, breakpoints=[0.0, 0.45, 0.55, 1.0],
+        )
+        grid = rl.mv_riccati(market, N)
+        rl.mv_moment_odes(market, grid)
+        if N == 2:
+            Theta = grid.Theta.copy()
+            Theta[1, 0, 0, 0] += 1e-3  # the node t = 0.5
+            with pytest.raises(NumericalError):
+                rl.mv_moment_odes(market, dataclasses.replace(grid, Theta=Theta))
 
     def test_two_regime_duality(self):
         market = rl.make_market(
