@@ -250,10 +250,19 @@ class PathBundle:
 def generate_training_paths(
     model: RandomCoefficientModel, M: int, N: int, seed: int
 ) -> PathBundle:
-    """Euler driver paths plus exact chain paths on the uniform N-step grid."""
+    """Euler driver paths plus exact chain paths on the uniform N-step grid.
+
+    The explicit Euler step multiplies the driver's deviation from
+    ``theta_bar`` by 1 - kappa h, so the grid must have kappa h < 2.
+    """
     if M < 1 or N < 1:
         raise ValidationError("need M >= 1 paths and N >= 1 steps")
     h = model.T / N
+    if model.kappa * h >= 2.0:
+        raise ValidationError(
+            f"driver step kappa*T/N = {model.kappa * h!r} >= 2: the explicit Euler factor "
+            "|1 - kappa*T/N| >= 1 makes the driver diverge; need N > kappa*T/2"
+        )
     times = np.linspace(0.0, model.T, N + 1)
 
     def chunk(rng, n):

@@ -218,7 +218,8 @@ def sample_regimes_on_grid(
     for each of those paths; validates like :func:`sample_chain_paths`.  A
     jump at t changes the regime from the first node at or after t onward;
     per-node changes are summed, so several jumps between two nodes
-    telescope to the last regime entered.  The array is node-major in
+    telescope to the last regime entered, and the prefix sum over nodes is
+    formed in place, one node row at a time.  The array is node-major in
     memory (Fortran order): the simulation kernel reads it one node at a
     time.
     """
@@ -230,7 +231,9 @@ def sample_regimes_on_grid(
     change[0] = i0
     for still, t_jump, prev, nxt in _jump_rounds(gen, i0, times[0], times[-1], rng, n_paths):
         change[np.searchsorted(times, t_jump, side="left"), still] += nxt - prev
-    return np.cumsum(change, axis=0).T
+    for i in range(1, len(times)):
+        np.add(change[i], change[i - 1], out=change[i])
+    return change.T
 
 
 @dataclass(frozen=True)

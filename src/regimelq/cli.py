@@ -5,10 +5,12 @@ to JSON), ``verify`` (full check report to JSON), ``frontier`` (mean-variance
 sweep to CSV), ``bsde`` (regression solve to CSV).
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 at least
-one verification check failed.  Errors are printed as single-line JSON on
-stderr.  Seeds are mandatory; outputs embed the config hash, seed and tool
-version and are byte-identical for identical invocations, independent of
-``--workers``.
+one verification check failed.  A command runs with numpy's overflow,
+division-by-zero and invalid-operation errors raised (underflow is left
+alone), so a floating-point fault is a numerical failure too.  Errors are
+printed as single-line JSON on stderr.  Seeds are mandatory; outputs embed
+the config hash, seed and tool version and are byte-identical for identical
+invocations, independent of ``--workers``.
 """
 
 from __future__ import annotations
@@ -301,11 +303,12 @@ def main(argv=None) -> int:
         meta = _meta(args, config_hash, seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](args, cfg, meta, out)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _COMMANDS[args.command](args, cfg, meta, out)
     except ValidationError as exc:
         _emit_error(exc)
         return 1
-    except NumericalError as exc:
+    except (NumericalError, FloatingPointError) as exc:
         _emit_error(exc)
         return 2
 

@@ -5,13 +5,18 @@ into a table per (grid node, regime) of the closed-loop coefficients
 Acl = A + B Theta, Ccl = C + D Theta, Mcl = Q + Theta'S + S'Theta +
 Theta'R Theta and, when an open-loop part v is present, the affine terms
 B v, D v, S'v + Theta'R v and v'R v; a pure ``ControlTable`` has Theta = 0.
-Each step gathers every path's row by its regime and applies it with
-einsum mat-vecs.  The chain is sampled exactly and written straight onto
-the grid.  ``mc_run`` and ``paired_refinement_run`` hand their paths to the
-chunk driver :func:`~regimelq.streams.run_chunks`, which the BSDE training
-bundle shares: each chunk owns a random stream derived from (seed, key,
-chunk index), so estimates are bit-identical regardless of worker count,
-and per-path results are kept in path order.  ``simulate_closed_loop`` is
+The table is state-major with the regime last: for each node and state
+component j it holds column j of [Acl; Ccl; Mcl] for every regime.  The
+kernel holds X as (n, paths), one contiguous row per component, and each
+step forms Y = sum_j take(column j, regimes) * X[j], accumulating in j
+order, so at n = 1 every product is one multiply.  The chain is sampled
+exactly and written straight onto the grid; the Brownian increments are
+scaled in place where they were drawn.  ``mc_run`` and
+``paired_refinement_run`` hand their paths to the chunk driver
+:func:`~regimelq.streams.run_chunks`, which the BSDE training bundle
+shares: each chunk owns a random stream derived from (seed, key, chunk
+index), so estimates are bit-identical regardless of worker count, and
+per-path results are kept in path order.  ``simulate_closed_loop`` is
 the same noise draw and kernel on one path with its states recorded (used
 by algebraic checks and path dumps).  ``euler_maruyama_step`` and
 ``evaluate_cost`` are the per-path reference the kernel is tested against.
@@ -129,15 +134,16 @@ def simulate_closed_loop(
     times = np.linspace(0.0, problem.T, N + 1)
     table = _loop_table(problem, law, times)
     regimes, dW = _draw_chunk_noise(problem, times, derive_rng(seed, "path"), 1)
-    X = np.empty((1, N + 1, problem.n))
-    running, terminal, _ = _evolve(problem, table, regimes, dW, states=X)
+    states = np.empty((N + 1, problem.n, 1))
+    running, terminal, _ = _evolve(problem, table, regimes, dW, states=states)
+    X = states[..., 0]
     gains = table.gains[np.arange(N), regimes[0, :-1]]  # (N, m, n)
     return PathRecord(
         times=times,
         dW=dW[0],
         regimes=regimes[0],
-        X=X[0],
-        U=np.einsum("imn,in->im", gains, X[0, :-1]),
+        X=X,
+        U=np.einsum("imn,in->im", gains, X[:-1]),
         running_cost=float(running[0]),
         terminal_cost=float(terminal[0]),
     )
@@ -170,8 +176,8 @@ class _LoopTable(NamedTuple):
 
     h: float
     gains: NDArray | None  # (N, D, m, n) Theta; None for a pure ControlTable
-    W: NDArray  # (N, D, 3n, n): Acl, Ccl, Mcl stacked
-    w: NDArray | None  # (N, D, 3n): B v, D v, 2 (S'v + Theta'R v); None without v
+    W: NDArray  # (N, n, 3n, D): column j of Acl, Ccl, Mcl stacked, regime last
+    w: NDArray | None  # (N, 3n, D): B v, D v, 2 (S'v + Theta'R v); None without v
     c: NDArray | None  # (N, D): v'R v
 
 
@@ -186,6 +192,7 @@ def _loop_table(problem: ProblemSpec, control: Control, times) -> _LoopTable:
         [A + B @ Theta, C + D @ Theta, Q + cross + cross.swapaxes(-1, -2) + ThetaT @ R @ Theta],
         axis=-2,
     )
+    W = np.ascontiguousarray(W.transpose(0, 3, 2, 1))
     h = float(times[1] - times[0])
     if v is None:
         return _LoopTable(h, gains, W, None, None)
@@ -193,48 +200,54 @@ def _loop_table(problem: ProblemSpec, control: Control, times) -> _LoopTable:
     Rv = R @ v
     w = np.concatenate([B @ v, D @ v, 2.0 * (S.swapaxes(-1, -2) @ v + ThetaT @ Rv)], axis=-2)
     c = v.swapaxes(-1, -2) @ Rv
-    return _LoopTable(h, gains, W, w[..., 0], c[..., 0, 0])
+    return _LoopTable(h, gains, W, np.ascontiguousarray(w[..., 0].swapaxes(1, 2)), c[..., 0, 0])
 
 
 def _draw_chunk_noise(problem: ProblemSpec, times, rng, n_chunk: int):
     """Exact chain regimes on the grid, plus Brownian increments.
 
-    Both (paths, nodes) arrays are node-major in memory, so each kernel
-    step reads contiguous rows without a transposed copy.
+    Both are (paths, nodes) arrays.  The regimes are node-major in memory,
+    so each kernel step reads a contiguous row; the increments are scaled
+    in place where they were drawn, and each step reads one strided column.
     """
     regimes = sample_regimes_on_grid(problem.generator, problem.i0, times, rng, n_chunk)
-    N = len(times) - 1
-    dW = np.empty((N, n_chunk)).T
-    np.multiply(rng.standard_normal((n_chunk, N)), np.sqrt(times[1] - times[0]), out=dW)
+    dW = rng.standard_normal((n_chunk, len(times) - 1))
+    dW *= np.sqrt(times[1] - times[0])
     return regimes, dW
 
 
 def _evolve(problem: ProblemSpec, table: _LoopTable, regimes, dW, states=None):
     """Step every path of a chunk; returns (running costs, terminal costs, X_T).
 
-    ``states``, when given, receives X at every node, shape (paths, N+1, n).
+    The state is held as (n, paths), one contiguous row per component.
+    ``states``, when given, receives X at every node, shape (N+1, n, paths).
     """
     n = problem.n
     h = table.h
-    X = np.broadcast_to(problem.x0, (regimes.shape[0], n)).copy()
+    X = np.repeat(problem.x0[:, None], regimes.shape[0], axis=1)
     running = np.zeros(regimes.shape[0])
-    for i, (reg, dw) in enumerate(zip(regimes.T, dW.T)):
+    for i in range(regimes.shape[1] - 1):
+        reg = regimes[:, i]
         if states is not None:
-            states[:, i] = X
-        Y = np.einsum("pij,pj->pi", np.take(table.W[i], reg, axis=0), X)
+            states[i] = X
+        Y = table.W[i, 0].take(reg, axis=1) * X[0]
+        for j in range(1, n):
+            Y += table.W[i, j].take(reg, axis=1) * X[j]
         if table.w is None:
-            running += h * np.einsum("pi,pi->p", X, Y[:, 2 * n :])
+            running += h * np.einsum("ip,ip->p", X, Y[2 * n :])
         else:
-            Y += np.take(table.w[i], reg, axis=0)
-            running += h * (np.einsum("pi,pi->p", X, Y[:, 2 * n :]) + np.take(table.c[i], reg))
-        X = X + Y[:, :n] * h + Y[:, n : 2 * n] * dw[:, None]
+            Y += table.w[i].take(reg, axis=1)
+            running += h * (np.einsum("ip,ip->p", X, Y[2 * n :]) + table.c[i].take(reg))
+        X += Y[:n] * h
+        X += Y[n : 2 * n] * dW[:, i]
     if not np.all(np.isfinite(X)):
         raise NonFiniteState("state became non-finite during batch simulation")
     if states is not None:
-        states[:, -1] = X
+        states[-1] = X
+    X_T = X.T
     G = problem.terminal_weights()
-    terminal = np.einsum("pi,pij,pj->p", X, G[regimes[:, -1]], X)
-    return running, terminal, X
+    terminal = np.einsum("pi,pij,pj->p", X_T, G[regimes[:, -1]], X_T)
+    return running, terminal, X_T
 
 
 def _cost_and_state(problem: ProblemSpec, table: _LoopTable, regimes, dW):

@@ -9,6 +9,7 @@ layout and the per-chunk stream keys.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 
@@ -45,16 +46,19 @@ def run_chunks(n_paths: int, seed: int, key: str, draw, workers: int = 1) -> tup
     chunk's n paths; the result is the same tuple over all ``n_paths``
     paths, in path order.  Chunk c draws from ``derive_rng(seed, key, c)``,
     so the result does not depend on ``workers``; with ``workers > 1`` the
-    chunks run on a thread pool.  Raises :class:`ValidationError` when
-    ``n_paths < 1``.
+    chunks run on a thread pool, each in a copy of the caller's context, so
+    numpy's floating-point error state holds on every lane.  Raises
+    :class:`ValidationError` when ``n_paths < 1``.
     """
     if n_paths < 1:
         raise ValidationError("need at least one path")
     sizes = [min(CHUNK_SIZE, n_paths - lo) for lo in range(0, n_paths, CHUNK_SIZE)]
     run = lambda c: draw(derive_rng(seed, key, c), sizes[c])
     if workers > 1 and len(sizes) > 1:
+        context = contextvars.copy_context()
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return _in_path_order(pool.map(run, range(len(sizes))), n_paths)
+            lanes = pool.map(lambda c: context.copy().run(run, c), range(len(sizes)))
+            return _in_path_order(lanes, n_paths)
     return _in_path_order(map(run, range(len(sizes))), n_paths)
 
 

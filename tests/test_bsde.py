@@ -106,6 +106,13 @@ class TestGenerateTrainingPaths:
         bundle = rl.generate_training_paths(model, 30, 10, 2)
         np.testing.assert_array_equal(bundle.y, np.full((30, 11), 0.3))
 
+    def test_diverging_euler_step_rejected(self):
+        # the Euler factor 1 - kappa*T/N must stay inside (-1, 1)
+        with pytest.raises(ValidationError, match="kappa"):
+            rl.generate_training_paths(two_regime_model(kappa=20.0), 30, 10, 2)
+        bundle = rl.generate_training_paths(two_regime_model(kappa=20.0), 30, 11, 2)
+        assert np.all(np.abs(bundle.y) < 3.0)
+
     def test_shape_and_reproducibility(self):
         model = y_dependent_model()
         a = rl.generate_training_paths(model, 10_000, 50, 3)

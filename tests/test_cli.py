@@ -116,6 +116,9 @@ class TestExitCodes:
             ), [], "y_range"),
             ("bsde", lambda: _bundled("random_coeff.json", lambda c: c.update(T=NAN)), [], "T=nan"),
             ("bsde", lambda: _bundled("random_coeff.json", lambda c: c.update(T=0.0)), [], "T=0.0"),
+            ("bsde", lambda: _bundled(
+                "random_coeff.json", lambda c: c["driver"].update(kappa=1e6)
+            ), [], "kappa*T/N = 100000.0"),
         ],
         ids=[
             "missing-fields", "not-an-object", "market-missing-generator",
@@ -126,6 +129,7 @@ class TestExitCodes:
             "random-coefficients-missing-label", "random-coefficients-nan-const",
             "random-coefficients-infinite-slope", "nan-kappa", "infinite-nu",
             "infinite-theta_bar", "nan-y0", "infinite-y_range", "nan-T", "zero-T",
+            "diverging-driver",
         ],
     )
     def test_invalid_schema_exits_one(self, tmp_path, capsys, command, config, extra, says):
@@ -153,6 +157,21 @@ class TestExitCodes:
             "--paths", "2000", "--out", str(tmp_path),
         ])
         assert rc == 0
+
+    def test_floating_point_fault_exits_two(self, tmp_path, capsys):
+        # nu = 1e200 is finite, so accepted; the regression's y.std() overflows
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(
+            _bundled("random_coeff.json", lambda c: c["driver"].update(nu=1e200))
+        ))
+        rc = main([
+            "bsde", "--config", str(bad), "--seed", "1", "--grid", "10",
+            "--paths", "2000", "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "FloatingPointError"
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         cfg = _write_nonconvex_config(tmp_path)

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import regimelq as rl
 from regimelq.errors import ValidationError
-from regimelq.simulate import _draw_chunk_noise, mc_run, paired_refinement_run
-from regimelq.streams import derive_rng
+from regimelq.simulate import (
+    _draw_chunk_noise, _evolve, _loop_table, mc_run, paired_refinement_run,
+)
+from regimelq.streams import CHUNK_SIZE, derive_rng, derive_seed, run_chunks
 
+import kernel_reference as ref
 from canonical import (
     det_lqr,
     det_lqr_oracle,
@@ -313,3 +317,80 @@ class TestKernelMatchesReference:
         _assert_close(path.X[-1], x_T[0])
         U = np.array([law.gain(t, k) @ x for t, k, x in zip(path.times, path.regimes, path.X[:-1])])
         _assert_close(path.U, U)
+
+
+@st.composite
+def kernel_instances(draw):
+    """A random problem with n, m, D <= 3 on one or two segments, and a control."""
+    n, m, d = (draw(st.integers(min_value=1, max_value=3)) for _ in range(3))
+    N = draw(st.integers(min_value=2, max_value=8))
+    vals = st.floats(min_value=-1.0, max_value=1.0)
+    mat = lambda rows, cols: np.array(
+        draw(st.lists(vals, min_size=rows * cols, max_size=rows * cols))
+    ).reshape(rows, cols)
+    def psd(k):
+        L = mat(k, k)
+        return np.eye(k) + L @ L.T
+
+    cell = lambda: {
+        "A": 0.5 * mat(n, n), "B": mat(n, m), "C": 0.5 * mat(n, n), "D": 0.1 * mat(n, m),
+        "Q": psd(n), "S": 0.25 * mat(m, n), "R": psd(m),
+    }
+    breakpoints = [0.0, draw(st.floats(min_value=0.2, max_value=0.8)), 1.0]
+    if draw(st.booleans()):
+        breakpoints.pop(1)
+    rates = np.array(
+        draw(st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=d * d, max_size=d * d))
+    ).reshape(d, d)
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    prob = rl.make_problem(
+        n=n, m=m, T=1.0, generator=rates,
+        coefficients=[[cell() for _ in range(d)] for _ in breakpoints[1:]],
+        G=[psd(n) for _ in range(d)], x0=mat(1, n)[0],
+        i0=draw(st.integers(min_value=0, max_value=d - 1)), breakpoints=breakpoints,
+    )
+    # a fine solve keeps RK4 stable; the kernel reads its gains off-node
+    law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 32))
+    table = rl.ControlTable(mat(N, m))
+    control = draw(st.sampled_from([
+        law, rl.PerturbedFeedback(law, table), table,
+    ]))
+    return prob, N, control
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kernel_instances())
+def test_property_kernel_matches_reference(instance):
+    # the state-major kernel against the path-major einsum kernel it replaced,
+    # on the same noise, which the copy-free draw reproduces exactly
+    prob, N, control = instance
+    times = np.linspace(0.0, prob.T, N + 1)
+    seed = derive_seed(23, prob.n, prob.m, prob.num_regimes, N)
+    regimes, dW = _draw_chunk_noise(prob, times, derive_rng(seed), 37)
+    ref_regimes, ref_dW = ref._draw_chunk_noise(prob, times, derive_rng(seed), 37)
+    np.testing.assert_array_equal(regimes, ref_regimes)
+    np.testing.assert_array_equal(dW, ref_dW)
+
+    states = np.empty((N + 1, prob.n, 37))
+    ref_states = np.empty((37, N + 1, prob.n))
+    got = _evolve(prob, _loop_table(prob, control, times), regimes, dW, states=states)
+    want = ref._evolve(prob, ref._loop_table(prob, control, times), regimes, dW, ref_states)
+    for actual, expected in zip(got + (states.transpose(2, 0, 1),), want + (ref_states,)):
+        if prob.n == 1:
+            # one term per mat-vec row: every product is the same single multiply
+            assert actual.tobytes() == np.ascontiguousarray(expected).tobytes()
+        else:
+            scale = np.max(np.abs(expected))
+            np.testing.assert_allclose(actual, expected, rtol=1e-13, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunk_lanes_keep_the_floating_point_error_state(workers):
+    # a fault raises on a worker lane exactly as on the caller's thread
+    def draw(rng, n):
+        return (np.full(n, 1e300) * 1e300,)
+
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            run_chunks(2 * CHUNK_SIZE, 1, "fault", draw, workers)
