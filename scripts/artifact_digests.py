@@ -1,0 +1,80 @@
+"""SHA-256 digests of the artifacts of a fixed set of CLI invocations at seed 42.
+
+    python scripts/artifact_digests.py OUT
+
+Runs every invocation below as ``python -m regimelq.cli`` in a subprocess,
+writing under ``OUT/<name>``, and prints one ``sha256  name/file`` line per
+artifact.  The package is whatever the environment imports, so two source
+trees write the same bytes exactly when their digest lists are equal:
+
+    PYTHONPATH=<tree A>/src python scripts/artifact_digests.py /tmp/a > a.txt
+    PYTHONPATH=<tree B>/src python scripts/artifact_digests.py /tmp/b > b.txt
+    diff a.txt b.txt
+
+The multidim problem is the benchmark's seeded n = 3, m = 2, 3-regime config
+(``bench/workloads.py``, seed 42); its report is written at ``--workers 1``
+and ``--workers 2``, which must agree.
+"""
+
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+sys.path.insert(0, str(ROOT / "bench"))
+from workloads import multidim_config  # noqa: E402
+
+SEED = "42"
+
+
+def invocations(multidim: Path) -> list[tuple[str, list[str]]]:
+    """(name, CLI arguments) of every invocation, seed and output left out."""
+    cfg = lambda name: str(CONFIGS / f"{name}.json")
+    run = lambda command, config, grid, *extra: [command, "--config", config, "--grid", grid, *extra]
+    return [
+        ("verify-two_regime", run("verify", cfg("two_regime"), "100", "--paths", "5000")),
+        ("verify-multidim-w1", run("verify", str(multidim), "25", "--paths", "8192")),
+        ("verify-multidim-w2",
+         run("verify", str(multidim), "25", "--paths", "8192", "--workers", "2")),
+        ("verify-det_lqr", run("verify", cfg("det_lqr"), "50", "--paths", "5000")),
+        ("bsde-random_coeff", run("bsde", cfg("random_coeff"), "100", "--paths", "30000")),
+        ("bsde-random_coeff-degree2",
+         run("bsde", cfg("random_coeff"), "40", "--paths", "20000", "--degree", "2")),
+        *((f"solve-{name}", run("solve", cfg(name), "200"))
+          for name in ("scalar", "two_regime", "det_lqr", "market_one_regime")),
+        ("solve-multidim", run("solve", str(multidim), "200")),
+        ("frontier-market_one_regime",
+         run("frontier", cfg("market_one_regime"), "100", "--paths", "5000")),
+        ("simulate-multidim",
+         run("simulate", str(multidim), "50", "--paths", "5000", "--dump-paths", "2")),
+    ]
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 1
+    out = Path(sys.argv[1])
+    out.mkdir(parents=True, exist_ok=True)
+    multidim = out / "multidim.json"
+    multidim.write_text(json.dumps(multidim_config(int(SEED))))
+    for name, args in invocations(multidim):
+        workers = [] if "--workers" in args else ["--workers", "1"]
+        argv = [sys.executable, "-m", "regimelq.cli", *args, *workers,
+                "--seed", SEED, "--out", str(out / name)]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        if proc.returncode not in (0, 3):  # 3: a check failed, the report is still written
+            print(f"{name} exited {proc.returncode}: {proc.stderr.strip()}", file=sys.stderr)
+            return 1
+        for path in sorted((out / name).rglob("*")):
+            if path.is_file():
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

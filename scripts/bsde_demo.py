@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from regimelq import backward_regression_solve, generate_training_paths, solve_riccati
-from regimelq.bsde import AffineMap, constant_problem, model_from_config
+from regimelq.bsde import constant_problem, model_from_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,13 +38,7 @@ def main() -> int:
     print(f"P(0, regime {model.i0 + 1}, y0) = {sol.value_single(0, model.i0, model.y0):.6f}")
 
     # frozen-slope copy: regression vs the coupled ODE solve
-    frozen = replace(
-        model,
-        coeffs=tuple(
-            {name: AffineMap(m.const, 0.0) for name, m in per_regime.items()}
-            for per_regime in model.coeffs
-        ),
-    )
+    frozen = replace(model, slope=np.zeros_like(model.slope))
     oracle = solve_riccati(constant_problem(frozen), 1000)
     fbundle = generate_training_paths(frozen, args.paths, args.steps, args.seed + 1)
     fsol = backward_regression_solve(frozen, fbundle, degree=3)

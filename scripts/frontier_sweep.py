@@ -35,9 +35,7 @@ def main() -> int:
             f"{p.variance:12.4e} {p.riccati_value_check:12.4e}"
         )
 
-    mean_check, var_check = mv_simulate_check(
-        market, points[-1], args.paths, args.seed, N=200, grid=grid
-    )
+    mean_check, var_check = mv_simulate_check(market, points[-1], args.paths, args.seed, grid)
     print(
         f"MC at d={points[-1].d}: mean={mean_check.details['mc_mean']:.5f} "
         f"(target {points[-1].d}), var={var_check.details['mc_var']:.5f} "

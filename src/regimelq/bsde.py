@@ -53,23 +53,13 @@ DEGENERATE_STD = 1e-12
 
 
 @dataclass(frozen=True)
-class AffineMap:
-    """Scalar coefficient c0 + c1 * y, evaluated at the clipped driver."""
-
-    const: float
-    slope: float = 0.0
-
-    def __call__(self, y):
-        return self.const + self.slope * y
-
-    def range_bounds(self, lo: float, hi: float) -> tuple[float, float]:
-        a, b = self(lo), self(hi)
-        return (min(a, b), max(a, b))
-
-
-@dataclass(frozen=True)
 class RandomCoefficientModel:
-    """Scalar (n = m = 1) problem family with driver-dependent coefficients."""
+    """Scalar (n = m = 1) problem family with driver-dependent coefficients.
+
+    Row ``COEFF_NAMES.index(name)`` of ``const`` and ``slope`` holds that
+    coefficient's map const + slope * y for every regime; maps are evaluated
+    at the driver clipped to [y_low, y_high].
+    """
 
     T: float
     generator: GeneratorMatrix
@@ -80,21 +70,12 @@ class RandomCoefficientModel:
     y0: float
     y_low: float
     y_high: float
-    coeffs: tuple  # per regime: dict name -> AffineMap
+    const: NDArray[np.float64]  # (len(COEFF_NAMES), D)
+    slope: NDArray[np.float64]  # (len(COEFF_NAMES), D)
 
     @property
     def num_regimes(self) -> int:
         return self.generator.size
-
-    def clip(self, y):
-        return np.clip(y, self.y_low, self.y_high)
-
-    def coeff(self, name: str, k: int, y):
-        return self.coeffs[k][name](self.clip(y))
-
-    def coeff_selected(self, name: str, regimes: NDArray, y: NDArray) -> NDArray:
-        """Vectorized evaluation with a per-sample regime index."""
-        return self.coeff_rows(y, regimes)(name)
 
     def coeff_rows(self, y: NDArray, regimes: NDArray | None = None):
         """Evaluator ``name -> map`` at the driver samples ``y``, clipped once.
@@ -102,11 +83,11 @@ class RandomCoefficientModel:
         Without ``regimes`` each map comes as (d, M) rows, one per regime;
         with a per-sample regime index it comes as the (M,) selected values.
         """
-        yc = self.clip(y)
+        yc = np.clip(y, self.y_low, self.y_high)
 
         def evaluate(name: str) -> NDArray:
-            const = np.array([c[name].const for c in self.coeffs])
-            slope = np.array([c[name].slope for c in self.coeffs])
+            row = COEFF_NAMES.index(name)
+            const, slope = self.const[row], self.slope[row]
             if regimes is None:
                 return const[:, None] + slope[:, None] * yc
             return const[regimes] + slope[regimes] * yc
@@ -129,8 +110,9 @@ def make_model(
     """Validate and build a :class:`RandomCoefficientModel`.
 
     ``coeffs`` maps each regime to ``{name: (const, slope)}`` for the names
-    A, B, C, D, Q, S, R, G.  Over the declared driver range R must stay
-    strictly positive and G nonnegative, and every number must be finite.
+    A, B, C, D, Q, S, R, G; ``(const,)`` or a bare number means slope 0.
+    Over the declared driver range R must stay strictly positive and G
+    nonnegative, and every number must be finite.
     """
     gen = validate_generator(generator)
     T = check_horizon(T)
@@ -145,26 +127,27 @@ def make_model(
         raise ValidationError("y0 must lie inside the declared driver range")
     if nu < 0.0:
         raise ValidationError("driver volatility nu must be nonnegative")
-    per_regime = []
-    for k in range(gen.size):
-        entry = {}
-        for name in COEFF_NAMES:
-            spec = coeffs[k][name]
-            amap = spec if isinstance(spec, AffineMap) else AffineMap(*np.atleast_1d(spec))
-            entry[name] = AffineMap(float(amap.const), float(amap.slope))
-            if not np.isfinite([amap.const, amap.slope]).all():
-                raise ValidationError(f"{name} (regime {k + 1}) must be finite")
-        r_min, _ = entry["R"].range_bounds(lo, hi)
-        if r_min <= 0.0:
-            raise ValidationError(
-                f"R must be strictly positive on the driver range (regime {k}: min {r_min})"
-            )
-        g_min, _ = entry["G"].range_bounds(lo, hi)
-        if g_min < 0.0:
-            raise ValidationError(
-                f"G must be nonnegative on the driver range (regime {k}: min {g_min})"
-            )
-        per_regime.append(entry)
+    pair = lambda const, slope=0.0: (const, slope)  # [const] or a bare number: slope 0
+    const, slope = np.array(
+        [[pair(*np.atleast_1d(coeffs[k][name])) for k in range(gen.size)] for name in COEFF_NAMES],
+        dtype=np.float64,
+    ).transpose(2, 0, 1)
+    finite = np.isfinite(const) & np.isfinite(slope)
+    if not finite.all():
+        k, row = np.argwhere(~finite.T)[0]
+        raise ValidationError(f"{COEFF_NAMES[row]} (regime {k + 1}) must be finite")
+    with np.errstate(over="ignore"):  # an end beyond the float range is out of range too
+        r_min, g_min = np.minimum(const + slope * lo, const + slope * hi)[-2:]  # rows R, G
+    if np.any(r_min <= 0.0):
+        k = int(np.argmax(r_min <= 0.0))
+        raise ValidationError(
+            f"R must be strictly positive on the driver range (regime {k + 1}: min {r_min[k]})"
+        )
+    if np.any(g_min < 0.0):
+        k = int(np.argmax(g_min < 0.0))
+        raise ValidationError(
+            f"G must be nonnegative on the driver range (regime {k + 1}: min {g_min[k]})"
+        )
     return RandomCoefficientModel(
         T=T,
         generator=gen,
@@ -175,7 +158,8 @@ def make_model(
         y0=float(y0),
         y_low=lo,
         y_high=hi,
-        coeffs=tuple(per_regime),
+        const=const,
+        slope=slope,
     )
 
 
@@ -205,14 +189,12 @@ def constant_problem(model: RandomCoefficientModel) -> ProblemSpec:
     Only valid when every coefficient slope is zero; used to cross-check the
     regression solver against the ODE solver.
     """
-    for k in range(model.num_regimes):
-        for name in COEFF_NAMES:
-            if model.coeffs[k][name].slope != 0.0:
-                raise ValidationError("model has y-dependent coefficients")
-    val = lambda name, k: [[model.coeffs[k][name].const]]
+    if np.any(model.slope):
+        raise ValidationError("model has y-dependent coefficients")
+    const = dict(zip(COEFF_NAMES, model.const))  # name -> (D,) values
     coefficients = [
         [
-            {name: val(name, k) for name in ("A", "B", "C", "D", "Q", "S", "R")}
+            {name: [[const[name][k]]] for name in ("A", "B", "C", "D", "Q", "S", "R")}
             for k in range(model.num_regimes)
         ]
     ]
@@ -222,7 +204,7 @@ def constant_problem(model: RandomCoefficientModel) -> ProblemSpec:
         T=model.T,
         generator=model.generator,
         coefficients=coefficients,
-        G=[val("G", k) for k in range(model.num_regimes)],
+        G=[[[g]] for g in const["G"]],
         x0=[1.0],
         i0=model.i0,
     )
@@ -309,7 +291,7 @@ class BsdeSolution:
     def value_at(self, i: int, regimes, y):
         """Value estimate at node i for per-sample (regime, driver) pairs."""
         if i == self.num_steps:
-            return self.model.coeff_selected("G", np.asarray(regimes, dtype=np.int64), y)
+            return self.model.coeff_rows(y, np.asarray(regimes, dtype=np.int64))("G")
         return self._eval(self.value_weights, i, regimes, y)
 
     def lambda_at(self, i: int, regimes, y):

@@ -80,7 +80,7 @@ def _parse(parser, cfg: dict):
     """Run a config parser; a missing key or an ill-typed value is bad input."""
     try:
         return parser(cfg)
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed config: {type(exc).__name__}: {exc}") from exc
 
 
@@ -231,7 +231,7 @@ def _cmd_frontier(args, cfg, meta, out: Path) -> int:
     for idx, point in enumerate(points):
         mean_check, var_check = mv_simulate_check(
             market, point, args.paths, derive_seed(seed, "point", idx),
-            N=args.grid, grid=grid, workers=args.workers,
+            grid, workers=args.workers,
         )
         failed = failed or not (mean_check.passed and var_check.passed)
         rows.append([
@@ -308,7 +308,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         _emit_error(exc)
         return 1
-    except (NumericalError, FloatingPointError) as exc:
+    except (NumericalError, FloatingPointError, OverflowError) as exc:
         _emit_error(exc)
         return 2
 

@@ -351,8 +351,7 @@ def mv_simulate_check(
     point: FrontierPoint,
     n_paths: int,
     seed: int,
-    N: int = 200,
-    grid: RiccatiGrid | None = None,
+    grid: RiccatiGrid,
     workers: int = 1,
 ) -> list[CheckResult]:
     """Monte Carlo check of one frontier point under the optimal strategy.
@@ -361,8 +360,7 @@ def mv_simulate_check(
     compares the sample mean against d and the sample variance against the
     ODE variance, each within 3 stderr plus a Richardson bias allowance.
     """
-    if grid is None:
-        grid = mv_riccati(market, N)
+    N = len(grid.times) - 1
     problem = with_initial_state(market_to_problem(market), [point.xtilde0])
     law = FeedbackLaw(problem, grid)
     stats = _terminal_wealth_stats(

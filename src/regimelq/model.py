@@ -220,8 +220,8 @@ def with_initial_state(problem: ProblemSpec, x0) -> ProblemSpec:
 class ConfigReader:
     """Reads what every config kind states the same way: the header, the
     required ``fields``, ``T``, the generator (an optional ``regimes`` count
-    must match it) and the 1-based ``i0`` label.  Range rules stay with the
-    constructors.
+    must match it), integer fields and the 1-based ``i0`` label.  Range rules
+    stay with the constructors.
     """
 
     def __init__(self, cfg: dict, kind: str, fields: tuple = ()):
@@ -238,9 +238,16 @@ class ConfigReader:
         d = self.generator.size
         if "regimes" in cfg and cfg["regimes"] != d:
             raise DimensionMismatch(f"generator is {d}x{d} but regimes={cfg['regimes']}")
-        self.i0 = int(cfg["i0"]) - 1
-        if self.i0 + 1 != cfg["i0"]:
-            raise ValidationError(f"i0 must be an integer regime label, got {cfg['i0']!r}")
+        self.i0 = self.integer("i0") - 1
+
+    def integer(self, field: str) -> int:
+        """The integral number ``field``; a fraction, a non-finite value or a bool is bad input."""
+        value = self.cfg[field]
+        if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        ):
+            raise ValidationError(f"{field} must be an integer, got {value!r}")
+        return int(value)
 
     def by_regime(self, mapping: dict, what: str) -> list:
         """Values of a mapping keyed by the regime labels '1'..'D', in regime order."""
@@ -269,8 +276,8 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
     read = ConfigReader(cfg, "slq", ("n", "m", "regimes", "segments", "G", "x0"))
     breakpoints, segs = read.segments()
     return make_problem(
-        n=int(cfg["n"]),
-        m=int(cfg["m"]),
+        n=read.integer("n"),
+        m=read.integer("m"),
         T=read.T,
         generator=read.generator,
         coefficients=[

@@ -16,7 +16,8 @@ the stationarity identity Shat + Rhat Theta = 0 holds to solver precision at
 every node, and off nodes P is interpolated linearly and Theta recomputed,
 which preserves the identity exactly at the interpolated P.
 
-Integration is classical fixed-step RK4, symmetrizing after every stage.
+Integration is classical fixed-step RK4.  Each derivative is symmetrized, so
+every stage value, and P, is exactly symmetric.
 Uniform positivity of Rhat is monitored throughout; losing it signals a
 problem that is not uniformly convex and raises :class:`SingularRhat`
 instead of regularizing.
@@ -37,7 +38,7 @@ RHAT_FLOOR = 1e-8
 
 
 class _SegmentStack(NamedTuple):
-    """Per-regime coefficients of one segment (D, ., .), or of K times (K, D, ., .)."""
+    """Per-regime coefficients at one time (D, ., .), or at K times (K, D, ., .)."""
 
     A: NDArray
     B: NDArray
@@ -46,35 +47,21 @@ class _SegmentStack(NamedTuple):
     Q: NDArray
     S: NDArray
     R: NDArray
-    Bt: NDArray
-    Ct: NDArray
-    Dt: NDArray
-
-
-def _stack_segment(problem: ProblemSpec, j: int) -> _SegmentStack:
-    sets = problem.coefficients[j]
-    A = np.stack([cs.A for cs in sets])
-    B = np.stack([cs.B for cs in sets])
-    C = np.stack([cs.C for cs in sets])
-    D = np.stack([cs.D for cs in sets])
-    Q = np.stack([cs.Q for cs in sets])
-    S = np.stack([cs.S for cs in sets])
-    R = np.stack([cs.R for cs in sets])
-    t = lambda M: M.swapaxes(-1, -2).copy()
-    return _SegmentStack(A, B, C, D, Q, S, R, t(B), t(C), t(D))
 
 
 def _on_grid(problem: ProblemSpec, times) -> _SegmentStack:
-    """Coefficients in force at each of ``times``, stacked to (len(times), D, ., .)."""
-    segments = [_stack_segment(problem, j) for j in range(problem.num_segments)]
+    """Coefficients in force at ``times``: (len(times), D, ., .), or (D, ., .) at one time."""
     rows = problem.segment_index(times)
-    return _SegmentStack(*(np.stack(field)[rows] for field in zip(*segments)))
+    return _SegmentStack(*(
+        np.array([[getattr(cs, name) for cs in seg] for seg in problem.coefficients])[rows]
+        for name in _SegmentStack._fields
+    ))
 
 
 def _hat_terms(P: NDArray, st: _SegmentStack):
     """Shat, Rhat for stacked symmetric P of shape (D, n, n) or (K, D, n, n)."""
-    DtP = st.Dt @ P
-    Shat = st.Bt @ P + DtP @ st.C + st.S
+    DtP = st.D.swapaxes(-1, -2) @ P
+    Shat = st.B.swapaxes(-1, -2) @ P + DtP @ st.C + st.S
     Rhat = st.R + DtP @ st.D
     Rhat = 0.5 * (Rhat + Rhat.swapaxes(-1, -2))
     return Shat, Rhat
@@ -104,7 +91,7 @@ def _rhs(
     Lyapunov system.
     """
     PA = P @ st.A
-    drift = PA + PA.swapaxes(-1, -2) + st.Ct @ P @ st.C + st.Q
+    drift = PA + PA.swapaxes(-1, -2) + st.C.swapaxes(-1, -2) @ P @ st.C + st.Q
     if quadratic:
         Shat, Rhat = _hat_terms(P, st)
         _guard_rhat(Rhat[None], [t])
@@ -124,8 +111,7 @@ def riccati_rhs(P_all, t: float, problem: ProblemSpec) -> NDArray:
         raise ValidationError(
             f"P_all must have shape ({problem.num_regimes}, {problem.n}, {problem.n})"
         )
-    st = _stack_segment(problem, problem.segment_index(t))
-    return _rhs(P, t, st, problem.generator.rates)
+    return _rhs(P, t, _on_grid(problem, t), problem.generator.rates)
 
 
 @dataclass(frozen=True)
@@ -168,7 +154,6 @@ def _integrate_backward(
 
     P = np.empty((N + 1, problem.num_regimes, problem.n, problem.n))
     P[N] = problem.terminal_weights()
-    sym = lambda M: 0.5 * (M + M.swapaxes(-1, -2))
     for i in range(N, 0, -1):
         t1 = times[i]
         t0 = times[i - 1]
@@ -176,10 +161,10 @@ def _integrate_backward(
         st = _SegmentStack(*(a[i - 1] for a in steps))
         Pi = P[i]
         k1 = _rhs(Pi, t1, st, rates, quadratic)
-        k2 = _rhs(sym(Pi - 0.5 * h * k1), tm, st, rates, quadratic)
-        k3 = _rhs(sym(Pi - 0.5 * h * k2), tm, st, rates, quadratic)
-        k4 = _rhs(sym(Pi - h * k3), t0, st, rates, quadratic)
-        P[i - 1] = sym(Pi - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        k2 = _rhs(Pi - 0.5 * h * k1, tm, st, rates, quadratic)
+        k3 = _rhs(Pi - 0.5 * h * k2, tm, st, rates, quadratic)
+        k4 = _rhs(Pi - h * k3, t0, st, rates, quadratic)
+        P[i - 1] = Pi - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(P[i - 1])):
             raise NonFiniteState(f"non-finite Riccati state at t={t0:.6g}")
     return times, P
@@ -228,9 +213,7 @@ class FeedbackLaw:
 
     def gain(self, t: float, k: int) -> NDArray:
         """Feedback gain Theta(t, k), recomputed from the interpolated P."""
-        P = self.interpolated_P(t)
-        st = _stack_segment(self.problem, self.problem.segment_index(t))
-        Theta, _ = _node_gain(P[None], st, [t])
+        Theta, _ = _node_gain(self.interpolated_P([t]), _on_grid(self.problem, [t]), [t])
         return Theta[0, k]
 
     def gains_at_times(self, times) -> NDArray:

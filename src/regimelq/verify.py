@@ -210,7 +210,6 @@ def value_identity_check(
     grid: RiccatiGrid,
     n_paths: int,
     seed: int,
-    N: int | None = None,
     workers: int = 1,
 ) -> CheckResult:
     """MC cost under the feedback law vs the quadratic value x0' P(0, i0) x0."""
@@ -218,7 +217,7 @@ def value_identity_check(
     target = float(problem.x0 @ grid.P[0, problem.i0] @ problem.x0)
     return _identity_check(
         "value_identity", "value", problem, lambda n: law, target,
-        n_paths, seed, N or len(grid.times) - 1, workers,
+        n_paths, seed, len(grid.times) - 1, workers,
     )
 
 def stationarity_residual(
@@ -242,10 +241,9 @@ def stationarity_check(
     problem: ProblemSpec,
     grid: RiccatiGrid,
     seed: int,
-    N: int | None = None,
 ) -> CheckResult:
     """Algebraic stationarity along simulated closed-loop paths; no MC slack."""
-    N = N or len(grid.times) - 1
+    N = len(grid.times) - 1
     law = FeedbackLaw(problem, grid)
     worst_ratio = 0.0
     for j in range(STATIONARITY_PATHS):
@@ -266,7 +264,6 @@ def perturbation_test(
     K: int,
     n_paths: int,
     seed: int,
-    N: int | None = None,
     workers: int = 1,
 ) -> CheckResult:
     """Open-loop optimality probe: J(u* + v_k) - J(u*) >= -3 stderr for all k.
@@ -277,7 +274,7 @@ def perturbation_test(
     """
     if K < 5:
         raise ValidationError("need at least K=5 perturbation directions")
-    N = N or len(grid.times) - 1
+    N = len(grid.times) - 1
     law = FeedbackLaw(problem, grid)
     deltas, stderrs = [], []
     for j in range(K):
@@ -311,7 +308,6 @@ def lyapunov_identity_check(
     lyap: LyapunovGrid,
     n_paths: int,
     seed: int,
-    N: int | None = None,
     workers: int = 1,
 ) -> CheckResult:
     """Zero-control MC cost vs the quadratic form x0' M(0, i0) x0."""
@@ -319,7 +315,7 @@ def lyapunov_identity_check(
     return _identity_check(
         "lyapunov_identity", "lyap", problem,
         lambda n: ControlTable(values=np.zeros((n, problem.m))), target,
-        n_paths, seed, N or len(lyap.times) - 1, workers,
+        n_paths, seed, len(lyap.times) - 1, workers,
     )
 
 
@@ -390,16 +386,16 @@ def run_standard_checks(
                 grid.rhat_min_eig.size, seed, {},
             ),
             value_identity_check(
-                problem, grid, n_paths, derive_seed(seed, "value"), N, workers
+                problem, grid, n_paths, derive_seed(seed, "value"), workers
             ),
-            stationarity_check(problem, grid, derive_seed(seed, "stat"), N=N),
+            stationarity_check(problem, grid, derive_seed(seed, "stat")),
             perturbation_test(
                 problem, grid, PERTURBATION_DIRECTIONS, probe_paths,
-                derive_seed(seed, "pert"), N, workers,
+                derive_seed(seed, "pert"), workers,
             ),
             lyapunov_identity_check(
                 problem, lyapunov_solve(problem, N), n_paths,
-                derive_seed(seed, "lyap"), N, workers,
+                derive_seed(seed, "lyap"), workers,
             ),
         ]
     checks.append(

@@ -44,7 +44,7 @@ def _pad_weights(w, num_regimes, width):
 
 
 def _driver(model, k, y, Pbar, Lbar, t):
-    get = lambda name: model.coeff(name, k, y)
+    get = lambda name: model.coeff_rows(y)(name)[k]
     a, b, c, d = get("A"), get("B"), get("C"), get("D")
     q, s, r = get("Q"), get("S"), get("R")
     Qhat = 2.0 * a * Pbar + c * c * Pbar + 2.0 * Lbar * c + q
@@ -79,7 +79,7 @@ def reference_regression_solve(model, bundle, degree=3):
     conds = np.ones(N)
 
     yN = bundle.y[:, N]
-    Vnext = np.stack([model.coeff("G", l, yN) for l in range(d)], axis=1)  # (M, d)
+    Vnext = model.coeff_rows(yN)("G").T  # (M, d)
     for i in range(N - 1, -1, -1):
         t = float(bundle.times[i])
         yi = bundle.y[:, i]

@@ -36,7 +36,7 @@ class _LoopTable(NamedTuple):
 def _loop_table(problem: ProblemSpec, control: Control, times) -> _LoopTable:
     """Closed-loop coefficients of ``control`` at every grid node and regime."""
     gains, v = _resolve_control(control, problem, times)
-    A, B, C, D, Q, S, R = _on_grid(problem, times[:-1])[:7]
+    A, B, C, D, Q, S, R = _on_grid(problem, times[:-1])
     Theta = np.zeros(B.shape[:2] + (problem.m, problem.n)) if gains is None else gains
     ThetaT = Theta.swapaxes(-1, -2)
     cross = ThetaT @ S

@@ -86,7 +86,7 @@ def test_criterion_04_value_identity():
     for name, prob in canonical_problems().items():
         grid = rl.solve_riccati(prob, 200)
         t0 = time.perf_counter()
-        check = rl.value_identity_check(prob, grid, 100_000, 4004, N=200)
+        check = rl.value_identity_check(prob, grid, 100_000, 4004)
         elapsed = time.perf_counter() - t0
         ok = ok and check.passed and elapsed < 30.0
         details.append(
@@ -118,7 +118,7 @@ def test_criterion_06_perturbation_optimality():
     ok = True
     for name, prob in canonical_problems().items():
         grid = rl.solve_riccati(prob, 200)
-        check = rl.perturbation_test(prob, grid, 10, 10_000, 6006, N=200)
+        check = rl.perturbation_test(prob, grid, 10, 10_000, 6006)
         ok = ok and check.passed
         details.append(f"{name}: min delta {min(check.details['deltas']):.3e}")
     _report(
@@ -132,7 +132,7 @@ def test_criterion_07_lyapunov_representation():
     ok = True
     for name, prob in canonical_problems().items():
         lyap = rl.lyapunov_solve(prob, 200)
-        check = rl.lyapunov_identity_check(prob, lyap, 100_000, 7007, N=200)
+        check = rl.lyapunov_identity_check(prob, lyap, 100_000, 7007)
         ok = ok and check.passed
         details.append(
             f"{name}: |stat| {abs(check.statistic):.2e} <= {check.tolerance:.2e}"
@@ -179,7 +179,7 @@ def test_criterion_09_mean_variance_frontier():
     dual_rel = abs(rho * point.xtilde0**2 - p0 * point.xtilde0**2) / (
         p0 * point.xtilde0**2
     )
-    checks = rl.mv_simulate_check(market, point, 100_000, 9009, N=200, grid=grid)
+    checks = rl.mv_simulate_check(market, point, 100_000, 9009, grid)
     mc_ok = all(c.passed for c in checks)
     _report(
         "criterion 9 (mean-variance frontier)",

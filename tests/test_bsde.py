@@ -89,8 +89,7 @@ class TestModelValidation:
 
     def test_clipping_bounds_evaluation(self):
         model = y_dependent_model()
-        far = model.coeff("R", 0, 100.0)
-        edge = model.coeff("R", 0, 3.0)
+        far, edge = model.coeff_rows(np.array([100.0, 3.0]))("R")[0]
         assert far == edge
 
 
@@ -132,7 +131,7 @@ class TestBackwardRegression:
         yN = bundle.y[:, -1]
         kN = bundle.regimes[:, -1]
         np.testing.assert_array_equal(
-            sol.value_at(20, kN, yN), model.coeff_selected("G", kN, yN)
+            sol.value_at(20, kN, yN), model.coeff_rows(yN, kN)("G")
         )
 
     def test_zero_data_gives_zero_solution(self):

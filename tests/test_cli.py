@@ -1,9 +1,13 @@
 """CLI: exit codes, artifact shapes, determinism across runs and workers."""
 
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -119,6 +123,14 @@ class TestExitCodes:
             ("bsde", lambda: _bundled(
                 "random_coeff.json", lambda c: c["driver"].update(kappa=1e6)
             ), [], "kappa*T/N = 100000.0"),
+            ("solve", lambda: _bundled("scalar.json", lambda c: c.update(n=INF)), [],
+             "n must be an integer, got inf"),
+            ("solve", lambda: _bundled("scalar.json", lambda c: c.update(n=1.5)), [],
+             "n must be an integer, got 1.5"),
+            ("solve", lambda: _bundled("scalar.json", lambda c: c.update(m=True)), [],
+             "m must be an integer, got True"),
+            ("solve", lambda: _bundled("two_regime.json", lambda c: c.update(i0=True)), [],
+             "i0 must be an integer, got True"),
         ],
         ids=[
             "missing-fields", "not-an-object", "market-missing-generator",
@@ -129,7 +141,7 @@ class TestExitCodes:
             "random-coefficients-missing-label", "random-coefficients-nan-const",
             "random-coefficients-infinite-slope", "nan-kappa", "infinite-nu",
             "infinite-theta_bar", "nan-y0", "infinite-y_range", "nan-T", "zero-T",
-            "diverging-driver",
+            "diverging-driver", "infinite-n", "fractional-n", "boolean-m", "boolean-i0",
         ],
     )
     def test_invalid_schema_exits_one(self, tmp_path, capsys, command, config, extra, says):
@@ -173,6 +185,21 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "FloatingPointError"
 
+    def test_python_float_overflow_exits_two(self, tmp_path, capsys):
+        # x0 = 1e200 is valid; the frontier's Python-float xt0**2 overflows
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(
+            _bundled("market_one_regime.json", lambda c: c.update(x0=1e200))
+        ))
+        rc = main([
+            "frontier", "--config", str(bad), "--seed", "1", "--grid", "10",
+            "--paths", "2000", "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "OverflowError"
+
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         cfg = _write_nonconvex_config(tmp_path)
         rc = main(["solve", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path)])
@@ -191,6 +218,69 @@ class TestExitCodes:
         status = {c["check"]: c["status"] for c in report["checks"]}
         assert status["sre_solve"] == "fail"
         assert status["convexity_probe"] == "fail"
+
+
+FUZZ_VALUES = (NAN, INF, -INF, 1e308, -1e308, 1e-300, "x", None, True, [], {})
+FUZZ_COMMANDS = {
+    "slq": ("solve", "simulate", "verify"),
+    "market": ("solve", "frontier"),
+    "random_coefficients": ("bsde",),
+}
+
+
+def _slots(node, path=()):
+    """Paths to every entry of a JSON tree, containers included."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield path + (key,)
+            yield from _slots(child, path + (key,))
+
+
+def _fuzz(cfg: dict, rnd: random.Random) -> str:
+    """Replace one entry of ``cfg`` by a hostile value or delete one key."""
+    slot = rnd.choice(list(_slots(cfg)))
+    parent = cfg
+    for key in slot[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and rnd.random() < 0.2:
+        del parent[slot[-1]]
+        return f"del {slot}"
+    parent[slot[-1]] = rnd.choice(FUZZ_VALUES)
+    return f"{slot} = {parent[slot[-1]]!r}"
+
+
+def test_fuzzed_configs_keep_the_exit_contract(tmp_path):
+    # exit 0-3 only, no escaped exception, and a failure (1, 2) prints exactly
+    # one JSON line on stderr: a numpy warning would print more lines
+    rnd = random.Random(1)
+    configs = sorted(CONFIGS.glob("*.json"))
+    broken = []
+    for case in range(150):
+        cfg = json.loads(configs[case % len(configs)].read_text())
+        command = rnd.choice(FUZZ_COMMANDS[cfg["kind"]])
+        edits = [_fuzz(cfg, rnd) for _ in range(rnd.choice((1, 2)))]
+        path = tmp_path / "fuzzed.json"
+        path.write_text(json.dumps(cfg))
+        argv = [
+            command, "--config", str(path), "--seed", "1", "--grid", "8",
+            "--paths", str(rnd.choice((200, 300, 400))), "--workers", "1",
+            "--out", str(tmp_path / "out"),
+        ]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                rc = main(argv)
+            except BaseException as exc:  # noqa: BLE001 - an escape is the failure sought
+                rc = f"{type(exc).__name__}: {exc}"
+        lines = err.getvalue().splitlines()
+        ok = rc in (0, 1, 2, 3)
+        if rc in (1, 2):
+            ok = not caught and len(lines) == 1 and "error" in json.loads(lines[0])
+        if not ok:
+            broken.append((configs[case % len(configs)].stem, command, edits, rc, lines[:2]))
+    assert not broken
 
 
 class TestSimulate:

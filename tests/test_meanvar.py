@@ -235,7 +235,7 @@ class TestMvSimulateCheck:
     def test_one_regime_mean_and_variance(self):
         market = one_regime_market()
         points, grid = rl.efficient_frontier(market, [1.2], N=200)
-        checks = rl.mv_simulate_check(market, points[0], 20_000, 201, N=200, grid=grid)
+        checks = rl.mv_simulate_check(market, points[0], 20_000, 201, grid)
         assert all(c.passed for c in checks)
         mean_check, var_check = checks
         assert mean_check.details["target"] == 1.2
@@ -247,5 +247,5 @@ class TestMvSimulateCheck:
             b=[[0.10, 0.07]], sigma=[[0.25, 0.15]], delta=0.01, x0=1.0, i0=0,
         )
         points, grid = rl.efficient_frontier(market, [1.1], N=200)
-        checks = rl.mv_simulate_check(market, points[0], 20_000, 202, N=200, grid=grid)
+        checks = rl.mv_simulate_check(market, points[0], 20_000, 202, grid)
         assert all(c.passed for c in checks)

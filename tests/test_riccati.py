@@ -349,6 +349,16 @@ def gain_instances(draw):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(gain_instances())
+def test_property_p_and_lyapunov_m_exactly_symmetric(instance):
+    # each RK4 derivative is symmetrized, so every stage value and node is too
+    prob, N, _ = instance
+    for X in (rl.solve_riccati(prob, N).P, rl.lyapunov_solve(prob, N).M):
+        assert np.array_equal(X, X.swapaxes(-1, -2))
+        assert np.array_equal(X[-1], prob.terminal_weights())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(gain_instances())
 def test_property_gain_table_equals_pointwise_gain(instance):
     # the batched table reads every time exactly as the one-time law.gain does
     prob, N, times = instance

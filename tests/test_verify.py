@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import regimelq as rl
-from regimelq.riccati import _hat_terms, _stack_segment
+from regimelq.riccati import _hat_terms, _on_grid
 from regimelq.verify import stationarity_check
 
 from canonical import (
@@ -140,8 +140,7 @@ class TestStationarity:
         for i in range(len(path.U)):
             t = float(path.times[i])
             k = int(path.regimes[i])
-            st = _stack_segment(prob, prob.segment_index(t))
-            Shat, Rhat = _hat_terms(law.interpolated_P(t), st)
+            Shat, Rhat = _hat_terms(law.interpolated_P(t), _on_grid(prob, t))
             F = Shat[k] @ path.X[i] + Rhat[k] @ path.U[i]
             worst = max(worst, float(np.linalg.norm(F)))
         assert rl.stationarity_residual(prob, path, grid) == worst
@@ -301,7 +300,7 @@ class TestCheckContract:
     def test_frontier_checks(self):
         market = one_regime_market()
         points, grid = rl.efficient_frontier(market, [1.2], N=100)
-        checks = rl.mv_simulate_check(market, points[0], 2000, 104, N=100, grid=grid)
+        checks = rl.mv_simulate_check(market, points[0], 2000, 104, grid)
         assert [c.name for c in checks] == ["mv_terminal_mean", "mv_terminal_variance"]
         for check in checks:
             assert_check_contract(check)
