@@ -21,6 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionMismatch, EmptySample, NegativeOffDiagonal, ValidationError
+from .streams import mapped_zeros
 
 DIAGONAL_REPAIR_TOL = 1e-12
 
@@ -227,7 +228,7 @@ def sample_regimes_on_grid(
     if times.ndim != 1 or times.size < 2:
         raise ValidationError("need a grid of at least two times")
     _check_sampler_args(gen, i0, times[0], times[-1], n_paths)
-    change = np.zeros((len(times), n_paths), dtype=np.int64)
+    change = mapped_zeros((len(times), n_paths), np.int64)
     change[0] = i0
     for still, t_jump, prev, nxt in _jump_rounds(gen, i0, times[0], times[-1], rng, n_paths):
         change[np.searchsorted(times, t_jump, side="left"), still] += nxt - prev

@@ -39,7 +39,7 @@ from .errors import NonFiniteState, ValidationError
 from .model import CoefficientSet, ProblemSpec
 from .riccati import FeedbackLaw, _on_grid
 # CHUNK_SIZE is re-exported: it is the path count of one batch chunk
-from .streams import CHUNK_SIZE, derive_rng, run_chunks
+from .streams import CHUNK_SIZE, derive_rng, mapped_zeros, run_chunks
 
 MIN_PATHS = 100  # fewest paths behind a Monte Carlo estimate or a CLI run
 
@@ -211,7 +211,7 @@ def _draw_chunk_noise(problem: ProblemSpec, times, rng, n_chunk: int):
     in place where they were drawn, and each step reads one strided column.
     """
     regimes = sample_regimes_on_grid(problem.generator, problem.i0, times, rng, n_chunk)
-    dW = rng.standard_normal((n_chunk, len(times) - 1))
+    dW = rng.standard_normal(out=mapped_zeros((n_chunk, len(times) - 1)))
     dW *= np.sqrt(times[1] - times[0])
     return regimes, dW
 
@@ -306,7 +306,7 @@ def paired_refinement_run(
 
     def chunk(rng, n):
         regimes2, dW2 = _draw_chunk_noise(problem, times2, rng, n)
-        dW1 = dW2[:, 0::2] + dW2[:, 1::2]
+        dW1 = np.add(dW2[:, 0::2], dW2[:, 1::2], out=mapped_zeros((n, N)))
         costs1, xT1 = _cost_and_state(problem, table1, regimes2[:, ::2], dW1)
         costs2, xT2 = _cost_and_state(problem, table2, regimes2, dW2)
         return costs1, costs2, xT1, xT2

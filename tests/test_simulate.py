@@ -1,5 +1,7 @@
 """Simulate module: Euler stepping, path records, cost evaluation, MC engine."""
 
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,9 @@ from regimelq.errors import ValidationError
 from regimelq.simulate import (
     _draw_chunk_noise, _evolve, _loop_table, mc_run, paired_refinement_run,
 )
-from regimelq.streams import CHUNK_SIZE, derive_rng, derive_seed, run_chunks
+from regimelq.streams import (
+    CHUNK_SIZE, MAP_MIN_BYTES, derive_rng, derive_seed, mapped_zeros, run_chunks,
+)
 
 import kernel_reference as ref
 from canonical import (
@@ -394,3 +398,28 @@ def test_chunk_lanes_keep_the_floating_point_error_state(workers):
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
             run_chunks(2 * CHUNK_SIZE, 1, "fault", draw, workers)
+
+
+def _memory_map_under(a: np.ndarray):
+    while isinstance(a, np.ndarray):
+        a = a.base
+    a = a.obj if isinstance(a, memoryview) else a
+    return a if isinstance(a, mmap.mmap) else None
+
+
+@pytest.mark.parametrize("nbytes", [8, MAP_MIN_BYTES - 8, MAP_MIN_BYTES, 3 * MAP_MIN_BYTES])
+def test_mapped_zeros_is_a_writable_zeroed_array(nbytes):
+    a = mapped_zeros((2, nbytes // 16), np.int64)
+    assert a.shape == (2, nbytes // 16) and a.dtype == np.int64
+    assert a.flags.c_contiguous and a.flags.writeable and not a.any()
+    assert (_memory_map_under(a) is not None) == (nbytes >= MAP_MIN_BYTES)
+
+
+def test_full_chunk_noise_lies_in_memory_maps():
+    # a full chunk's regimes and increments stay off the malloc heap, where
+    # their placement would move the run's peak memory by megabytes
+    prob = two_regime_coupling()
+    times = np.linspace(0.0, prob.T, 101)
+    regimes, dW = _draw_chunk_noise(prob, times, derive_rng(3), CHUNK_SIZE)
+    assert regimes.nbytes >= MAP_MIN_BYTES and dW.nbytes >= MAP_MIN_BYTES
+    assert _memory_map_under(regimes) is not None and _memory_map_under(dW) is not None
