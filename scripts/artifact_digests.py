@@ -4,8 +4,11 @@
 
 Runs every invocation below as ``python -m regimelq.cli`` in a subprocess,
 writing under ``OUT/<name>``, and prints one ``sha256  name/file`` line per
-artifact.  The package is whatever the environment imports, so two source
-trees write the same bytes exactly when their digest lists are equal:
+artifact.  Each invocation's peak resident memory, from the child's
+``os.wait4`` rusage, goes to stderr as one ``peak_rss_mb  <MiB>  name``
+line, so stdout stays the digest list.  The package is whatever the
+environment imports, so two source trees write the same bytes exactly when
+their digest lists are equal:
 
     PYTHONPATH=<tree A>/src python scripts/artifact_digests.py /tmp/a > a.txt
     PYTHONPATH=<tree B>/src python scripts/artifact_digests.py /tmp/b > b.txt
@@ -18,6 +21,7 @@ and ``--workers 2``, which must agree.
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +57,16 @@ def invocations(multidim: Path) -> list[tuple[str, list[str]]]:
     ]
 
 
+def run_measured(argv: list[str]) -> tuple[int, str, float]:
+    """Run ``argv``; return its exit code, its stderr and its peak RSS in MiB."""
+    with subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        err = proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, err, usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -65,10 +79,11 @@ def main() -> int:
         workers = [] if "--workers" in args else ["--workers", "1"]
         argv = [sys.executable, "-m", "regimelq.cli", *args, *workers,
                 "--seed", SEED, "--out", str(out / name)]
-        proc = subprocess.run(argv, capture_output=True, text=True)
-        if proc.returncode not in (0, 3):  # 3: a check failed, the report is still written
-            print(f"{name} exited {proc.returncode}: {proc.stderr.strip()}", file=sys.stderr)
+        rc, err, peak_mb = run_measured(argv)
+        if rc not in (0, 3):  # 3: a check failed, the report is still written
+            print(f"{name} exited {rc}: {err.strip()}", file=sys.stderr)
             return 1
+        print(f"peak_rss_mb  {peak_mb:.1f}  {name}", file=sys.stderr)
         for path in sorted((out / name).rglob("*")):
             if path.is_file():
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()

@@ -212,12 +212,16 @@ def constant_problem(model: RandomCoefficientModel) -> ProblemSpec:
 
 @dataclass
 class PathBundle:
-    """Training data: driver paths, Brownian increments, chain paths on a grid."""
+    """Training data: driver paths, Brownian increments, chain paths on a grid.
+
+    ``regimes`` has the dtype of :func:`~regimelq.chain.sample_regimes_on_grid`,
+    one byte per path and node up to 128 regimes.
+    """
 
     times: NDArray[np.float64]  # (N+1,)
     y: NDArray[np.float64]  # (M, N+1); generated bundles hold a node-major array's .T
     dW: NDArray[np.float64]  # (M, N)
-    regimes: NDArray[np.int64]  # (M, N+1)
+    regimes: NDArray[np.signedinteger]  # (M, N+1)
     seed: int
 
     @property
@@ -249,7 +253,11 @@ def generate_training_paths(
 
     def chunk(rng, n):
         regimes = sample_regimes_on_grid(model.generator, model.i0, times, rng, n)
-        return regimes, rng.standard_normal((n, N)) * np.sqrt(h)
+        # scaled in place, from malloc, not mapped_zeros: freeing these blocks raises
+        # glibc's mmap threshold, so the sweep's temporaries reuse heap pages
+        dW = rng.standard_normal((n, N))
+        dW *= np.sqrt(h)
+        return regimes, dW
 
     regimes, dW = run_chunks(M, seed, "bundle", chunk)
     # node-major storage: each node's driver column is contiguous in y.T
@@ -285,13 +293,13 @@ class BsdeSolution:
     def _eval(self, weights, i: int, regimes, y):
         z = (np.asarray(y, dtype=np.float64) - self.y_center[i]) / self.y_scale[i]
         powers = np.vander(z, self.degree + 1, increasing=True)  # (M, B)
-        w = weights[i][np.asarray(regimes, dtype=np.int64)]  # (M, B)
+        w = weights[i][np.asarray(regimes)]  # (M, B)
         return np.sum(powers * w, axis=1)
 
     def value_at(self, i: int, regimes, y):
         """Value estimate at node i for per-sample (regime, driver) pairs."""
         if i == self.num_steps:
-            return self.model.coeff_rows(y, np.asarray(regimes, dtype=np.int64))("G")
+            return self.model.coeff_rows(y, np.asarray(regimes))("G")
         return self._eval(self.value_weights, i, regimes, y)
 
     def lambda_at(self, i: int, regimes, y):

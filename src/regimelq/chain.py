@@ -210,7 +210,7 @@ def sample_regimes_on_grid(
     times: NDArray[np.float64],
     rng: np.random.Generator,
     n_paths: int,
-) -> NDArray[np.int64]:
+) -> NDArray[np.signedinteger]:
     """Right-continuous regimes of ``n_paths`` exact chains at each grid time.
 
     Draws exactly what :func:`sample_chain_paths` draws on
@@ -222,13 +222,15 @@ def sample_regimes_on_grid(
     telescope to the last regime entered, and the prefix sum over nodes is
     formed in place, one node row at a time.  The array is node-major in
     memory (Fortran order): the simulation kernel reads it one node at a
-    time.
+    time.  Its dtype is the smallest signed integer that holds -D: every
+    node value lies in [0, D-1] and every summed change in [-(D-1), D-1],
+    so a regime takes one byte up to 128 regimes.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size < 2:
         raise ValidationError("need a grid of at least two times")
     _check_sampler_args(gen, i0, times[0], times[-1], n_paths)
-    change = mapped_zeros((len(times), n_paths), np.int64)
+    change = mapped_zeros((len(times), n_paths), np.min_scalar_type(-gen.size))
     change[0] = i0
     for still, t_jump, prev, nxt in _jump_rounds(gen, i0, times[0], times[-1], rng, n_paths):
         change[np.searchsorted(times, t_jump, side="left"), still] += nxt - prev

@@ -217,26 +217,51 @@ def with_initial_state(problem: ProblemSpec, x0) -> ProblemSpec:
 
 # --- JSON config adapter -------------------------------------------------
 
+def _non_number_leaf(cfg: dict):
+    """``(path, value)`` of the first leaf of the config, in document order and
+    the ``kind`` header left out, that is not a JSON number (a bool, a
+    string or null); None when there is none."""
+    stack = [(str(key), v) for key, v in reversed(cfg.items()) if key != "kind"]
+    while stack:
+        path, node = stack.pop()
+        if isinstance(node, dict):
+            stack.extend((f"{path}.{key}", v) for key, v in reversed(node.items()))
+        elif isinstance(node, list):
+            stack.extend((f"{path}[{i}]", node[i]) for i in reversed(range(len(node))))
+        elif isinstance(node, bool) or not isinstance(node, (int, float)):
+            return path, node
+    return None
+
+
 class ConfigReader:
     """Reads what every config kind states the same way: the header, the
     required ``fields``, ``T``, the generator (an optional ``regimes`` count
-    must match it), integer fields and the 1-based ``i0`` label.  Range rules
-    stay with the constructors.
+    must match it), integer fields and the 1-based ``i0`` label.  Every leaf
+    but the ``kind`` header must be a JSON number.  Range rules stay with
+    the constructors.
     """
+
+    INTEGER_FIELDS = ("n", "m", "regimes", "i0")  # checked first, so their errors say "integer"
 
     def __init__(self, cfg: dict, kind: str, fields: tuple = ()):
         if cfg.get("spec_version") != 1:
             raise ValidationError("config must declare spec_version: 1")
         if cfg.get("kind") != kind:
             raise ValidationError(f"expected kind {kind!r}, got {cfg.get('kind')!r}")
+        self.cfg = cfg
+        for field in self.INTEGER_FIELDS:
+            if field in cfg:
+                self.integer(field)
+        bad = _non_number_leaf(cfg)
+        if bad:
+            raise ValidationError(f"config value {bad[0]} must be a number, got {bad[1]!r}")
         for field in ("T", "generator", "i0") + fields:
             if field not in cfg:
                 raise ValidationError(f"config missing field {field!r}")
-        self.cfg = cfg
         self.T = float(cfg["T"])
         self.generator = validate_generator(cfg["generator"])
         d = self.generator.size
-        if "regimes" in cfg and cfg["regimes"] != d:
+        if "regimes" in cfg and self.integer("regimes") != d:
             raise DimensionMismatch(f"generator is {d}x{d} but regimes={cfg['regimes']}")
         self.i0 = self.integer("i0") - 1
 

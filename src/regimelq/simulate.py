@@ -87,7 +87,7 @@ class PathRecord:
 
     times: NDArray[np.float64]  # (N+1,)
     dW: NDArray[np.float64]  # (N,)
-    regimes: NDArray[np.int64]  # (N+1,) regime at each node
+    regimes: NDArray[np.signedinteger]  # (N+1,) regime at each node, sampler dtype
     X: NDArray[np.float64]  # (N+1, n)
     U: NDArray[np.float64]  # (N, m), left endpoints
     running_cost: float

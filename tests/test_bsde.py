@@ -122,6 +122,10 @@ class TestGenerateTrainingPaths:
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.regimes, b.regimes)
 
+    def test_bundle_regimes_take_one_byte_per_node(self):
+        bundle = rl.generate_training_paths(y_dependent_model(), 5000, 40, 3)
+        assert bundle.regimes.nbytes == 5000 * 41
+
 
 class TestBackwardRegression:
     def test_terminal_exact_on_sample_points(self):

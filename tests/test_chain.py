@@ -205,3 +205,18 @@ def test_property_grid_sampler_matches_projected_paths(raw):
     grid = rl.sample_regimes_on_grid(gen, 0, times, derive_rng(seed), 300)
     paths = rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(seed), 300)
     np.testing.assert_array_equal(grid, [p.regimes_on_grid(times) for p in paths])
+
+
+@pytest.mark.parametrize("d, dtype", [(2, np.int8), (128, np.int8), (129, np.int16)])
+def test_grid_regimes_take_the_smallest_signed_type(d, dtype):
+    # fast swaps between the end regimes make per-node changes of +-(D-1),
+    # the widest value the narrow type has to hold
+    rates = np.full((d, d), 1.0 / d)
+    rates[0, d - 1] = rates[d - 1, 0] = 6.0
+    gen = rl.validate_generator(rates)
+    times = np.linspace(0.0, 1.0, 5)
+    grid = rl.sample_regimes_on_grid(gen, d - 1, times, derive_rng(d), 40)
+    paths = rl.sample_chain_paths(gen, d - 1, 0.0, 1.0, derive_rng(d), 40)
+    assert grid.dtype == dtype
+    assert grid.min() == 0 and grid.max() == d - 1
+    np.testing.assert_array_equal(grid, [p.regimes_on_grid(times) for p in paths])

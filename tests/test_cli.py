@@ -131,6 +131,22 @@ class TestExitCodes:
              "m must be an integer, got True"),
             ("solve", lambda: _bundled("two_regime.json", lambda c: c.update(i0=True)), [],
              "i0 must be an integer, got True"),
+            ("solve", lambda: _bundled("scalar.json", lambda c: c.update(T=True)), [],
+             "T must be a number, got True"),
+            ("solve", lambda: _bundled("scalar.json", lambda c: c.update(T="1.0")), [],
+             "T must be a number, got '1.0'"),
+            ("bsde", lambda: _bundled("random_coeff.json", lambda c: c["driver"].update(nu=True)),
+             [], "driver.nu must be a number, got True"),
+            ("solve", lambda: _bundled(
+                "scalar.json", lambda c: c["segments"][0]["coefficients"]["1"].update(R=[[True]])
+            ), [], "segments[0].coefficients.1.R[0][0] must be a number, got True"),
+            ("solve", lambda: _bundled("scalar.json", lambda c: c.update(x0=["1.0"])), [],
+             "x0[0] must be a number, got '1.0'"),
+            ("bsde", lambda: _bundled(
+                "random_coeff.json", lambda c: c["coefficients"]["1"].update(A=["0.1", "0.02"])
+            ), [], "coefficients.1.A[0] must be a number, got '0.1'"),
+            ("solve", lambda: _bundled("scalar.json", lambda c: c.update(regimes=True)), [],
+             "regimes must be an integer, got True"),
         ],
         ids=[
             "missing-fields", "not-an-object", "market-missing-generator",
@@ -142,6 +158,8 @@ class TestExitCodes:
             "random-coefficients-infinite-slope", "nan-kappa", "infinite-nu",
             "infinite-theta_bar", "nan-y0", "infinite-y_range", "nan-T", "zero-T",
             "diverging-driver", "infinite-n", "fractional-n", "boolean-m", "boolean-i0",
+            "boolean-T", "string-T", "boolean-nu", "boolean-R-entry", "string-x0-entry",
+            "string-A-map", "boolean-regimes",
         ],
     )
     def test_invalid_schema_exits_one(self, tmp_path, capsys, command, config, extra, says):

@@ -1,6 +1,9 @@
 """Simulate module: Euler stepping, path records, cost evaluation, MC engine."""
 
+import json
 import mmap
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,8 @@ from canonical import (
     switching_scalar,
     two_regime_coupling,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestEulerStep:
@@ -413,6 +418,31 @@ def test_mapped_zeros_is_a_writable_zeroed_array(nbytes):
     assert a.shape == (2, nbytes // 16) and a.dtype == np.int64
     assert a.flags.c_contiguous and a.flags.writeable and not a.any()
     assert (_memory_map_under(a) is not None) == (nbytes >= MAP_MIN_BYTES)
+
+
+def _multidim_workload_problem() -> rl.ProblemSpec:
+    workloads = runpy.run_path(str(CONFIGS.parent / "bench" / "workloads.py"))
+    return rl.validate_problem(workloads["multidim_config"](42))
+
+
+@pytest.mark.parametrize("load", [
+    lambda: rl.validate_problem(json.loads((CONFIGS / "two_regime.json").read_text())),
+    _multidim_workload_problem,
+], ids=["two_regime", "multidim"])
+def test_narrow_regimes_step_like_int64_regimes(load):
+    # the kernel only indexes with the regimes, so their dtype moves no bit
+    prob = load()
+    N = 20
+    times = np.linspace(0.0, prob.T, N + 1)
+    law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, N))
+    v = 0.3 * derive_rng(24).standard_normal((N, prob.m))
+    table = _loop_table(prob, rl.PerturbedFeedback(law, rl.ControlTable(v)), times)
+    regimes, dW = _draw_chunk_noise(prob, times, derive_rng(25), 300)
+    assert regimes.dtype == np.int8
+    narrow = _evolve(prob, table, regimes, dW)
+    wide = _evolve(prob, table, regimes.astype(np.int64), dW)
+    for a, b in zip(narrow, wide):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_full_chunk_noise_lies_in_memory_maps():
