@@ -13,7 +13,6 @@ from .chain import (
 from .model import (
     CoefficientSet,
     ProblemSpec,
-    coeff_at,
     make_problem,
     problem_from_config,
     problem_to_config,
@@ -24,7 +23,6 @@ from .riccati import (
     FeedbackLaw,
     RiccatiGrid,
     rhat_certificate,
-    riccati_rhs,
     solve_riccati,
 )
 from .simulate import (
@@ -32,8 +30,6 @@ from .simulate import (
     MCEstimate,
     PathRecord,
     PerturbedFeedback,
-    euler_maruyama_step,
-    evaluate_cost,
     mc_cost,
     mc_cost_diff,
     simulate_closed_loop,

@@ -200,13 +200,6 @@ def make_problem(
     )
 
 
-def coeff_at(problem: ProblemSpec, t: float, k: int) -> CoefficientSet:
-    """Coefficient set in force at time t for regime k (right-continuous)."""
-    if not 0 <= k < problem.num_regimes:
-        raise OutOfHorizon(f"regime {k} out of range")
-    return problem.coefficients[problem.segment_index(t)][k]
-
-
 def with_initial_state(problem: ProblemSpec, x0) -> ProblemSpec:
     """Copy of the problem with a different initial state."""
     x0_arr = np.array(x0, dtype=np.float64).reshape(-1)

@@ -20,7 +20,10 @@ Integration is classical fixed-step RK4.  Each derivative is symmetrized, so
 every stage value, and P, is exactly symmetric.
 Uniform positivity of Rhat is monitored throughout; losing it signals a
 problem that is not uniformly convex and raises :class:`SingularRhat`
-instead of regularizing.
+instead of regularizing.  A coarse step can lose it at a stage value or at
+its end value although the solution keeps Rhat >= R, so such a step is
+redone as two half-steps, up to ``MAX_STEP_HALVINGS`` deep; the solve
+raises when G fails, or when a step fails at that depth.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .errors import NonFiniteState, SingularRhat, ValidationError
 from .model import ProblemSpec
 
 RHAT_FLOOR = 1e-8
+MAX_STEP_HALVINGS = 4  # deepest halving of an RK4 step that fails the Rhat guard
 
 
 class _SegmentStack(NamedTuple):
@@ -100,20 +104,6 @@ def _rhs(
     return 0.5 * (dP + dP.swapaxes(-1, -2))
 
 
-def riccati_rhs(P_all, t: float, problem: ProblemSpec) -> NDArray:
-    """dP/dt at time t for stacked per-regime symmetric matrices P_all.
-
-    Raises :class:`SingularRhat` when any Rhat = R + D'PD has an eigenvalue
-    below ``RHAT_FLOOR``.
-    """
-    P = np.asarray(P_all, dtype=np.float64)
-    if P.shape != (problem.num_regimes, problem.n, problem.n):
-        raise ValidationError(
-            f"P_all must have shape ({problem.num_regimes}, {problem.n}, {problem.n})"
-        )
-    return _rhs(P, t, _on_grid(problem, t), problem.generator.rates)
-
-
 @dataclass(frozen=True)
 class RiccatiGrid:
     """Solved Riccati data on a uniform time grid.
@@ -136,6 +126,33 @@ def _node_gain(P: NDArray, st: _SegmentStack, times):
     return np.linalg.solve(Rhat, -Shat), min_eigs
 
 
+def _rk4_step(
+    P: NDArray, h: float, t1: float, st: _SegmentStack, rates, quadratic: bool, depth: int = 0
+) -> NDArray:
+    """One RK4 step of size h from P at t1 back to t1 - h.
+
+    When a stage value or the end value fails the Rhat guard, the step is
+    redone as two half-steps, at most ``MAX_STEP_HALVINGS`` times deep; at
+    that depth the failure raises :class:`SingularRhat`.  The derivative at
+    P itself is never retried: P is a node value already accepted, or G.
+    """
+    k1 = _rhs(P, t1, st, rates, quadratic)
+    tm = t1 - 0.5 * h
+    try:
+        k2 = _rhs(P - 0.5 * h * k1, tm, st, rates, quadratic)
+        k3 = _rhs(P - 0.5 * h * k2, tm, st, rates, quadratic)
+        k4 = _rhs(P - h * k3, t1 - h, st, rates, quadratic)
+        P_end = P - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if quadratic:
+            _guard_rhat(_hat_terms(P_end, st)[1][None], [t1 - h])
+    except SingularRhat:
+        if depth == MAX_STEP_HALVINGS:
+            raise
+        P = _rk4_step(P, 0.5 * h, t1, st, rates, quadratic, depth + 1)
+        return _rk4_step(P, 0.5 * h, tm, st, rates, quadratic, depth + 1)
+    return P_end
+
+
 def _integrate_backward(
     problem: ProblemSpec, N: int, quadratic: bool = True
 ) -> tuple[NDArray, NDArray]:
@@ -148,25 +165,16 @@ def _integrate_backward(
     # one segment owns the whole step when breakpoints sit on grid nodes;
     # the midpoint lookup avoids grabbing the right-hand segment at a
     # breakpoint node (segment_index is right-continuous)
-    mids = times[1:] - 0.5 * h
-    steps = _on_grid(problem, mids)
+    steps = _on_grid(problem, times[1:] - 0.5 * h)
     rates = problem.generator.rates
 
     P = np.empty((N + 1, problem.num_regimes, problem.n, problem.n))
     P[N] = problem.terminal_weights()
     for i in range(N, 0, -1):
-        t1 = times[i]
-        t0 = times[i - 1]
-        tm = mids[i - 1]
         st = _SegmentStack(*(a[i - 1] for a in steps))
-        Pi = P[i]
-        k1 = _rhs(Pi, t1, st, rates, quadratic)
-        k2 = _rhs(Pi - 0.5 * h * k1, tm, st, rates, quadratic)
-        k3 = _rhs(Pi - 0.5 * h * k2, tm, st, rates, quadratic)
-        k4 = _rhs(Pi - h * k3, t0, st, rates, quadratic)
-        P[i - 1] = Pi - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        P[i - 1] = _rk4_step(P[i], h, times[i], st, rates, quadratic)
         if not np.all(np.isfinite(P[i - 1])):
-            raise NonFiniteState(f"non-finite Riccati state at t={t0:.6g}")
+            raise NonFiniteState(f"non-finite Riccati state at t={times[i - 1]:.6g}")
     return times, P
 
 

@@ -1,25 +1,29 @@
 """Joint simulation of (W, chain, X, u) and Monte Carlo cost estimation.
 
 One kernel steps every path.  A control u = Theta X + v is first turned
-into a table per (grid node, regime) of the closed-loop coefficients
-Acl = A + B Theta, Ccl = C + D Theta, Mcl = Q + Theta'S + S'Theta +
-Theta'R Theta and, when an open-loop part v is present, the affine terms
-B v, D v, S'v + Theta'R v and v'R v; a pure ``ControlTable`` has Theta = 0.
-The table is state-major with the regime last: for each node and state
-component j it holds column j of [Acl; Ccl; Mcl] for every regime.  The
-kernel holds X as (n, paths), one contiguous row per component, and each
-step forms Y = sum_j take(column j, regimes) * X[j], accumulating in j
-order, so at n = 1 every product is one multiply.  The chain is sampled
-exactly and written straight onto the grid; the Brownian increments are
-scaled in place where they were drawn.  ``mc_run`` and
-``paired_refinement_run`` hand their paths to the chunk driver
-:func:`~regimelq.streams.run_chunks`, which the BSDE training bundle
+into the closed-loop coefficients Acl = A + B Theta, Ccl = C + D Theta,
+Mcl = Q + Theta'S + S'Theta + Theta'R Theta and, when an open-loop part v
+is present, the affine terms B v, D v, S'v + Theta'R v and v'R v; a pure
+``ControlTable`` has Theta = 0.  Each grid node gets one (3n+1, D(n+1))
+matrix: its column block k maps [X; 1] of a path in regime k to
+[Acl X + B v; Ccl X + D v; Mcl X + 2 (S'v + Theta'R v); v'R v], and
+without v the affine column and the last row are zero.  The kernel holds X
+as (n, paths), one contiguous row per component above a row of ones, and
+each step writes the one-hot state e_k (x) [X; 1] of every path and applies
+the node's matrix with one matrix product.  The other regimes' columns
+meet exact zeros, so at n = 1 each output is its coefficient times X, then
+plus its affine term, the two roundings of the gather kernel this replaced;
+at n > 1 the sum may round differently.  The product costs D(n+1)(3n+1)
+multiply-adds per path-step, so it pays only for few regimes (see the
+README).  The chain is sampled exactly and written straight onto the grid;
+the Brownian increments are scaled in place where they were drawn.
+``mc_run`` and ``paired_refinement_run`` hand their paths to the chunk
+driver :func:`~regimelq.streams.run_chunks`, which the BSDE training bundle
 shares: each chunk owns a random stream derived from (seed, key, chunk
 index), so estimates are bit-identical regardless of worker count, and
 per-path results are kept in path order.  ``simulate_closed_loop`` is
 the same noise draw and kernel on one path with its states recorded (used
-by algebraic checks and path dumps).  ``euler_maruyama_step`` and
-``evaluate_cost`` are the per-path reference the kernel is tested against.
+by algebraic checks and path dumps).
 
 Conventions: controls and regimes are evaluated at left endpoints
 (explicit scheme, predictable integrands); the chain is simulated exactly
@@ -36,7 +40,7 @@ from numpy.typing import NDArray
 
 from .chain import sample_regimes_on_grid
 from .errors import NonFiniteState, ValidationError
-from .model import CoefficientSet, ProblemSpec
+from .model import ProblemSpec
 from .riccati import FeedbackLaw, _on_grid
 # CHUNK_SIZE is re-exported: it is the path count of one batch chunk
 from .streams import CHUNK_SIZE, derive_rng, mapped_zeros, run_chunks
@@ -98,31 +102,6 @@ class PathRecord:
         return self.running_cost + self.terminal_cost
 
 
-def euler_maruyama_step(
-    x: NDArray, u: NDArray, coeffs: CoefficientSet, dW: float, h: float
-) -> NDArray:
-    """One explicit step x' = x + (Ax + Bu) h + (Cx + Du) dW."""
-    if not h > 0.0:
-        raise ValidationError("step size must be positive")
-    x_new = x + (coeffs.A @ x + coeffs.B @ u) * h + (coeffs.C @ x + coeffs.D @ u) * dW
-    if not np.all(np.isfinite(x_new)):
-        raise NonFiniteState("state became non-finite during Euler step")
-    return x_new
-
-
-def evaluate_cost(path: PathRecord, problem: ProblemSpec) -> float:
-    """Quadratic cost of a recorded path: left Riemann sum plus terminal term."""
-    h = path.times[1] - path.times[0]
-    total = 0.0
-    for i in range(len(path.U)):
-        cs = problem.coefficients[problem.segment_index(path.times[i])][path.regimes[i]]
-        x, u = path.X[i], path.U[i]
-        total += (x @ cs.Q @ x + 2.0 * (u @ cs.S @ x) + u @ cs.R @ u) * h
-    G = problem.terminal_weights()[path.regimes[-1]]
-    xT = path.X[-1]
-    return float(total + xT @ G @ xT)
-
-
 def simulate_closed_loop(
     problem: ProblemSpec, law: FeedbackLaw, N: int, seed: int
 ) -> PathRecord:
@@ -176,31 +155,31 @@ class _LoopTable(NamedTuple):
 
     h: float
     gains: NDArray | None  # (N, D, m, n) Theta; None for a pure ControlTable
-    W: NDArray  # (N, n, 3n, D): column j of Acl, Ccl, Mcl stacked, regime last
-    w: NDArray | None  # (N, 3n, D): B v, D v, 2 (S'v + Theta'R v); None without v
-    c: NDArray | None  # (N, D): v'R v
+    M: NDArray  # (N, 3n+1, D(n+1)): column block k maps [X; 1] of regime k
 
 
 def _loop_table(problem: ProblemSpec, control: Control, times) -> _LoopTable:
     """Closed-loop coefficients of ``control`` at every grid node and regime."""
     gains, v = _resolve_control(control, problem, times)
     A, B, C, D, Q, S, R = _on_grid(problem, times[:-1])
-    Theta = np.zeros(B.shape[:2] + (problem.m, problem.n)) if gains is None else gains
+    n = problem.n
+    Theta = np.zeros(B.shape[:2] + (problem.m, n)) if gains is None else gains
     ThetaT = Theta.swapaxes(-1, -2)
     cross = ThetaT @ S
-    W = np.concatenate(
+    M = np.zeros(B.shape[:2] + (3 * n + 1, n + 1))  # (N, D, rows, [X; 1])
+    M[..., : 3 * n, :n] = np.concatenate(
         [A + B @ Theta, C + D @ Theta, Q + cross + cross.swapaxes(-1, -2) + ThetaT @ R @ Theta],
         axis=-2,
     )
-    W = np.ascontiguousarray(W.transpose(0, 3, 2, 1))
-    h = float(times[1] - times[0])
-    if v is None:
-        return _LoopTable(h, gains, W, None, None)
-    v = np.broadcast_to(v[:, None, :, None], B.shape[:2] + (problem.m, 1))
-    Rv = R @ v
-    w = np.concatenate([B @ v, D @ v, 2.0 * (S.swapaxes(-1, -2) @ v + ThetaT @ Rv)], axis=-2)
-    c = v.swapaxes(-1, -2) @ Rv
-    return _LoopTable(h, gains, W, np.ascontiguousarray(w[..., 0].swapaxes(1, 2)), c[..., 0, 0])
+    if v is not None:
+        v = np.broadcast_to(v[:, None, :, None], B.shape[:2] + (problem.m, 1))
+        Rv = R @ v
+        M[..., : 3 * n, n:] = np.concatenate(
+            [B @ v, D @ v, 2.0 * (S.swapaxes(-1, -2) @ v + ThetaT @ Rv)], axis=-2
+        )
+        M[..., 3 * n :, n:] = v.swapaxes(-1, -2) @ Rv
+    M = np.ascontiguousarray(M.transpose(0, 2, 1, 3)).reshape(len(M), 3 * n + 1, -1)
+    return _LoopTable(float(times[1] - times[0]), gains, M)
 
 
 def _draw_chunk_noise(problem: ProblemSpec, times, rng, n_chunk: int):
@@ -219,25 +198,26 @@ def _draw_chunk_noise(problem: ProblemSpec, times, rng, n_chunk: int):
 def _evolve(problem: ProblemSpec, table: _LoopTable, regimes, dW, states=None):
     """Step every path of a chunk; returns (running costs, terminal costs, X_T).
 
-    The state is held as (n, paths), one contiguous row per component.
-    ``states``, when given, receives X at every node, shape (N+1, n, paths).
+    The state is held as (n, paths), one contiguous row per component, above
+    a row of ones.  ``states``, when given, receives X at every node, shape
+    (N+1, n, paths).
     """
     n = problem.n
     h = table.h
-    X = np.repeat(problem.x0[:, None], regimes.shape[0], axis=1)
-    running = np.zeros(regimes.shape[0])
+    paths = regimes.shape[0]
+    labels = np.arange(problem.num_regimes, dtype=regimes.dtype)[:, None, None]
+    X1 = np.ones((n + 1, paths))  # [X; 1]
+    X = X1[:n]
+    X[:] = problem.x0[:, None]
+    running = np.zeros(paths)
+    Z = np.empty((problem.num_regimes, n + 1, paths))  # e_k (x) [X; 1] per path
+    Y = np.empty((3 * n + 1, paths))
     for i in range(regimes.shape[1] - 1):
-        reg = regimes[:, i]
         if states is not None:
             states[i] = X
-        Y = table.W[i, 0].take(reg, axis=1) * X[0]
-        for j in range(1, n):
-            Y += table.W[i, j].take(reg, axis=1) * X[j]
-        if table.w is None:
-            running += h * np.einsum("ip,ip->p", X, Y[2 * n :])
-        else:
-            Y += table.w[i].take(reg, axis=1)
-            running += h * (np.einsum("ip,ip->p", X, Y[2 * n :]) + table.c[i].take(reg))
+        np.multiply(regimes[:, i] == labels, X1, out=Z)
+        np.matmul(table.M[i], Z.reshape(-1, paths), out=Y)
+        running += h * (np.einsum("ip,ip->p", X, Y[2 * n : 3 * n]) + Y[3 * n])
         X += Y[:n] * h
         X += Y[n : 2 * n] * dW[:, i]
     if not np.all(np.isfinite(X)):

@@ -8,13 +8,38 @@ non-convex instance:
 * det_lqr: no diffusion, no chain; oracle is a fine RK4 integration.
 * nonconvex: terminal weight -10 with D = 1, so R + D'PD < 0 at T.
 
-It also holds two instances without oracles for the simulation engine: a
-switching scalar problem and a multidimensional one.
+It also holds instances without oracles: a switching scalar problem and a
+multidimensional one for the simulation engine, and seeded random convex
+problems for the Riccati solve.  ``coeff_at`` and ``riccati_rhs`` read a
+problem's coefficients and Riccati derivative at one time, for the tests.
 """
 
 import numpy as np
 
 import regimelq as rl
+from regimelq.errors import OutOfHorizon, ValidationError
+from regimelq.riccati import _on_grid, _rhs
+
+
+def coeff_at(problem: rl.ProblemSpec, t: float, k: int) -> rl.CoefficientSet:
+    """Coefficient set in force at time t for regime k (right-continuous)."""
+    if not 0 <= k < problem.num_regimes:
+        raise OutOfHorizon(f"regime {k} out of range")
+    return problem.coefficients[problem.segment_index(t)][k]
+
+
+def riccati_rhs(P_all, t: float, problem: rl.ProblemSpec) -> np.ndarray:
+    """dP/dt at time t for stacked per-regime symmetric matrices P_all.
+
+    Raises :class:`SingularRhat` when any Rhat = R + D'PD has an eigenvalue
+    below ``RHAT_FLOOR``.
+    """
+    P = np.asarray(P_all, dtype=np.float64)
+    if P.shape != (problem.num_regimes, problem.n, problem.n):
+        raise ValidationError(
+            f"P_all must have shape ({problem.num_regimes}, {problem.n}, {problem.n})"
+        )
+    return _rhs(P, t, _on_grid(problem, t), problem.generator.rates)
 
 
 def scalar_analytic() -> rl.ProblemSpec:
@@ -111,6 +136,38 @@ def multidim_two_segment() -> rl.ProblemSpec:
     )
 
 
+def random_convex(seed: int) -> rl.ProblemSpec:
+    """Seeded convex problem with n, m, D <= 3 on [0, 1], one segment.
+
+    A, B, C, D have entries in [-1, 1]; Q = LL' + I, R = LL' + I,
+    ||S||_2 = 0.75 and G = LL', so Q - S'R^{-1}S > 0 and Rhat >= R >= I
+    along the exact solution; off-diagonal rates lie in [0.1, 1].
+    """
+    rng = np.random.default_rng(seed)
+    n, m, d = (int(k) for k in rng.integers(1, 4, size=3))
+    U = lambda *shape: rng.uniform(-1.0, 1.0, shape)
+
+    def psd(k):
+        L = U(k, k)
+        return L @ L.T
+
+    def regime():
+        S = U(m, n)
+        return {
+            "A": U(n, n), "B": U(n, m), "C": U(n, n), "D": U(n, m),
+            "Q": psd(n) + np.eye(n), "S": 0.75 * S / np.linalg.norm(S, 2),
+            "R": psd(m) + np.eye(m),
+        }
+
+    rates = rng.uniform(0.1, 1.0, (d, d))
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    return rl.make_problem(
+        n=n, m=m, T=1.0, generator=rates, coefficients=[[regime() for _ in range(d)]],
+        G=[psd(n) for _ in range(d)], x0=np.ones(n), i0=0,
+    )
+
+
 def canonical_problems():
     return {
         "scalar_analytic": scalar_analytic(),
@@ -135,7 +192,7 @@ def det_lqr_oracle(N: int = 4000) -> tuple[float, float]:
     A, B, Q, S, R, G, T = 0.3, 1.0, 1.0, 0.2, 1.0, 0.5, 1.0
     h = T / N
 
-    def riccati_rhs(p):
+    def p_rhs(p):
         shat = B * p + S
         return -(2 * A * p + Q - shat * shat / R)
 
@@ -143,10 +200,10 @@ def det_lqr_oracle(N: int = 4000) -> tuple[float, float]:
     p = np.empty(N + 1)
     p[N] = G
     for i in range(N, 0, -1):
-        k1 = riccati_rhs(p[i])
-        k2 = riccati_rhs(p[i] - 0.5 * h * k1)
-        k3 = riccati_rhs(p[i] - 0.5 * h * k2)
-        k4 = riccati_rhs(p[i] - h * k3)
+        k1 = p_rhs(p[i])
+        k2 = p_rhs(p[i] - 0.5 * h * k1)
+        k3 = p_rhs(p[i] - 0.5 * h * k2)
+        k4 = p_rhs(p[i] - h * k3)
         p[i - 1] = p[i] - (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     def state_rhs(p_val, xc):

@@ -1,9 +1,15 @@
-"""Reference Monte Carlo kernel: path-major gather and einsum mat-vecs.
+"""Reference Monte Carlo kernels: per-path Euler stepping, and a path-major
+gather with einsum mat-vecs.
 
-This is the step kernel that ``simulate._evolve`` replaced, kept as the
-oracle its state-major form is tested against, together with the noise
-draw it read.  A control u = Theta X + v becomes a table per (grid node,
-regime) of the closed-loop coefficients Acl = A + B Theta, Ccl = C + D Theta,
+``euler_maruyama_step`` and ``evaluate_cost`` step and cost one recorded
+path at a time, straight from the coefficient sets; the batch kernel is
+tested against them on the same noise.
+
+The rest is the step kernel that the state-major kernel replaced, kept as
+the oracle that ``simulate._evolve``, now one matrix product per step on a
+one-hot state, is tested against, together with the noise draw it read.
+A control u = Theta X + v becomes a table per (grid node, regime) of the
+closed-loop coefficients Acl = A + B Theta, Ccl = C + D Theta,
 Mcl = Q + Theta'S + S'Theta + Theta'R Theta, stacked as (N, D, 3n, n), and
 of the affine terms B v, D v, 2 (S'v + Theta'R v), stacked as (N, D, 3n),
 and v'R v.  Each step gathers every path's (3n, n) matrix by its regime and
@@ -17,10 +23,35 @@ import numpy as np
 from numpy.typing import NDArray
 
 from regimelq.chain import sample_regimes_on_grid
-from regimelq.errors import NonFiniteState
-from regimelq.model import ProblemSpec
+from regimelq.errors import NonFiniteState, ValidationError
+from regimelq.model import CoefficientSet, ProblemSpec
 from regimelq.riccati import _on_grid
-from regimelq.simulate import Control, _resolve_control
+from regimelq.simulate import Control, PathRecord, _resolve_control
+
+
+def euler_maruyama_step(
+    x: NDArray, u: NDArray, coeffs: CoefficientSet, dW: float, h: float
+) -> NDArray:
+    """One explicit step x' = x + (Ax + Bu) h + (Cx + Du) dW."""
+    if not h > 0.0:
+        raise ValidationError("step size must be positive")
+    x_new = x + (coeffs.A @ x + coeffs.B @ u) * h + (coeffs.C @ x + coeffs.D @ u) * dW
+    if not np.all(np.isfinite(x_new)):
+        raise NonFiniteState("state became non-finite during Euler step")
+    return x_new
+
+
+def evaluate_cost(path: PathRecord, problem: ProblemSpec) -> float:
+    """Quadratic cost of a recorded path: left Riemann sum plus terminal term."""
+    h = path.times[1] - path.times[0]
+    total = 0.0
+    for i in range(len(path.U)):
+        cs = problem.coefficients[problem.segment_index(path.times[i])][path.regimes[i]]
+        x, u = path.X[i], path.U[i]
+        total += (x @ cs.Q @ x + 2.0 * (u @ cs.S @ x) + u @ cs.R @ u) * h
+    G = problem.terminal_weights()[path.regimes[-1]]
+    xT = path.X[-1]
+    return float(total + xT @ G @ xT)
 
 
 class _LoopTable(NamedTuple):

@@ -218,6 +218,21 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "OverflowError"
 
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_monte_carlo_overflow_exits_two(self, tmp_path, capsys, command):
+        # x0 = 1e200 is valid; x0'P x0 overflows in verify's value target, and
+        # the paths' terminal costs reach inf, so simulate's estimate faults
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_bundled("two_regime.json", lambda c: c.update(x0=[1e200]))))
+        rc = main([
+            command, "--config", str(bad), "--seed", "1", "--grid", "10",
+            "--paths", "200", "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "FloatingPointError"
+
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         cfg = _write_nonconvex_config(tmp_path)
         rc = main(["solve", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path)])

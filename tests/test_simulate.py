@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import regimelq as rl
 from regimelq.errors import ValidationError
+from regimelq.riccati import _on_grid
 from regimelq.simulate import (
     _draw_chunk_noise, _evolve, _loop_table, mc_run, paired_refinement_run,
 )
@@ -20,6 +21,7 @@ from regimelq.streams import (
 
 import kernel_reference as ref
 from canonical import (
+    coeff_at,
     det_lqr,
     det_lqr_oracle,
     multidim_two_segment,
@@ -34,20 +36,20 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 class TestEulerStep:
     def test_identity_when_all_zero(self):
-        cs = rl.coeff_at(two_regime_coupling(), 0.0, 0)
+        cs = coeff_at(two_regime_coupling(), 0.0, 0)
         x = np.array([1.7])
-        out = rl.euler_maruyama_step(x, np.array([0.3]), cs, 0.1, 0.01)
+        out = ref.euler_maruyama_step(x, np.array([0.3]), cs, 0.1, 0.01)
         np.testing.assert_array_equal(out, x)
 
     def test_pure_drift(self):
-        cs = rl.coeff_at(
+        cs = coeff_at(
             rl.make_problem(
                 n=1, m=1, T=1.0, generator=[[0.0]],
                 coefficients=[[{"A": 1, "B": 0, "C": 0, "D": 0, "Q": 0, "S": 0, "R": 1}]],
                 G=[[[0.0]]], x0=[1.0], i0=0,
             ), 0.0, 0,
         )
-        out = rl.euler_maruyama_step(np.array([1.0]), np.array([0.0]), cs, 0.3, 0.01)
+        out = ref.euler_maruyama_step(np.array([1.0]), np.array([0.0]), cs, 0.3, 0.01)
         assert out[0] == pytest.approx(1.01, rel=1e-14)
 
     def test_pure_diffusion(self):
@@ -60,8 +62,8 @@ class TestEulerStep:
             }]],
             G=[np.eye(2)], x0=[1.0, 0.0], i0=0,
         )
-        cs = rl.coeff_at(prob, 0.0, 0)
-        out = rl.euler_maruyama_step(np.array([1.0, 0.0]), np.array([0.0]), cs, 0.1, 0.5)
+        cs = coeff_at(prob, 0.0, 0)
+        out = ref.euler_maruyama_step(np.array([1.0, 0.0]), np.array([0.0]), cs, 0.1, 0.5)
         np.testing.assert_allclose(out, [1.1, 0.0])
 
 
@@ -116,7 +118,7 @@ class TestEvaluateCost:
         )
         grid = rl.solve_riccati(prob, 10)
         path = rl.simulate_closed_loop(prob, rl.FeedbackLaw(prob, grid), 10, 1)
-        assert rl.evaluate_cost(path, prob) == pytest.approx(25.0, rel=1e-14)
+        assert ref.evaluate_cost(path, prob) == pytest.approx(25.0, rel=1e-14)
 
     def test_zero_path(self):
         prob = rl.make_problem(
@@ -126,7 +128,7 @@ class TestEvaluateCost:
         )
         grid = rl.solve_riccati(prob, 10)
         path = rl.simulate_closed_loop(prob, rl.FeedbackLaw(prob, grid), 10, 2)
-        assert rl.evaluate_cost(path, prob) == 0.0
+        assert ref.evaluate_cost(path, prob) == 0.0
 
     def test_constant_integrand_exact(self):
         # X frozen at 1, u = 0, Q = 1, G = 0: left sum of a constant is exact
@@ -137,13 +139,13 @@ class TestEvaluateCost:
         )
         grid = rl.solve_riccati(prob, 40)
         path = rl.simulate_closed_loop(prob, rl.FeedbackLaw(prob, grid), 40, 3)
-        assert rl.evaluate_cost(path, prob) == pytest.approx(1.0, rel=1e-12)
+        assert ref.evaluate_cost(path, prob) == pytest.approx(1.0, rel=1e-12)
 
     def test_additivity(self):
         prob = stochastic_scalar()
         grid = rl.solve_riccati(prob, 100)
         path = rl.simulate_closed_loop(prob, rl.FeedbackLaw(prob, grid), 100, 4)
-        assert rl.evaluate_cost(path, prob) == pytest.approx(
+        assert ref.evaluate_cost(path, prob) == pytest.approx(
             path.running_cost + path.terminal_cost, rel=1e-14
         )
 
@@ -271,14 +273,14 @@ def _reference_paths(prob, gains, table, times, regimes, dW):
         U = np.zeros((N, prob.m))
         X[0] = prob.x0
         for i in range(N):
-            cs = rl.coeff_at(prob, times[i], reg[i])
+            cs = coeff_at(prob, times[i], reg[i])
             if gains is not None:
                 U[i] = gains(times[i], reg[i]) @ X[i]
             if table is not None:
                 U[i] += table[i]
-            X[i + 1] = rl.euler_maruyama_step(X[i], U[i], cs, dw[i], h)
+            X[i + 1] = ref.euler_maruyama_step(X[i], U[i], cs, dw[i], h)
         path = rl.PathRecord(times, dw, reg, X, U, running_cost=0.0, terminal_cost=0.0)
-        costs.append(rl.evaluate_cost(path, prob))
+        costs.append(ref.evaluate_cost(path, prob))
         x_T.append(X[-1])
     return np.array(costs), np.array(x_T)
 
@@ -328,10 +330,56 @@ class TestKernelMatchesReference:
         _assert_close(path.U, U)
 
 
+@pytest.mark.parametrize("kind", ["feedback", "perturbed", "table"])
+def test_loop_table_block_maps_a_regime_state_to_its_closed_loop_terms(kind):
+    # column block k of M[i] applied to e_k (x) [x; 1] gives the closed-loop
+    # drift, diffusion and cost terms of regime k, built here from the grid
+    # coefficients and the gains
+    prob = multidim_two_segment()
+    n, d, N = prob.n, prob.num_regimes, 6
+    times = np.linspace(0.0, prob.T, N + 1)
+    law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, N))
+    v = 0.3 * derive_rng(26).standard_normal((N, prob.m))
+    control = {
+        "feedback": law,
+        "perturbed": rl.PerturbedFeedback(law, rl.ControlTable(v)),
+        "table": rl.ControlTable(v),
+    }[kind]
+    M = _loop_table(prob, control, times).M
+    assert M.shape == (N, 3 * n + 1, d * (n + 1))
+    if kind == "feedback":
+        # without v the affine column of every block and the last row are zero
+        assert not M[:, :, n :: n + 1].any() and not M[:, 3 * n].any()
+    A, B, C, D, Q, S, R = _on_grid(prob, times[:-1])
+    Theta = np.zeros((N, d, prob.m, n)) if kind == "table" else law.gains_at_times(times[:-1])
+    v = np.zeros_like(v) if kind == "feedback" else v
+    rng = derive_rng(27)
+    for i in range(N):
+        for k in range(d):
+            a, b, c, dd, q, s, r, th = (x[i, k] for x in (A, B, C, D, Q, S, R, Theta))
+            x = rng.standard_normal(n)
+            onehot = np.zeros((d, n + 1))
+            onehot[k] = np.append(x, 1.0)
+            got = M[i] @ onehot.ravel()
+            vi = v[i]
+            want = np.concatenate([
+                (a + b @ th) @ x + b @ vi,
+                (c + dd @ th) @ x + dd @ vi,
+                (q + th.T @ s + s.T @ th + th.T @ r @ th) @ x + 2.0 * (s.T @ vi + th.T @ r @ vi),
+                [vi @ r @ vi],
+            ])
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+            u = th @ x + vi
+            assert x @ got[2 * n : 3 * n] + got[3 * n] == pytest.approx(
+                x @ q @ x + 2.0 * u @ s @ x + u @ r @ u, rel=1e-12
+            )
+
+
 @st.composite
 def kernel_instances(draw):
-    """A random problem with n, m, D <= 3 on one or two segments, and a control."""
-    n, m, d = (draw(st.integers(min_value=1, max_value=3)) for _ in range(3))
+    """A random problem with n, m <= 3 and D <= 5 on one or two segments, and a control."""
+    n, m = (draw(st.integers(min_value=1, max_value=3)) for _ in range(2))
+    d = draw(st.integers(min_value=1, max_value=5))
     N = draw(st.integers(min_value=2, max_value=8))
     vals = st.floats(min_value=-1.0, max_value=1.0)
     mat = lambda rows, cols: np.array(
@@ -371,7 +419,7 @@ def kernel_instances(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(kernel_instances())
 def test_property_kernel_matches_reference(instance):
-    # the state-major kernel against the path-major einsum kernel it replaced,
+    # the one-matmul kernel against the path-major einsum kernel of kernel_reference,
     # on the same noise, which the copy-free draw reproduces exactly
     prob, N, control = instance
     times = np.linspace(0.0, prob.T, N + 1)
@@ -430,7 +478,7 @@ def _multidim_workload_problem() -> rl.ProblemSpec:
     _multidim_workload_problem,
 ], ids=["two_regime", "multidim"])
 def test_narrow_regimes_step_like_int64_regimes(load):
-    # the kernel only indexes with the regimes, so their dtype moves no bit
+    # the kernel only compares the regimes with their labels, so their dtype moves no bit
     prob = load()
     N = 20
     times = np.linspace(0.0, prob.T, N + 1)
