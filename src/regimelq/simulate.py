@@ -15,15 +15,21 @@ meet exact zeros, so at n = 1 each output is its coefficient times X, then
 plus its affine term, the two roundings of the gather kernel this replaced;
 at n > 1 the sum may round differently.  The product costs D(n+1)(3n+1)
 multiply-adds per path-step, so it pays only for few regimes (see the
-README).  The chain is sampled exactly and written straight onto the grid;
-the Brownian increments are scaled in place where they were drawn.
-``mc_run`` and ``paired_refinement_run`` hand their paths to the chunk
-driver :func:`~regimelq.streams.run_chunks`, which the BSDE training bundle
-shares: each chunk owns a random stream derived from (seed, key, chunk
-index), so estimates are bit-identical regardless of worker count, and
-per-path results are kept in path order.  ``simulate_closed_loop`` is
-the same noise draw and kernel on one path with its states recorded (used
-by algebraic checks and path dumps).
+README).  ``mc_run`` and ``paired_refinement_run`` hand their paths to
+the chunk driver :func:`~regimelq.streams.run_chunks`, which the BSDE
+training bundle shares: each chunk owns a random stream derived from (seed,
+key, chunk index), so estimates are bit-identical regardless of worker
+count, and per-path results are kept in path order.  A chunk first samples
+its chain exactly onto the grid, the one per-path, per-node array it holds
+(int8 up to 128 regimes).  Then one kernel pass steps every variant of the
+chunk, a list of (table, stride), in lockstep: each fine step draws one row
+of Brownian increments from the chunk's stream into a reused buffer, and
+every variant consumes it.  ``mc_run`` steps a control and its common-noise
+partner at stride 1; ``paired_refinement_run`` steps its 2N grid at stride
+1 and its N grid at stride 2, on the sum of each pair of rows.  So a chunk's
+noise memory is O(paths), whatever the grid.  ``simulate_closed_loop`` is
+the same pass on one path with its states and increments recorded (used by
+algebraic checks and path dumps).
 
 Conventions: controls and regimes are evaluated at left endpoints
 (explicit scheme, predictable integrands); the chain is simulated exactly
@@ -43,7 +49,7 @@ from .errors import NonFiniteState, ValidationError
 from .model import ProblemSpec
 from .riccati import FeedbackLaw, _on_grid
 # CHUNK_SIZE is re-exported: it is the path count of one batch chunk
-from .streams import CHUNK_SIZE, derive_rng, mapped_zeros, run_chunks
+from .streams import CHUNK_SIZE, derive_rng, run_chunks
 
 MIN_PATHS = 100  # fewest paths behind a Monte Carlo estimate or a CLI run
 
@@ -112,14 +118,18 @@ def simulate_closed_loop(
     """
     times = np.linspace(0.0, problem.T, N + 1)
     table = _loop_table(problem, law, times)
-    regimes, dW = _draw_chunk_noise(problem, times, derive_rng(seed, "path"), 1)
+    rng = derive_rng(seed, "path")
+    regimes = sample_regimes_on_grid(problem.generator, problem.i0, times, rng, 1)
     states = np.empty((N + 1, problem.n, 1))
-    running, terminal, _ = _evolve(problem, table, regimes, dW, states=states)
+    dW = np.empty((N, 1))
+    ((running, terminal, _),) = _kernel_pass(
+        problem, times, regimes, rng, [(table, 1)], states=states, dW=dW
+    )
     X = states[..., 0]
     gains = table.gains[np.arange(N), regimes[0, :-1]]  # (N, m, n)
     return PathRecord(
         times=times,
-        dW=dW[0],
+        dW=dW[:, 0],
         regimes=regimes[0],
         X=X,
         U=np.einsum("imn,in->im", gains, X[:-1]),
@@ -182,57 +192,73 @@ def _loop_table(problem: ProblemSpec, control: Control, times) -> _LoopTable:
     return _LoopTable(float(times[1] - times[0]), gains, M)
 
 
-def _draw_chunk_noise(problem: ProblemSpec, times, rng, n_chunk: int):
-    """Exact chain regimes on the grid, plus Brownian increments.
+def _kernel_pass(
+    problem: ProblemSpec, times, regimes, rng, variants, states=None, dW=None
+) -> list:
+    """Step every variant of a chunk in lockstep on one stream of increments.
 
-    Both are (paths, nodes) arrays.  The regimes are node-major in memory,
-    so each kernel step reads a contiguous row; the increments are scaled
-    in place where they were drawn, and each step reads one strided column.
-    """
-    regimes = sample_regimes_on_grid(problem.generator, problem.i0, times, rng, n_chunk)
-    dW = rng.standard_normal(out=mapped_zeros((n_chunk, len(times) - 1)))
-    dW *= np.sqrt(times[1] - times[0])
-    return regimes, dW
-
-
-def _evolve(problem: ProblemSpec, table: _LoopTable, regimes, dW, states=None):
-    """Step every path of a chunk; returns (running costs, terminal costs, X_T).
-
-    The state is held as (n, paths), one contiguous row per component, above
-    a row of ones.  ``states``, when given, receives X at every node, shape
-    (N+1, n, paths).
+    ``regimes`` is the chunk's chain on ``times``, (paths, N+1).  Each fine
+    step draws one row of ``paths`` standard normals from ``rng`` into a
+    reused buffer and scales it by sqrt(h) in place; every variant consumes
+    that row.  A variant ``(table, stride)`` has its table on
+    ``times[::stride]`` and steps on the sum of each ``stride`` consecutive
+    rows, at the regime of its left node.  The state is held as (n, paths),
+    one contiguous row per component, above a row of ones.  Returns one
+    ``(running costs, terminal costs, X_T)`` per variant and raises
+    :class:`NonFiniteState` when a state or a cost is not finite.
+    ``states`` and ``dW``, when given, receive the first variant's X at each
+    of its nodes, (nodes, n, paths), and the fine increments, (N, paths).
     """
     n = problem.n
-    h = table.h
     paths = regimes.shape[0]
     labels = np.arange(problem.num_regimes, dtype=regimes.dtype)[:, None, None]
-    X1 = np.ones((n + 1, paths))  # [X; 1]
-    X = X1[:n]
-    X[:] = problem.x0[:, None]
-    running = np.zeros(paths)
     Z = np.empty((problem.num_regimes, n + 1, paths))  # e_k (x) [X; 1] per path
     Y = np.empty((3 * n + 1, paths))
-    for i in range(regimes.shape[1] - 1):
-        if states is not None:
-            states[i] = X
-        np.multiply(regimes[:, i] == labels, X1, out=Z)
-        np.matmul(table.M[i], Z.reshape(-1, paths), out=Y)
-        running += h * (np.einsum("ip,ip->p", X, Y[2 * n : 3 * n]) + Y[3 * n])
-        X += Y[:n] * h
-        X += Y[n : 2 * n] * dW[:, i]
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteState("state became non-finite during batch simulation")
+    lanes = []
+    for table, stride in variants:
+        X1 = np.ones((n + 1, paths))  # [X; 1]
+        X1[:n] = problem.x0[:, None]
+        acc = np.empty(paths) if stride > 1 else None
+        lanes.append((table, stride, X1, np.zeros(paths), acc))
+    row = np.empty(paths)
+    sqrt_h = np.sqrt(times[1] - times[0])
+    for i in range(len(times) - 1):
+        rng.standard_normal(out=row)
+        row *= sqrt_h
+        if dW is not None:
+            dW[i] = row
+        for lane, (table, stride, X1, running, acc) in enumerate(lanes):
+            dw = row
+            if stride > 1:
+                if i % stride:
+                    np.add(acc, row, out=acc)
+                else:
+                    acc[:] = row
+                if (i + 1) % stride:
+                    continue
+                dw = acc
+            j = i // stride
+            X = X1[:n]
+            if states is not None and lane == 0:
+                states[j] = X
+            np.multiply(regimes[:, i + 1 - stride] == labels, X1, out=Z)
+            np.matmul(table.M[j], Z.reshape(-1, paths), out=Y)
+            running += table.h * (np.einsum("ip,ip->p", X, Y[2 * n : 3 * n]) + Y[3 * n])
+            X += Y[:n] * table.h
+            X += Y[n : 2 * n] * dw
+    G_T = problem.terminal_weights()[regimes[:, -1]]
+    out = []
+    for _, _, X1, running, _ in lanes:
+        X_T = X1[:n].T
+        if not np.all(np.isfinite(X_T)):
+            raise NonFiniteState("state became non-finite during batch simulation")
+        terminal = np.einsum("pi,pij,pj->p", X_T, G_T, X_T)
+        if not (np.all(np.isfinite(running)) and np.all(np.isfinite(terminal))):
+            raise NonFiniteState("cost became non-finite during batch simulation")
+        out.append((running, terminal, X_T))
     if states is not None:
-        states[-1] = X
-    X_T = X.T
-    G = problem.terminal_weights()
-    terminal = np.einsum("pi,pij,pj->p", X_T, G[regimes[:, -1]], X_T)
-    return running, terminal, X_T
-
-
-def _cost_and_state(problem: ProblemSpec, table: _LoopTable, regimes, dW):
-    running, terminal, X_T = _evolve(problem, table, regimes, dW)
-    return running + terminal, X_T
+        states[-1] = out[0][2].T
+    return out
 
 
 def mc_run(
@@ -251,15 +277,12 @@ def mc_run(
     variants share the same chain and Brownian draws (common random numbers).
     """
     times = np.linspace(0.0, problem.T, N + 1)
-    table_a = _loop_table(problem, control, times)
-    table_b = None if control_b is None else _loop_table(problem, control_b, times)
+    variants = [(_loop_table(problem, c, times), 1) for c in (control, control_b) if c is not None]
 
     def chunk(rng, n):
-        regimes, dW = _draw_chunk_noise(problem, times, rng, n)
-        costs, X_T = _cost_and_state(problem, table_a, regimes, dW)
-        if table_b is None:
-            return costs, X_T
-        return costs, _cost_and_state(problem, table_b, regimes, dW)[0], X_T
+        regimes = sample_regimes_on_grid(problem.generator, problem.i0, times, rng, n)
+        out = _kernel_pass(problem, times, regimes, rng, variants)
+        return (*(running + terminal for running, terminal, _ in out), out[0][2])
 
     return run_chunks(n_paths, seed, "chunk", chunk, workers)
 
@@ -285,11 +308,11 @@ def paired_refinement_run(
     table2 = _loop_table(problem, control_for(2 * N), times2)
 
     def chunk(rng, n):
-        regimes2, dW2 = _draw_chunk_noise(problem, times2, rng, n)
-        dW1 = np.add(dW2[:, 0::2], dW2[:, 1::2], out=mapped_zeros((n, N)))
-        costs1, xT1 = _cost_and_state(problem, table1, regimes2[:, ::2], dW1)
-        costs2, xT2 = _cost_and_state(problem, table2, regimes2, dW2)
-        return costs1, costs2, xT1, xT2
+        regimes = sample_regimes_on_grid(problem.generator, problem.i0, times2, rng, n)
+        (r1, t1, xT1), (r2, t2, xT2) = _kernel_pass(
+            problem, times2, regimes, rng, [(table1, 2), (table2, 1)]
+        )
+        return r1 + t1, r2 + t2, xT1, xT2
 
     return run_chunks(n_paths, seed, "refine", chunk, workers)
 

@@ -4,8 +4,8 @@ Every stochastic routine in the package takes an explicit integer seed and
 derives sub-streams with :func:`derive_seed`, so results are reproducible
 bit-for-bit and independent of execution order or worker count.  Batch
 simulations split their paths with :func:`run_chunks`, which owns the chunk
-layout and the per-chunk stream keys; a chunk's per-path, per-node arrays
-come from :func:`mapped_zeros`.
+layout and the per-chunk stream keys; a chunk's one per-path, per-node
+array, its regime grid, comes from :func:`mapped_zeros`.
 """
 
 from __future__ import annotations
@@ -46,17 +46,18 @@ def derive_rng(master_seed: int, *key) -> np.random.Generator:
 def mapped_zeros(shape, dtype=np.float64) -> np.ndarray:
     """Zeroed C-order array; from ``MAP_MIN_BYTES`` up, in its own memory map.
 
-    The per-path, per-node arrays of a chunk are a few MiB each.  Left to
-    malloc, such a block is mapped or carved from the heap depending on
-    glibc's adaptive mmap threshold and on where earlier small objects lie,
-    and the peak memory of the same ``verify`` run moved by 2.7 MiB with
-    nothing but the directory of its source tree.  An anonymous map of its
-    own is returned to the system when the array is freed, so the peak is
-    the sum of what is live, for a full chunk and for the last, partial
-    one alike.  The map is private and, where the system allows it,
-    populated by the one call instead of by a fault per page.  Smaller
-    arrays, and every array where ``mmap`` takes no flags, come from
-    ``np.zeros``.
+    A chunk's regime grid, the one per-path, per-node array it holds (its
+    Brownian increments are drawn a step at a time), is 0.4 MiB at 4096
+    paths and 100 steps, and grows with the grid.  Left to malloc, such a
+    block is mapped or carved from the heap depending on glibc's adaptive
+    mmap threshold and on where earlier small objects lie, and the peak
+    memory of the same ``verify`` run moved by 2.7 MiB with nothing but the
+    directory of its source tree.  An anonymous map of its own is returned
+    to the system when the array is freed, so the peak is the sum of what
+    is live, for a full chunk and for the last, partial one alike.  The map
+    is private and, where the system allows it, populated by the one call
+    instead of by a fault per page.  Smaller arrays, and every array where
+    ``mmap`` takes no flags, come from ``np.zeros``.
     """
     dtype = np.dtype(dtype)
     nbytes = math.prod(shape) * dtype.itemsize

@@ -6,15 +6,15 @@ path at a time, straight from the coefficient sets; the batch kernel is
 tested against them on the same noise.
 
 The rest is the step kernel that the state-major kernel replaced, kept as
-the oracle that ``simulate._evolve``, now one matrix product per step on a
-one-hot state, is tested against, together with the noise draw it read.
+the oracle that ``simulate._kernel_pass``, one matrix product per step on a
+one-hot state with the increments drawn a step at a time, is tested
+against; :func:`replay_chunk_noise` rebuilds the increments that pass drew.
 A control u = Theta X + v becomes a table per (grid node, regime) of the
 closed-loop coefficients Acl = A + B Theta, Ccl = C + D Theta,
 Mcl = Q + Theta'S + S'Theta + Theta'R Theta, stacked as (N, D, 3n, n), and
 of the affine terms B v, D v, 2 (S'v + Theta'R v), stacked as (N, D, 3n),
 and v'R v.  Each step gathers every path's (3n, n) matrix by its regime and
-applies it with an einsum mat-vec; X is held as (paths, n).  The increments
-are written through a transposed view of a node-major array.
+applies it with an einsum mat-vec; X is held as (paths, n).
 """
 
 from typing import NamedTuple
@@ -85,16 +85,17 @@ def _loop_table(problem: ProblemSpec, control: Control, times) -> _LoopTable:
     return _LoopTable(h, gains, W, w[..., 0], c[..., 0, 0])
 
 
-def _draw_chunk_noise(problem: ProblemSpec, times, rng, n_chunk: int):
-    """Exact chain regimes on the grid, plus Brownian increments.
+def replay_chunk_noise(problem: ProblemSpec, times, rng, n_chunk: int):
+    """The regimes and the (paths, N) increments a kernel pass draws from ``rng``.
 
-    Both (paths, nodes) arrays are node-major in memory, so each kernel
-    step reads contiguous rows without a transposed copy.
+    Replays the chunk stream in the pass's order: the chain onto the grid
+    first, then N rows of ``n_chunk`` standard normals, one per fine step,
+    each scaled by sqrt(h).  The increments are a transposed view of the
+    node-major rows, so each step reads a contiguous row.
     """
     regimes = sample_regimes_on_grid(problem.generator, problem.i0, times, rng, n_chunk)
-    N = len(times) - 1
-    dW = np.empty((N, n_chunk)).T
-    np.multiply(rng.standard_normal((n_chunk, N)), np.sqrt(times[1] - times[0]), out=dW)
+    dW = rng.standard_normal((len(times) - 1, n_chunk)).T
+    dW *= np.sqrt(times[1] - times[0])
     return regimes, dW
 
 

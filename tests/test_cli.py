@@ -221,7 +221,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["verify", "simulate"])
     def test_monte_carlo_overflow_exits_two(self, tmp_path, capsys, command):
         # x0 = 1e200 is valid; x0'P x0 overflows in verify's value target, and
-        # the paths' terminal costs reach inf, so simulate's estimate faults
+        # simulate's kernel finds the paths' terminal costs at inf
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(_bundled("two_regime.json", lambda c: c.update(x0=[1e200]))))
         rc = main([
@@ -231,7 +231,8 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert json.loads(err)["error"] == "FloatingPointError"
+        expected = {"verify": "FloatingPointError", "simulate": "NonFiniteState"}[command]
+        assert json.loads(err)["error"] == expected
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         cfg = _write_nonconvex_config(tmp_path)

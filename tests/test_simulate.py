@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import regimelq as rl
+from regimelq import chain, simulate
+from regimelq.chain import sample_regimes_on_grid
 from regimelq.errors import ValidationError
 from regimelq.riccati import _on_grid
-from regimelq.simulate import (
-    _draw_chunk_noise, _evolve, _loop_table, mc_run, paired_refinement_run,
-)
+from regimelq.simulate import _kernel_pass, _loop_table, mc_run, paired_refinement_run
 from regimelq.streams import (
     CHUNK_SIZE, MAP_MIN_BYTES, derive_rng, derive_seed, mapped_zeros, run_chunks,
 )
@@ -309,7 +309,7 @@ class TestKernelMatchesReference:
         }[kind]
         n_paths, seed = 40, 21
         costs, x_T = mc_run(prob, control, n_paths, seed, self.N)
-        regimes, dW = _draw_chunk_noise(prob, times, derive_rng(seed, "chunk", 0), n_paths)
+        regimes, dW = ref.replay_chunk_noise(prob, times, derive_rng(seed, "chunk", 0), n_paths)
         ref_costs, ref_x_T = _reference_paths(
             prob, None if kind == "table" else law.gain,
             None if kind == "feedback" else v, times, regimes, dW,
@@ -416,30 +416,61 @@ def kernel_instances(draw):
     return prob, N, control
 
 
+def _assert_matches_reference(actual, expected, n):
+    if n == 1:
+        # one term per mat-vec row: every product is the same single multiply
+        assert actual.tobytes() == np.ascontiguousarray(expected).tobytes()
+    else:
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(actual, expected, rtol=1e-13, atol=1e-13 * scale)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(kernel_instances())
 def test_property_kernel_matches_reference(instance):
-    # the one-matmul kernel against the path-major einsum kernel of kernel_reference,
-    # on the same noise, which the copy-free draw reproduces exactly
+    # the one-matmul kernel pass against the path-major einsum kernel of
+    # kernel_reference, fed the increments replayed from the same stream
     prob, N, control = instance
     times = np.linspace(0.0, prob.T, N + 1)
     seed = derive_seed(23, prob.n, prob.m, prob.num_regimes, N)
-    regimes, dW = _draw_chunk_noise(prob, times, derive_rng(seed), 37)
-    ref_regimes, ref_dW = ref._draw_chunk_noise(prob, times, derive_rng(seed), 37)
-    np.testing.assert_array_equal(regimes, ref_regimes)
-    np.testing.assert_array_equal(dW, ref_dW)
-
+    rng = derive_rng(seed)
+    regimes = sample_regimes_on_grid(prob.generator, prob.i0, times, rng, 37)
     states = np.empty((N + 1, prob.n, 37))
+    drawn = np.empty((N, 37))
+    (got,) = _kernel_pass(
+        prob, times, regimes, rng, [(_loop_table(prob, control, times), 1)],
+        states=states, dW=drawn,
+    )
+    ref_regimes, dW = ref.replay_chunk_noise(prob, times, derive_rng(seed), 37)
+    np.testing.assert_array_equal(regimes, ref_regimes)
+    assert drawn.T.tobytes() == np.ascontiguousarray(dW).tobytes()
+
     ref_states = np.empty((37, N + 1, prob.n))
-    got = _evolve(prob, _loop_table(prob, control, times), regimes, dW, states=states)
     want = ref._evolve(prob, ref._loop_table(prob, control, times), regimes, dW, ref_states)
     for actual, expected in zip(got + (states.transpose(2, 0, 1),), want + (ref_states,)):
-        if prob.n == 1:
-            # one term per mat-vec row: every product is the same single multiply
-            assert actual.tobytes() == np.ascontiguousarray(expected).tobytes()
-        else:
-            scale = np.max(np.abs(expected))
-            np.testing.assert_allclose(actual, expected, rtol=1e-13, atol=1e-13 * scale)
+        _assert_matches_reference(actual, expected, prob.n)
+
+
+@pytest.mark.parametrize("make_problem", [switching_scalar, multidim_two_segment])
+def test_refined_run_matches_reference_on_pairwise_summed_increments(make_problem):
+    # the stride-2 variant steps the N grid on the sum of each pair of 2N
+    # increments, at the regime of its left node; the reference is fed
+    # that sum and every other node of the 2N chain
+    prob = make_problem()
+    N, n_paths, seed = 10, 40, 28
+    times2 = np.linspace(0.0, prob.T, 2 * N + 1)
+    law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 2 * N))
+    costs1, costs2, x_T1, x_T2 = paired_refinement_run(prob, lambda _: law, n_paths, seed, N)
+    regimes2, dW2 = ref.replay_chunk_noise(prob, times2, derive_rng(seed, "refine", 0), n_paths)
+    for costs, x_T, times, regimes, dW in [
+        (costs1, x_T1, times2[::2], regimes2[:, ::2], dW2[:, 0::2] + dW2[:, 1::2]),
+        (costs2, x_T2, times2, regimes2, dW2),
+    ]:
+        running, terminal, want_x_T = ref._evolve(
+            prob, ref._loop_table(prob, law, times), regimes, dW
+        )
+        _assert_matches_reference(costs, running + terminal, prob.n)
+        _assert_matches_reference(x_T, want_x_T, prob.n)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -484,20 +515,61 @@ def test_narrow_regimes_step_like_int64_regimes(load):
     times = np.linspace(0.0, prob.T, N + 1)
     law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, N))
     v = 0.3 * derive_rng(24).standard_normal((N, prob.m))
-    table = _loop_table(prob, rl.PerturbedFeedback(law, rl.ControlTable(v)), times)
-    regimes, dW = _draw_chunk_noise(prob, times, derive_rng(25), 300)
+    variants = [(_loop_table(prob, rl.PerturbedFeedback(law, rl.ControlTable(v)), times), 1)]
+    regimes = sample_regimes_on_grid(prob.generator, prob.i0, times, derive_rng(25), 300)
     assert regimes.dtype == np.int8
-    narrow = _evolve(prob, table, regimes, dW)
-    wide = _evolve(prob, table, regimes.astype(np.int64), dW)
+    narrow = _kernel_pass(prob, times, regimes, derive_rng(26), variants)[0]
+    wide = _kernel_pass(prob, times, regimes.astype(np.int64), derive_rng(26), variants)[0]
     for a, b in zip(narrow, wide):
         assert a.tobytes() == b.tobytes()
 
 
-def test_full_chunk_noise_lies_in_memory_maps():
-    # a full chunk's regimes and increments stay off the malloc heap, where
-    # their placement would move the run's peak memory by megabytes
+class _AllocationLog:
+    """numpy with its array constructors logged, for a module's ``np``."""
+
+    CONSTRUCTORS = ("empty", "zeros", "ones", "full", "empty_like", "zeros_like", "ones_like")
+
+    def __init__(self):
+        self.requests = []  # (module, shape, dtype, array)
+
+    def wrap(self, module, make):
+        def logged(*args, **kwargs):
+            a = make(*args, **kwargs)
+            self.requests.append((module, a.shape, a.dtype, a))
+            return a
+        return logged
+
+    def numpy_for(self, module):
+        log = self
+
+        class LoggedNumpy:
+            def __getattr__(self, name):
+                attr = getattr(np, name)
+                return log.wrap(module, attr) if name in log.CONSTRUCTORS else attr
+
+        return LoggedNumpy()
+
+
+def test_full_chunk_holds_no_per_node_array_but_its_regime_grid(monkeypatch):
+    # the increments are drawn a row at a time, so the one per-path, per-node
+    # array a full chunk requests is its int8 chain grid, in a map of its own
+    log = _AllocationLog()
+    for module in (simulate, chain):
+        monkeypatch.setattr(module, "np", log.numpy_for(module.__name__))
+        monkeypatch.setattr(
+            module, "mapped_zeros", log.wrap(module.__name__, mapped_zeros), raising=False
+        )
     prob = two_regime_coupling()
-    times = np.linspace(0.0, prob.T, 101)
-    regimes, dW = _draw_chunk_noise(prob, times, derive_rng(3), CHUNK_SIZE)
-    assert regimes.nbytes >= MAP_MIN_BYTES and dW.nbytes >= MAP_MIN_BYTES
-    assert _memory_map_under(regimes) is not None and _memory_map_under(dW) is not None
+    law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 100))
+    table = rl.ControlTable(np.zeros((100, prob.m)))
+    mc_run(prob, law, CHUNK_SIZE, 3, 100, control_b=table)
+    paired_refinement_run(prob, lambda _: law, CHUNK_SIZE, 3, 50)
+    node_counts = {50, 51, 100, 101}  # N or N+1 of either grid
+    per_node = [
+        request for request in log.requests
+        if CHUNK_SIZE in request[1] and node_counts & set(request[1])
+    ]
+    assert [request[:3] for request in per_node] == [
+        ("regimelq.chain", (101, CHUNK_SIZE), np.int8)
+    ] * 2
+    assert all(_memory_map_under(a) is not None for *_, a in per_node)
