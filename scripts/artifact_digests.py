@@ -54,6 +54,8 @@ def invocations(multidim: Path) -> list[tuple[str, list[str]]]:
          run("frontier", cfg("market_one_regime"), "100", "--paths", "5000")),
         ("simulate-multidim",
          run("simulate", str(multidim), "50", "--paths", "5000", "--dump-paths", "2")),
+        ("simulate-two_regime",
+         run("simulate", cfg("two_regime"), "50", "--paths", "5000", "--dump-paths", "2")),
     ]
 
 

@@ -90,7 +90,8 @@ def replay_chunk_noise(problem: ProblemSpec, times, rng, n_chunk: int):
 
     Replays the chunk stream in the pass's order: the chain onto the grid
     first, then N rows of ``n_chunk`` standard normals, one per fine step,
-    each scaled by sqrt(h).  The increments are a transposed view of the
+    each scaled by sqrt(h).  A pass without diffusion draws only the chain
+    and steps as it would on these increments.  The increments are a transposed view of the
     node-major rows, so each step reads a contiguous row.
     """
     regimes = sample_regimes_on_grid(problem.generator, problem.i0, times, rng, n_chunk)

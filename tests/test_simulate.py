@@ -473,6 +473,95 @@ def test_refined_run_matches_reference_on_pairwise_summed_increments(make_proble
         _assert_matches_reference(x_T, want_x_T, prob.n)
 
 
+@pytest.mark.parametrize("make_problem", [two_regime_coupling, det_lqr])
+def test_diffusion_free_pass_draws_no_increments(make_problem):
+    # C = D = 0: after the chain the pass draws nothing from the chunk
+    # stream, and every lane, stride 1 and the stride-2 refinement lane,
+    # steps bit for bit as the reference does on the increments it skipped
+    prob = make_problem()
+    N, n_paths, seed = 10, 40, 29
+    times2 = np.linspace(0.0, prob.T, 2 * N + 1)
+    law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 2 * N))
+    v = 0.3 * derive_rng(30).standard_normal((2 * N, prob.m))
+    perturbed = rl.PerturbedFeedback(law, rl.ControlTable(v))
+    rng = derive_rng(seed)
+    regimes = sample_regimes_on_grid(prob.generator, prob.i0, times2, rng, n_paths)
+    after_chain = rng.bit_generator.state
+    got = _kernel_pass(prob, times2, regimes, rng, [
+        (_loop_table(prob, law, times2[::2]), 2),
+        (_loop_table(prob, law, times2), 1),
+        (_loop_table(prob, perturbed, times2), 1),
+    ])
+    assert rng.bit_generator.state == after_chain
+    _, dW2 = ref.replay_chunk_noise(prob, times2, derive_rng(seed), n_paths)
+    for actual, (control, times, regs, dW) in zip(got, [
+        (law, times2[::2], regimes[:, ::2], dW2[:, 0::2] + dW2[:, 1::2]),
+        (law, times2, regimes, dW2),
+        (perturbed, times2, regimes, dW2),
+    ]):
+        want = ref._evolve(prob, ref._loop_table(prob, control, times), regs, dW)
+        for a, b in zip(actual, want):
+            _assert_matches_reference(a, b, prob.n)
+
+
+def _control_noise_only() -> rl.ProblemSpec:
+    """C = 0, D != 0: a zero control table steps without diffusion, a feedback law with it."""
+    return rl.make_problem(
+        n=1, m=1, T=1.0, generator=[[0.0]],
+        coefficients=[[{"A": 0.1, "B": 0.5, "C": 0, "D": 0.4, "Q": 1.0, "S": 0, "R": 1.0}]],
+        G=[[[1.0]]], x0=[1.0], i0=0,
+    )
+
+
+def _one_noisy_regime() -> rl.ProblemSpec:
+    """Two regimes; only the second has diffusion."""
+    return rl.make_problem(
+        n=1, m=1, T=1.0, generator=[[-2.0, 2.0], [1.5, -1.5]],
+        coefficients=[[
+            {"A": 0.1, "B": 0.5, "C": 0, "D": 0, "Q": 1.0, "S": 0.1, "R": 1.0},
+            {"A": -0.3, "B": 1.0, "C": 0.4, "D": 0.1, "Q": 0.5, "S": -0.2, "R": 2.0},
+        ]],
+        G=[[[1.0]], [[0.5]]], x0=[1.0], i0=0,
+    )
+
+
+@pytest.mark.parametrize("make_problem", [_control_noise_only, _one_noisy_regime])
+def test_pass_with_any_diffusion_draws_for_every_variant(make_problem):
+    # one variant or one regime with diffusion makes the whole pass draw,
+    # and each variant steps as the reference does on those increments
+    prob = make_problem()
+    N, n_paths, seed = 20, 40, 31
+    times = np.linspace(0.0, prob.T, N + 1)
+    law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, N))
+    zero = rl.ControlTable(np.zeros((N, prob.m)))
+    diffusion = [_loop_table(prob, c, times).M[:, 1:2] for c in (zero, law)]
+    if make_problem is _control_noise_only:
+        assert not diffusion[0].any() and diffusion[1].any()
+    else:
+        for block in diffusion:  # columns [x, 1] of regime 0, then of regime 1
+            assert not block[..., :2].any() and block[..., 2:].any()
+    costs_zero, costs_law, x_T_zero = mc_run(prob, zero, n_paths, seed, N, control_b=law)
+    regimes, dW = ref.replay_chunk_noise(prob, times, derive_rng(seed, "chunk", 0), n_paths)
+    for control, costs, x_T in [(zero, costs_zero, x_T_zero), (law, costs_law, None)]:
+        running, terminal, want_x_T = ref._evolve(
+            prob, ref._loop_table(prob, control, times), regimes, dW
+        )
+        _assert_matches_reference(costs, running + terminal, prob.n)
+        if x_T is not None:
+            _assert_matches_reference(x_T, want_x_T, prob.n)
+
+
+def test_recorded_diffusion_free_path_keeps_drawing_its_increments():
+    # simulate_closed_loop records dW, so its stream still advances past the chain
+    prob = two_regime_coupling()
+    N, seed = 20, 32
+    law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, N))
+    path = rl.simulate_closed_loop(prob, law, N, seed)
+    regimes, dW = ref.replay_chunk_noise(prob, path.times, derive_rng(seed, "path"), 1)
+    np.testing.assert_array_equal(path.regimes, regimes[0])
+    assert path.dW.tobytes() == dW[0].tobytes()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_chunk_lanes_keep_the_floating_point_error_state(workers):
     # a fault raises on a worker lane exactly as on the caller's thread
