@@ -47,6 +47,8 @@ def invocations(multidim: Path) -> list[tuple[str, list[str]]]:
         ("bsde-random_coeff", run("bsde", cfg("random_coeff"), "100", "--paths", "30000")),
         ("bsde-random_coeff-degree2",
          run("bsde", cfg("random_coeff"), "40", "--paths", "20000", "--degree", "2")),
+        # N = 9 checkpoints the driver every 4 nodes: the last segment is one step
+        ("bsde-random_coeff-grid9", run("bsde", cfg("random_coeff"), "9", "--paths", "2000")),
         *((f"solve-{name}", run("solve", cfg(name), "200"))
           for name in ("scalar", "two_regime", "det_lqr", "market_one_regime")),
         ("solve-multidim", run("solve", str(multidim), "200")),

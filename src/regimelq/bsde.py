@@ -22,6 +22,17 @@ same Qhat - Shat^2 / Rhat algebra as the Riccati drift, evaluated at the
 regressed next-node values (explicit scheme).  This is the least-squares
 Monte Carlo scheme of Gobet, Lemor & Warin (Ann. Appl. Probab. 15(3), 2005).
 
+The training bundle keeps the driver only at checkpoint nodes, every
+s = isqrt(N) + 1 nodes plus node N (:func:`checkpoint_nodes`), and the
+sweep rebuilds each segment from its checkpoint as it walks backward.  The
+driver is a deterministic Euler recursion of the stored increments, and
+generation, the sweep and :func:`full_driver` all run it through the one
+function :func:`_euler_rows`, with the same operations in the same order, so
+every driver value the sweep reads is bit for bit the one a full-grid array
+would hold.  The driver then takes about 2 sqrt(N) instead of N + 1 rows of
+M floats, the checkpoints plus one (s + 1, M) segment buffer (Griewank &
+Walther, "Algorithm 799: revolve", ACM TOMS 26(1), 2000, one level).
+
 Each node takes one thin SVD of the scaled basis.  Its singular values give
 the condition number S[0] / S[-1] that is checked against CONDITION_MAX,
 and the value targets, the dW-weighted targets (one stacked right-hand
@@ -33,6 +44,7 @@ condition number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 from numpy.typing import NDArray
@@ -212,25 +224,81 @@ def constant_problem(model: RandomCoefficientModel) -> ProblemSpec:
 
 @dataclass
 class PathBundle:
-    """Training data: driver paths, Brownian increments, chain paths on a grid.
+    """Training data: driver checkpoints, Brownian increments, chain paths.
 
-    ``regimes`` has the dtype of :func:`~regimelq.chain.sample_regimes_on_grid`,
-    one byte per path and node up to 128 regimes.
+    The driver is stored only at the grid nodes ``checkpoints`` (see
+    :func:`checkpoint_nodes`), one contiguous row of ``y`` per node; every
+    other node is rebuilt from the checkpoint before it and ``dW`` by
+    :func:`_euler_rows`, bit for bit, so the bundle's bytes are those of
+    ``dW`` and ``regimes`` plus about sqrt(N) driver rows.  ``regimes`` has
+    the dtype of :func:`~regimelq.chain.sample_regimes_on_grid`, one byte
+    per path and node up to 128 regimes.
     """
 
     times: NDArray[np.float64]  # (N+1,)
-    y: NDArray[np.float64]  # (M, N+1); generated bundles hold a node-major array's .T
+    y: NDArray[np.float64]  # (K, M): the driver at the nodes `checkpoints`
+    checkpoints: NDArray[np.intp]  # (K,) increasing node indices, first 0, last N
     dW: NDArray[np.float64]  # (M, N)
     regimes: NDArray[np.signedinteger]  # (M, N+1)
     seed: int
 
     @property
     def num_paths(self) -> int:
-        return self.y.shape[0]
+        return self.dW.shape[0]
 
     @property
     def num_steps(self) -> int:
-        return self.y.shape[1] - 1
+        return self.dW.shape[1]
+
+
+def checkpoint_nodes(N: int) -> NDArray[np.intp]:
+    """Nodes at which a bundle stores the driver: 0, s, 2s, ... and N.
+
+    With s = isqrt(N) + 1 > sqrt(N) there are at most isqrt(N) + 2 of them,
+    and no segment between two of them spans more than s steps.
+    """
+    return np.append(np.arange(0, N, isqrt(N) + 1), N)
+
+
+def _euler_rows(model: RandomCoefficientModel, dW: NDArray, first: int, out: NDArray):
+    """Fill ``out[1:]`` with the Euler driver nodes after ``out[0]``.
+
+    ``out[0]`` holds the driver at node ``first`` of the grid of the (M, N)
+    increments ``dW``; row j + 1 is node ``first + j + 1``, stepped on
+    ``dW[:, first + j]``.
+    """
+    h = model.T / dW.shape[1]
+    for j in range(len(out) - 1):
+        y = out[j]
+        out[j + 1] = y + model.kappa * (model.theta_bar - y) * h + model.nu * dW[:, first + j]
+    return out
+
+
+def _driver_backward(model: RandomCoefficientModel, bundle: PathBundle):
+    """Yield ``(i, y_i)`` for i = N-1 down to 0, rebuilt from the checkpoints.
+
+    Each segment is rebuilt from the checkpoint at its start into one reused
+    (s + 1, M) buffer, so a yielded row is valid until the next segment.
+    """
+    N = bundle.num_steps
+    segment = np.empty((isqrt(N) + 2, bundle.num_paths))
+    nodes = bundle.checkpoints
+    for j in range(len(nodes) - 2, -1, -1):
+        first, last = int(nodes[j]), int(nodes[j + 1])
+        rows = segment[: last - first + 1]
+        rows[0] = bundle.y[j]
+        _euler_rows(model, bundle.dW, first, rows)
+        for i in range(last - 1, first - 1, -1):
+            yield i, rows[i - first]
+
+
+def full_driver(model: RandomCoefficientModel, bundle: PathBundle) -> NDArray[np.float64]:
+    """The driver at every node, node-major (N+1, M), rebuilt from the bundle."""
+    y = np.empty((bundle.num_steps + 1, bundle.num_paths))
+    y[-1] = bundle.y[-1]
+    for i, yi in _driver_backward(model, bundle):
+        y[i] = yi
+    return y
 
 
 def generate_training_paths(
@@ -239,7 +307,8 @@ def generate_training_paths(
     """Euler driver paths plus exact chain paths on the uniform N-step grid.
 
     The explicit Euler step multiplies the driver's deviation from
-    ``theta_bar`` by 1 - kappa h, so the grid must have kappa h < 2.
+    ``theta_bar`` by 1 - kappa h, so the grid must have kappa h < 2.  The
+    driver is kept at :func:`checkpoint_nodes` only.
     """
     if M < 1 or N < 1:
         raise ValidationError("need M >= 1 paths and N >= 1 steps")
@@ -260,12 +329,15 @@ def generate_training_paths(
         return regimes, dW
 
     regimes, dW = run_chunks(M, seed, "bundle", chunk)
-    # node-major storage: each node's driver column is contiguous in y.T
-    y = np.empty((N + 1, M))
+    nodes = checkpoint_nodes(N)
+    y = np.empty((len(nodes), M))
     y[0] = model.y0
-    for i in range(N):
-        y[i + 1] = y[i] + model.kappa * (model.theta_bar - y[i]) * h + model.nu * dW[:, i]
-    return PathBundle(times=times, y=y.T, dW=dW, regimes=regimes, seed=seed)
+    segment = np.empty((isqrt(N) + 2, M))
+    for j in range(len(nodes) - 1):
+        rows = segment[: nodes[j + 1] - nodes[j] + 1]
+        rows[0] = y[j]
+        y[j + 1] = _euler_rows(model, dW, int(nodes[j]), rows)[-1]
+    return PathBundle(times=times, y=y, checkpoints=nodes, dW=dW, regimes=regimes, seed=seed)
 
 
 @dataclass
@@ -402,10 +474,9 @@ def backward_regression_solve(
     # one stacked right-hand side: next-node values over the same times dW/h;
     # once projected, the lower rows hold the regressed Brownian coefficient
     rhs = np.empty((2 * d, M))
-    rhs[:d] = model.coeff_rows(bundle.y[:, N])("G")
-    for i in range(N - 1, -1, -1):
+    rhs[:d] = model.coeff_rows(bundle.y[-1])("G")
+    for i, yi in _driver_backward(model, bundle):
         t = float(bundle.times[i])
-        yi = bundle.y[:, i]
         Ut, sv, Vt, centers[i], scales[i] = _basis_svd(yi, degree)
         b = len(sv)
         conds[i] = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
@@ -463,11 +534,12 @@ def bsde_residual(
     h = model.T / N
     mean = np.zeros(N)
     stderr = np.zeros(N)
+    y = full_driver(model, bundle)
     for i in range(N):
-        yi = bundle.y[:, i]
+        yi = y[i]
         ki = bundle.regimes[:, i]
         Vi = solution.value_at(i, ki, yi)
-        Vn = solution.value_at(i + 1, bundle.regimes[:, i + 1], bundle.y[:, i + 1])
+        Vn = solution.value_at(i + 1, bundle.regimes[:, i + 1], y[i + 1])
         Li = solution.lambda_at(i, ki, yi)
         F = _driver(model.coeff_rows(yi, ki), Vi, Li, float(bundle.times[i]))
         r = Vi - Vn - h * F

@@ -11,7 +11,7 @@ lstsq's singular values give.
 
 import numpy as np
 
-from regimelq.bsde import CONDITION_MAX, DEGENERATE_STD, BsdeSolution
+from regimelq.bsde import CONDITION_MAX, DEGENERATE_STD, BsdeSolution, full_driver
 from regimelq.errors import IllConditionedRegression, NegativeRhat, ValidationError
 from regimelq.riccati import RHAT_FLOOR
 
@@ -78,11 +78,11 @@ def reference_regression_solve(model, bundle, degree=3):
     resid = np.zeros(N)
     conds = np.ones(N)
 
-    yN = bundle.y[:, N]
-    Vnext = model.coeff_rows(yN)("G").T  # (M, d)
+    y = full_driver(model, bundle)  # (N+1, M)
+    Vnext = model.coeff_rows(y[N])("G").T  # (M, d)
     for i in range(N - 1, -1, -1):
         t = float(bundle.times[i])
-        yi = bundle.y[:, i]
+        yi = y[i]
         Phi, c, s = _basis(yi, degree)
         g, conds[i] = _lstsq_guarded(Phi, Vnext, t)
         lam_raw, _ = _lstsq_guarded(Phi, Vnext * (bundle.dW[:, i] / h)[:, None], t)

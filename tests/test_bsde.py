@@ -1,13 +1,23 @@
 """BSDE module: path bundles, backward regression, residual diagnostics."""
 
+import inspect
 import json
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import regimelq as rl
-from regimelq.bsde import PathBundle, _driver, constant_problem, model_from_config
+from regimelq.bsde import (
+    PathBundle,
+    _driver,
+    _driver_backward,
+    checkpoint_nodes,
+    constant_problem,
+    full_driver,
+    model_from_config,
+)
 from regimelq.errors import IllConditionedRegression, NegativeRhat, ValidationError
 
 from bsde_reference import reference_regression_solve
@@ -96,35 +106,76 @@ class TestModelValidation:
 class TestGenerateTrainingPaths:
     def test_zero_volatility_driver_deterministic(self):
         model = two_regime_model(nu=0.0, kappa=2.0, theta_bar=1.0, y0=0.2)
-        bundle = rl.generate_training_paths(model, 50, 20, 1)
-        assert np.all(bundle.y == bundle.y[0])
-        assert bundle.y[0, -1] > bundle.y[0, 0]  # mean reversion toward 1
+        y = full_driver(model, rl.generate_training_paths(model, 50, 20, 1))
+        assert np.all(y == y[:, :1])
+        assert y[-1, 0] > y[0, 0]  # mean reversion toward 1
 
     def test_frozen_driver(self):
         model = two_regime_model(nu=0.0, kappa=0.0, y0=0.3)
         bundle = rl.generate_training_paths(model, 30, 10, 2)
-        np.testing.assert_array_equal(bundle.y, np.full((30, 11), 0.3))
+        np.testing.assert_array_equal(full_driver(model, bundle), np.full((11, 30), 0.3))
 
     def test_diverging_euler_step_rejected(self):
         # the Euler factor 1 - kappa*T/N must stay inside (-1, 1)
         with pytest.raises(ValidationError, match="kappa"):
             rl.generate_training_paths(two_regime_model(kappa=20.0), 30, 10, 2)
-        bundle = rl.generate_training_paths(two_regime_model(kappa=20.0), 30, 11, 2)
-        assert np.all(np.abs(bundle.y) < 3.0)
+        model = two_regime_model(kappa=20.0)
+        bundle = rl.generate_training_paths(model, 30, 11, 2)
+        assert np.all(np.abs(full_driver(model, bundle)) < 3.0)
 
     def test_shape_and_reproducibility(self):
         model = y_dependent_model()
         a = rl.generate_training_paths(model, 10_000, 50, 3)
-        assert a.y.shape == (10_000, 51)
+        assert a.y.shape == (len(a.checkpoints), 10_000)
+        assert full_driver(model, a).shape == (51, 10_000)
         assert a.dW.shape == (10_000, 50)
         assert a.regimes.shape == (10_000, 51)
         b = rl.generate_training_paths(model, 10_000, 50, 3)
         np.testing.assert_array_equal(a.y, b.y)
+        np.testing.assert_array_equal(a.dW, b.dW)
         np.testing.assert_array_equal(a.regimes, b.regimes)
 
     def test_bundle_regimes_take_one_byte_per_node(self):
         bundle = rl.generate_training_paths(y_dependent_model(), 5000, 40, 3)
         assert bundle.regimes.nbytes == 5000 * 41
+
+    def test_bundle_keeps_the_fields_the_benchmark_tracer_reads(self):
+        # bench/tracer.py sums these arrays' nbytes, reads num_steps and binds
+        # generate_training_paths's arguments by the names M and N
+        M, N = 37, 9
+        bundle = rl.generate_training_paths(y_dependent_model(), M, N, 3)
+        for field in ("times", "y", "dW", "regimes"):
+            assert isinstance(getattr(bundle, field), np.ndarray), field
+        assert bundle.num_steps == N
+        assert bundle.num_paths == M
+        params = inspect.signature(rl.generate_training_paths).parameters
+        assert {"M", "N"} <= set(params)
+
+    @pytest.mark.parametrize("M", [1, 37])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 9, 10, 11, 100])
+    def test_checkpointed_driver_equals_full_recursion(self, N, M):
+        model = y_dependent_model()
+        bundle = rl.generate_training_paths(model, M, N, 40 + N)
+        h = model.T / N
+        full = np.empty((N + 1, M))
+        full[0] = model.y0
+        for i in range(N):
+            full[i + 1] = (full[i] + model.kappa * (model.theta_bar - full[i]) * h
+                           + model.nu * bundle.dW[:, i])
+        s = isqrt(N) + 1
+        np.testing.assert_array_equal(
+            bundle.checkpoints, sorted(set(range(0, N, s)) | {N})
+        )
+        np.testing.assert_array_equal(bundle.y, full[bundle.checkpoints])
+        assert bundle.y.nbytes <= (2 * isqrt(N) + 3) * M * 8
+        # the rows the sweep reads, last node first (each valid until the
+        # next segment is rebuilt into the same buffer), and the materializer
+        nodes = []
+        for i, yi in _driver_backward(model, bundle):
+            np.testing.assert_array_equal(yi, full[i])
+            nodes.append(i)
+        assert nodes == list(range(N - 1, -1, -1))
+        np.testing.assert_array_equal(full_driver(model, bundle), full)
 
 
 class TestBackwardRegression:
@@ -132,7 +183,7 @@ class TestBackwardRegression:
         model = y_dependent_model()
         bundle = rl.generate_training_paths(model, 2000, 20, 4)
         sol = rl.backward_regression_solve(model, bundle, degree=3)
-        yN = bundle.y[:, -1]
+        yN = bundle.y[-1]
         kN = bundle.regimes[:, -1]
         np.testing.assert_array_equal(
             sol.value_at(20, kN, yN), model.coeff_rows(yN, kN)("G")
@@ -217,11 +268,14 @@ class TestBackwardRegression:
         model = y_dependent_model()
         M, N = 400, 4
         times = np.linspace(0.0, 1.0, N + 1)
-        # two distinct driver values: z^2 and z^3 duplicate the lower columns
-        y = np.tile(np.where(np.arange(M) % 2 == 0, 0.0, 1e-6), (N + 1, 1)).T
+        # two distinct driver values: z^2 and z^3 duplicate the lower columns,
+        # at the checkpoints and, with dW = 0, at every node rebuilt from them
+        nodes = checkpoint_nodes(N)
+        y = np.tile(np.where(np.arange(M) % 2 == 0, 0.0, 1e-6), (len(nodes), 1))
         bundle = PathBundle(
             times=times,
             y=y + 0.5,
+            checkpoints=nodes,
             dW=np.zeros((M, N)),
             regimes=np.zeros((M, N + 1), dtype=np.int64),
             seed=0,
@@ -332,8 +386,9 @@ class TestSweepAgainstReference:
         model = three_regime_model()
         bundle = rl.generate_training_paths(model, 3000, 10, 23)
         sol = rl.backward_regression_solve(model, bundle, degree=3)
+        y = full_driver(model, bundle)
         for i in range(bundle.num_steps):
-            z = (bundle.y[:, i] - sol.y_center[i]) / sol.y_scale[i]
+            z = (y[i] - sol.y_center[i]) / sol.y_scale[i]
             Phi = np.vander(z, 4, increasing=True) if np.std(z) > 0.0 else np.ones((len(z), 1))
             assert sol.basis_condition[i] == pytest.approx(np.linalg.cond(Phi), rel=1e-12)
 

@@ -145,6 +145,17 @@ class TestSolveRiccati:
             rl.solve_riccati(prob, 2)
         assert exc_info.value.t == 0.5
 
+    @pytest.mark.xfail(
+        strict=True, raises=SingularRhat,
+        reason="halving never revisits an accepted sub-step; N = 3 solves",
+    )
+    def test_convex_problem_solves_at_two_steps(self):
+        # random_convex(7) keeps Rhat >= R >= I along the exact solution, yet an
+        # accepted half-step carries P to where the next stage loses positivity
+        prob = random_convex(7)
+        grid = rl.solve_riccati(prob, 2)
+        assert rl.rhat_certificate(grid) >= 1.0
+
     def test_two_segments_compose(self):
         # solving the piecewise problem equals composing per-segment solves
         c1 = {"A": 0.4, "B": 1.0, "C": 0.1, "D": 0.2, "Q": 1.0, "S": 0.1, "R": 1.0}
