@@ -22,16 +22,22 @@ same Qhat - Shat^2 / Rhat algebra as the Riccati drift, evaluated at the
 regressed next-node values (explicit scheme).  This is the least-squares
 Monte Carlo scheme of Gobet, Lemor & Warin (Ann. Appl. Probab. 15(3), 2005).
 
-The training bundle keeps the driver only at checkpoint nodes, every
-s = isqrt(N) + 1 nodes plus node N (:func:`checkpoint_nodes`), and the
-sweep rebuilds each segment from its checkpoint as it walks backward.  The
-driver is a deterministic Euler recursion of the stored increments, and
-generation, the sweep and :func:`full_driver` all run it through the one
-function :func:`_euler_rows`, with the same operations in the same order, so
-every driver value the sweep reads is bit for bit the one a full-grid array
-would hold.  The driver then takes about 2 sqrt(N) instead of N + 1 rows of
-M floats, the checkpoints plus one (s + 1, M) segment buffer (Griewank &
-Walther, "Algorithm 799: revolve", ACM TOMS 26(1), 2000, one level).
+The training bundle stores no increments and keeps the driver only at
+checkpoint nodes, every s = isqrt(N) + 1 nodes plus node N
+(:func:`checkpoint_nodes`).  Node i's increments are one row of M normals
+from a stream of their own, keyed ``(seed, "bundle-dW", i)``, so any node's
+row can be drawn again alone.  Generation steps the driver on each row and
+keeps the checkpoints; walking backward, the sweep redraws each segment's
+rows and rebuilds the segment's driver from its checkpoint.  Generation,
+the sweep and :func:`full_driver` all step through the one function
+:func:`_euler_rows`, with the same operations in the same order, so every
+driver value the sweep reads is bit for bit the one a full-grid array would
+hold.  The bundle then takes about 3 sqrt(N) instead of 2N + 1 rows of M
+floats: the checkpoints, one (s + 1, M) driver segment and one (s, M)
+increment segment (Griewank & Walther, "Algorithm 799: revolve", ACM TOMS
+26(1), 2000, one level).  The per-node keys make the increments independent
+of the checkpoint spacing, and an M'-path bundle's increments are the
+first M' paths of any larger bundle's with the same seed.
 
 Each node takes one thin SVD of the scaled basis.  Its singular values give
 the condition number S[0] / S[-1] that is checked against CONDITION_MAX,
@@ -44,6 +50,7 @@ condition number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -57,7 +64,7 @@ from .errors import (
 )
 from .model import ConfigReader, ProblemSpec, check_horizon, make_problem
 from .riccati import RHAT_FLOOR
-from .streams import run_chunks
+from .streams import derive_rng, run_chunks
 
 COEFF_NAMES = ("A", "B", "C", "D", "Q", "S", "R", "G")
 CONDITION_MAX = 1e10
@@ -224,31 +231,57 @@ def constant_problem(model: RandomCoefficientModel) -> ProblemSpec:
 
 @dataclass
 class PathBundle:
-    """Training data: driver checkpoints, Brownian increments, chain paths.
+    """Training data: driver checkpoints and the keys of the bundle's draws.
 
     The driver is stored only at the grid nodes ``checkpoints`` (see
     :func:`checkpoint_nodes`), one contiguous row of ``y`` per node; every
-    other node is rebuilt from the checkpoint before it and ``dW`` by
-    :func:`_euler_rows`, bit for bit, so the bundle's bytes are those of
-    ``dW`` and ``regimes`` plus about sqrt(N) driver rows.  ``regimes`` has
-    the dtype of :func:`~regimelq.chain.sample_regimes_on_grid`, one byte
-    per path and node up to 128 regimes.
+    other node is rebuilt from the checkpoint before it by
+    :func:`_euler_rows`, bit for bit.  No increments are stored: node i's
+    increments are one row of M normals from the stream
+    ``(seed, "bundle-dW", i)`` scaled by sqrt(h), redrawn by
+    :meth:`increments` wherever they are needed, so the bundle's bytes are
+    about sqrt(N) driver rows.  ``dW`` (path-major, (M, N)) and ``regimes``
+    (the exact chain paths on the grid, from the chunk streams
+    ``(seed, "bundle", c)``, with the dtype of
+    :func:`~regimelq.chain.sample_regimes_on_grid`) are drawn whole on first
+    access; the sweep reads neither.
     """
 
     times: NDArray[np.float64]  # (N+1,)
     y: NDArray[np.float64]  # (K, M): the driver at the nodes `checkpoints`
     checkpoints: NDArray[np.intp]  # (K,) increasing node indices, first 0, last N
-    dW: NDArray[np.float64]  # (M, N)
-    regimes: NDArray[np.signedinteger]  # (M, N+1)
     seed: int
+    generator: GeneratorMatrix
+    i0: int
 
     @property
     def num_paths(self) -> int:
-        return self.dW.shape[0]
+        return self.y.shape[1]
 
     @property
     def num_steps(self) -> int:
-        return self.dW.shape[1]
+        return len(self.times) - 1
+
+    def increments(self, first: int, out: NDArray) -> NDArray:
+        """Fill row j of the (rows, M) ``out`` with node ``first + j``'s increments."""
+        scale = np.sqrt(self.times[-1] / self.num_steps)
+        for j, row in enumerate(out):
+            derive_rng(self.seed, "bundle-dW", first + j).standard_normal(out=row)
+            row *= scale
+        return out
+
+    @cached_property
+    def dW(self) -> NDArray[np.float64]:
+        """(M, N) increments, path-major: a view of the node-major draw."""
+        return self.increments(0, np.empty((self.num_steps, self.num_paths))).T
+
+    @cached_property
+    def regimes(self) -> NDArray[np.signedinteger]:
+        """(M, N+1) exact chain paths on ``times``."""
+        draw = lambda rng, n: (
+            sample_regimes_on_grid(self.generator, self.i0, self.times, rng, n),
+        )
+        return run_chunks(self.num_paths, self.seed, "bundle", draw)[0]
 
 
 def checkpoint_nodes(N: int) -> NDArray[np.intp]:
@@ -260,43 +293,60 @@ def checkpoint_nodes(N: int) -> NDArray[np.intp]:
     return np.append(np.arange(0, N, isqrt(N) + 1), N)
 
 
-def _euler_rows(model: RandomCoefficientModel, dW: NDArray, first: int, out: NDArray):
+def _euler_rows(model: RandomCoefficientModel, h: float, dW: NDArray, out: NDArray):
     """Fill ``out[1:]`` with the Euler driver nodes after ``out[0]``.
 
-    ``out[0]`` holds the driver at node ``first`` of the grid of the (M, N)
-    increments ``dW``; row j + 1 is node ``first + j + 1``, stepped on
-    ``dW[:, first + j]``.
+    Row j + 1 of ``out`` is stepped from row j on the increments ``dW[j]``,
+    as y + kappa (theta_bar - y) h + nu dW in place.
     """
-    h = model.T / dW.shape[1]
-    for j in range(len(out) - 1):
-        y = out[j]
-        out[j + 1] = y + model.kappa * (model.theta_bar - y) * h + model.nu * dW[:, first + j]
+    noise = np.empty_like(out[0])
+    for j, dw in enumerate(dW):
+        y, step = out[j], out[j + 1]
+        np.subtract(model.theta_bar, y, out=step)
+        step *= model.kappa
+        step *= h
+        step += y
+        step += np.multiply(model.nu, dw, out=noise)
     return out
 
 
-def _driver_backward(model: RandomCoefficientModel, bundle: PathBundle):
-    """Yield ``(i, y_i)`` for i = N-1 down to 0, rebuilt from the checkpoints.
+def _segments(model: RandomCoefficientModel, bundle: PathBundle, order):
+    """Rebuild the driver segments ``order`` (indices into the checkpoints).
 
-    Each segment is rebuilt from the checkpoint at its start into one reused
-    (s + 1, M) buffer, so a yielded row is valid until the next segment.
+    Yields ``(first, y, dW)`` per segment: its increments, nodes first to
+    last - 1, redrawn into one reused (s, M) buffer, and the driver at nodes
+    first to last, stepped on them from the checkpoint at ``first`` into
+    one reused (s + 1, M) buffer.  Both are valid until the next segment.
     """
-    N = bundle.num_steps
-    segment = np.empty((isqrt(N) + 2, bundle.num_paths))
+    N, M = bundle.num_steps, bundle.num_paths
+    h = model.T / N
+    y_buf = np.empty((isqrt(N) + 2, M))
+    dW_buf = np.empty((isqrt(N) + 1, M))
     nodes = bundle.checkpoints
-    for j in range(len(nodes) - 2, -1, -1):
+    for j in order:
         first, last = int(nodes[j]), int(nodes[j + 1])
-        rows = segment[: last - first + 1]
-        rows[0] = bundle.y[j]
-        _euler_rows(model, bundle.dW, first, rows)
-        for i in range(last - 1, first - 1, -1):
-            yield i, rows[i - first]
+        dW = bundle.increments(first, dW_buf[: last - first])
+        y = y_buf[: last - first + 1]
+        y[0] = bundle.y[j]
+        yield first, _euler_rows(model, h, dW, y), dW
+
+
+def _driver_backward(model: RandomCoefficientModel, bundle: PathBundle):
+    """Yield ``(i, y_i, dW_i)`` for i = N-1 down to 0, rebuilt from the checkpoints.
+
+    ``dW_i`` is node i's increments, the step from y_i to y_{i+1}.  The rows
+    are valid until the next segment is rebuilt.
+    """
+    for first, y, dW in _segments(model, bundle, range(len(bundle.checkpoints) - 2, -1, -1)):
+        for j in range(len(dW) - 1, -1, -1):
+            yield first + j, y[j], dW[j]
 
 
 def full_driver(model: RandomCoefficientModel, bundle: PathBundle) -> NDArray[np.float64]:
     """The driver at every node, node-major (N+1, M), rebuilt from the bundle."""
     y = np.empty((bundle.num_steps + 1, bundle.num_paths))
     y[-1] = bundle.y[-1]
-    for i, yi in _driver_backward(model, bundle):
+    for i, yi, _ in _driver_backward(model, bundle):
         y[i] = yi
     return y
 
@@ -304,11 +354,13 @@ def full_driver(model: RandomCoefficientModel, bundle: PathBundle) -> NDArray[np
 def generate_training_paths(
     model: RandomCoefficientModel, M: int, N: int, seed: int
 ) -> PathBundle:
-    """Euler driver paths plus exact chain paths on the uniform N-step grid.
+    """Euler driver paths on the uniform N-step grid, kept at the checkpoints.
 
     The explicit Euler step multiplies the driver's deviation from
     ``theta_bar`` by 1 - kappa h, so the grid must have kappa h < 2.  The
-    driver is kept at :func:`checkpoint_nodes` only.
+    driver is stepped on each node's increments in turn and kept at
+    :func:`checkpoint_nodes` only; the chain paths are drawn only if
+    ``regimes`` is read.
     """
     if M < 1 or N < 1:
         raise ValidationError("need M >= 1 paths and N >= 1 steps")
@@ -318,26 +370,19 @@ def generate_training_paths(
             f"driver step kappa*T/N = {model.kappa * h!r} >= 2: the explicit Euler factor "
             "|1 - kappa*T/N| >= 1 makes the driver diverge; need N > kappa*T/2"
         )
-    times = np.linspace(0.0, model.T, N + 1)
-
-    def chunk(rng, n):
-        regimes = sample_regimes_on_grid(model.generator, model.i0, times, rng, n)
-        # scaled in place, from malloc, not mapped_zeros: freeing these blocks raises
-        # glibc's mmap threshold, so the sweep's temporaries reuse heap pages
-        dW = rng.standard_normal((n, N))
-        dW *= np.sqrt(h)
-        return regimes, dW
-
-    regimes, dW = run_chunks(M, seed, "bundle", chunk)
     nodes = checkpoint_nodes(N)
-    y = np.empty((len(nodes), M))
-    y[0] = model.y0
-    segment = np.empty((isqrt(N) + 2, M))
-    for j in range(len(nodes) - 1):
-        rows = segment[: nodes[j + 1] - nodes[j] + 1]
-        rows[0] = y[j]
-        y[j + 1] = _euler_rows(model, dW, int(nodes[j]), rows)[-1]
-    return PathBundle(times=times, y=y, checkpoints=nodes, dW=dW, regimes=regimes, seed=seed)
+    bundle = PathBundle(
+        times=np.linspace(0.0, model.T, N + 1),
+        y=np.empty((len(nodes), M)),
+        checkpoints=nodes,
+        seed=seed,
+        generator=model.generator,
+        i0=model.i0,
+    )
+    bundle.y[0] = model.y0
+    for j, (_, y, _) in enumerate(_segments(model, bundle, range(len(nodes) - 1))):
+        bundle.y[j + 1] = y[-1]
+    return bundle
 
 
 @dataclass
@@ -475,7 +520,7 @@ def backward_regression_solve(
     # once projected, the lower rows hold the regressed Brownian coefficient
     rhs = np.empty((2 * d, M))
     rhs[:d] = model.coeff_rows(bundle.y[-1])("G")
-    for i, yi in _driver_backward(model, bundle):
+    for i, yi, dWi in _driver_backward(model, bundle):
         t = float(bundle.times[i])
         Ut, sv, Vt, centers[i], scales[i] = _basis_svd(yi, degree)
         b = len(sv)
@@ -484,7 +529,7 @@ def backward_regression_solve(
             raise IllConditionedRegression(
                 f"basis condition number {conds[i]:.3e} at t={t:.6g}"
             )
-        np.multiply(rhs[:d], bundle.dW[:, i] / h, out=rhs[d:])
+        np.multiply(rhs[:d], dWi / h, out=rhs[d:])
         # basis coordinates U'Y, carried through the regime jump
         jump = trans @ (rhs @ Ut.T).reshape(2, d, b)
         lambda_weights[i, :, :b] = (jump[1] / sv) @ Vt

@@ -1,5 +1,6 @@
 """BSDE module: path bundles, backward regression, residual diagnostics."""
 
+import dataclasses
 import inspect
 import json
 from math import isqrt
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import regimelq as rl
+from regimelq import bsde
 from regimelq.bsde import (
     PathBundle,
     _driver,
@@ -18,7 +20,9 @@ from regimelq.bsde import (
     full_driver,
     model_from_config,
 )
+from regimelq.chain import sample_regimes_on_grid
 from regimelq.errors import IllConditionedRegression, NegativeRhat, ValidationError
+from regimelq.streams import CHUNK_SIZE, run_chunks
 
 from bsde_reference import reference_regression_solve
 
@@ -157,11 +161,12 @@ class TestGenerateTrainingPaths:
         model = y_dependent_model()
         bundle = rl.generate_training_paths(model, M, N, 40 + N)
         h = model.T / N
+        dW = bundle.dW  # the materialized increments
         full = np.empty((N + 1, M))
         full[0] = model.y0
         for i in range(N):
             full[i + 1] = (full[i] + model.kappa * (model.theta_bar - full[i]) * h
-                           + model.nu * bundle.dW[:, i])
+                           + model.nu * dW[:, i])
         s = isqrt(N) + 1
         np.testing.assert_array_equal(
             bundle.checkpoints, sorted(set(range(0, N, s)) | {N})
@@ -169,13 +174,54 @@ class TestGenerateTrainingPaths:
         np.testing.assert_array_equal(bundle.y, full[bundle.checkpoints])
         assert bundle.y.nbytes <= (2 * isqrt(N) + 3) * M * 8
         # the rows the sweep reads, last node first (each valid until the
-        # next segment is rebuilt into the same buffer), and the materializer
+        # next segment is rebuilt into the same buffers), and the materializer
         nodes = []
-        for i, yi in _driver_backward(model, bundle):
+        for i, yi, dWi in _driver_backward(model, bundle):
             np.testing.assert_array_equal(yi, full[i])
+            np.testing.assert_array_equal(dWi, dW[:, i])
             nodes.append(i)
         assert nodes == list(range(N - 1, -1, -1))
         np.testing.assert_array_equal(full_driver(model, bundle), full)
+
+    @pytest.mark.parametrize("N", [1, 9, 100])
+    def test_sweep_redraws_the_rows_generation_stepped_on(self, N, monkeypatch):
+        model = y_dependent_model()
+        seen = []
+        euler_rows = bsde._euler_rows
+
+        def record(model, h, dW, out):
+            seen.append(dW.copy())
+            return euler_rows(model, h, dW, out)
+
+        monkeypatch.setattr(bsde, "_euler_rows", record)
+        bundle = rl.generate_training_paths(model, 50, N, 7)
+        generated = seen.copy()
+        seen.clear()
+        rl.backward_regression_solve(model, bundle, degree=1)
+        assert len(seen) == len(generated) == len(bundle.checkpoints) - 1
+        # generation walks the segments forward, the sweep backward
+        np.testing.assert_array_equal(np.concatenate(generated), np.concatenate(seen[::-1]))
+        np.testing.assert_array_equal(np.concatenate(generated), bundle.dW.T)
+
+    def test_increments_of_fewer_paths_are_a_prefix(self):
+        model = y_dependent_model()
+        small = rl.generate_training_paths(model, 37, 10, 5)
+        large = rl.generate_training_paths(model, 5000, 10, 5)
+        np.testing.assert_array_equal(small.dW, large.dW[:37])
+        np.testing.assert_array_equal(small.y, large.y[:, :37])
+        # each node has its own stream, so a row is the same drawn alone
+        row = small.increments(6, np.empty((1, 37)))[0]
+        np.testing.assert_array_equal(row, small.dW[:, 6])
+
+    def test_regimes_come_from_the_chain_chunk_streams(self):
+        model = three_regime_model()
+        bundle = rl.generate_training_paths(model, CHUNK_SIZE + 10, 20, 9)
+        draw = lambda rng, n: (
+            sample_regimes_on_grid(model.generator, model.i0, bundle.times, rng, n),
+        )
+        (want,) = run_chunks(CHUNK_SIZE + 10, 9, "bundle", draw)
+        np.testing.assert_array_equal(bundle.regimes, want)
+        assert bundle.regimes.dtype == want.dtype
 
 
 class TestBackwardRegression:
@@ -269,17 +315,20 @@ class TestBackwardRegression:
         M, N = 400, 4
         times = np.linspace(0.0, 1.0, N + 1)
         # two distinct driver values: z^2 and z^3 duplicate the lower columns,
-        # at the checkpoints and, with dW = 0, at every node rebuilt from them
+        # at the checkpoints and, with nu = 0 (so nu * dW = 0), at every node
+        # rebuilt from them
+        model = dataclasses.replace(model, nu=0.0)
         nodes = checkpoint_nodes(N)
         y = np.tile(np.where(np.arange(M) % 2 == 0, 0.0, 1e-6), (len(nodes), 1))
         bundle = PathBundle(
             times=times,
             y=y + 0.5,
             checkpoints=nodes,
-            dW=np.zeros((M, N)),
-            regimes=np.zeros((M, N + 1), dtype=np.int64),
             seed=0,
+            generator=model.generator,
+            i0=model.i0,
         )
+        assert np.unique(full_driver(model, bundle), axis=1).shape[1] == 2
         with pytest.raises(IllConditionedRegression):
             rl.backward_regression_solve(model, bundle, degree=3)
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import regimelq as rl
+from regimelq import bsde
 from regimelq.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -407,6 +408,22 @@ class TestBsdeCommand:
         data = [l for l in lines if not l.startswith("#")]
         assert data[0].split(",")[:3] == ["node", "regime", "t"]
         assert len(data) - 1 == 20 * 2  # nodes x regimes
+
+    def test_draws_neither_the_chain_nor_the_full_increments(self, tmp_path, capsys, monkeypatch):
+        # the sweep redraws each segment's increments and reads no regime path
+        def fail(name):
+            def raise_on_use(*args):
+                raise AssertionError(f"bsde drew {name}")
+            return raise_on_use
+
+        for name in ("dW", "regimes"):
+            monkeypatch.setattr(bsde.PathBundle, name, property(fail(name)))
+        monkeypatch.setattr(bsde, "sample_regimes_on_grid", fail("a chain"))
+        rc = main([
+            "bsde", "--config", str(CONFIGS / "random_coeff.json"),
+            "--grid", "9", "--paths", "500", "--seed", "3", "--out", str(tmp_path),
+        ])
+        assert rc == 0
 
 
 def test_cli_import_leaves_scipy_unloaded():
