@@ -4,11 +4,13 @@
 
 Runs every invocation below as ``python -m regimelq.cli`` in a subprocess,
 writing under ``OUT/<name>``, and prints one ``sha256  name/file`` line per
-artifact.  Each invocation's peak resident memory, from the child's
-``os.wait4`` rusage, goes to stderr as one ``peak_rss_mb  <MiB>  name``
-line, so stdout stays the digest list.  The package is whatever the
-environment imports, so two source trees write the same bytes exactly when
-their digest lists are equal:
+artifact.  Any nonzero exit, a failed check (exit 3) included, stops the
+run with exit 1, so a complete digest list means every bundled ``verify``
+and ``frontier`` check passed.  Each invocation's peak resident memory,
+from the child's ``os.wait4`` rusage, goes to stderr as one
+``peak_rss_mb  <MiB>  name`` line, so stdout stays the digest list.  The
+package is whatever the environment imports, so two source trees write the
+same bytes exactly when their digest lists are equal:
 
     PYTHONPATH=<tree A>/src python scripts/artifact_digests.py /tmp/a > a.txt
     PYTHONPATH=<tree B>/src python scripts/artifact_digests.py /tmp/b > b.txt
@@ -84,7 +86,7 @@ def main() -> int:
         argv = [sys.executable, "-m", "regimelq.cli", *args, *workers,
                 "--seed", SEED, "--out", str(out / name)]
         rc, err, peak_mb = run_measured(argv)
-        if rc not in (0, 3):  # 3: a check failed, the report is still written
+        if rc != 0:  # 3 is a failed verify or frontier check
             print(f"{name} exited {rc}: {err.strip()}", file=sys.stderr)
             return 1
         print(f"peak_rss_mb  {peak_mb:.1f}  {name}", file=sys.stderr)

@@ -42,7 +42,6 @@ from .verify import (
     lyapunov_solve,
     perturbation_test,
     run_standard_checks,
-    stationarity_residual,
     value_identity_check,
 )
 from .bsde import (

@@ -562,9 +562,6 @@ class ResidualStats:
     mean: NDArray[np.float64]
     stderr: NDArray[np.float64]
 
-    def max_abs_mean(self) -> float:
-        return float(np.max(np.abs(self.mean)))
-
 
 def bsde_residual(
     solution: BsdeSolution, model: RandomCoefficientModel, bundle: PathBundle

@@ -36,10 +36,6 @@ class GeneratorMatrix:
     def size(self) -> int:
         return self.rates.shape[0]
 
-    @property
-    def is_zero(self) -> bool:
-        return not np.any(self.rates)
-
     def initial_regime(self, i0) -> int:
         """``i0`` as a 0-based regime index; the error names the 1-based label."""
         if not 0 <= int(i0) < self.size:

@@ -164,6 +164,8 @@ def _cmd_solve(args, cfg, meta, out: Path) -> int:
 
 def _cmd_simulate(args, cfg, meta, out: Path) -> int:
     seed = meta["seed"]
+    if args.dump_paths < 0:
+        raise ValidationError("need --dump-paths >= 0")
     problem = _parse(problem_from_config, cfg)
     grid = solve_riccati(problem, args.grid)
     law = FeedbackLaw(problem, grid)

@@ -17,7 +17,7 @@ class TestValidateGenerator:
 
     def test_zero_generator_accepted(self):
         gen = rl.validate_generator([[0.0, 0.0], [0.0, 0.0]])
-        assert gen.is_zero
+        assert not np.any(gen.rates)
 
     def test_diagonal_repaired(self):
         # row 1 sums to 1, so its diagonal is recomputed to -2

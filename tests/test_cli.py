@@ -86,6 +86,8 @@ class TestExitCodes:
              [], ""),
             ("solve", lambda: _bundled("scalar.json", lambda c: c.update(x0="abc")), [], ""),
             ("bsde", lambda: _bundled("random_coeff.json", lambda c: None), ["--degree", "-1"], ""),
+            ("simulate", lambda: _bundled("two_regime.json", lambda c: None),
+             ["--dump-paths", "-3"], "--dump-paths >= 0"),
             ("verify", lambda: _bundled("scalar.json", lambda c: None), ["--workers", "0"], ""),
             ("verify", lambda: _bundled("scalar.json", lambda c: None), ["--workers", "-1"], ""),
             ("bsde", lambda: _bundled("random_coeff.json", lambda c: c.update(regimes=3)), [],
@@ -152,7 +154,8 @@ class TestExitCodes:
         ids=[
             "missing-fields", "not-an-object", "market-missing-generator",
             "random-coefficients-missing-generator", "segment-missing-t_start",
-            "ill-typed-x0", "negative-degree", "zero-workers", "negative-workers",
+            "ill-typed-x0", "negative-degree", "negative-dump-paths", "zero-workers",
+            "negative-workers",
             "random-coefficients-regimes-mismatch", "slq-i0-zero", "market-i0-zero",
             "random-coefficients-i0-zero", "fractional-i0", "market-missing-label",
             "random-coefficients-missing-label", "random-coefficients-nan-const",

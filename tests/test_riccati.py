@@ -390,6 +390,15 @@ def test_property_p_and_lyapunov_m_exactly_symmetric(instance):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(gain_instances())
+def test_property_solved_grid_is_stationary(instance):
+    # Shat + Rhat Theta = 0 to roundoff at every node and step midpoint;
+    # symmetry and P(T) = G on these instances are the property above
+    prob, N, _ = instance
+    assert stationarity_defect(prob, rl.solve_riccati(prob, N)) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(gain_instances())
 def test_property_gain_table_equals_pointwise_gain(instance):
     # the batched table reads every time exactly as the one-time law.gain does
     prob, N, times = instance

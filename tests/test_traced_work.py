@@ -20,7 +20,6 @@ from regimelq.verify import (
     MAX_PROBE_PATHS,
     PERTURBATION_DIRECTIONS,
     PROBE_CONTROLS,
-    STATIONARITY_PATHS,
     calibration_paths,
 )
 
@@ -42,14 +41,12 @@ def test_traced_path_steps_match_verify_constants(tmp_path):
     counts = json.loads(spans.read_text())["counts"]
     probe = min(paths, MAX_PROBE_PATHS)
     # value and Lyapunov identities, their two Richardson calibrations (N and
-    # 2N grids), the paired perturbation runs, the probe controls and the
-    # recorded stationarity paths
+    # 2N grids), the paired perturbation runs and the probe controls
     expected = (
         2 * paths * N
         + 2 * calibration_paths(paths) * 3 * N
         + PERTURBATION_DIRECTIONS * 2 * probe * N
         + PROBE_CONTROLS * probe * N
-        + STATIONARITY_PATHS * N
     )
     assert counts["simulate.path_steps"] == expected
     chunks = lambda n: math.ceil(n / CHUNK_SIZE)

@@ -1,11 +1,13 @@
 """Verify module: Lyapunov solve, identities, perturbation and convexity probes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import regimelq as rl
-from regimelq.riccati import _hat_terms, _on_grid
-from regimelq.verify import stationarity_check
+from regimelq.riccati import _hat_terms, _on_grid, stationarity_defect
+from regimelq.verify import STATIONARITY_RTOL, stationarity_check
 
 from canonical import (
     det_lqr,
@@ -120,55 +122,62 @@ class TestValueIdentity:
 
 class TestStationarity:
     def test_residual_tiny_on_closed_loop(self):
+        # Shat + Rhat Theta is the closed-loop stationarity functional per unit state
         for prob in (scalar_analytic(), two_regime_coupling(), stochastic_scalar()):
             grid = rl.solve_riccati(prob, 100)
-            law = rl.FeedbackLaw(prob, grid)
-            path = rl.simulate_closed_loop(prob, law, 100, 105)
-            residual = rl.stationarity_residual(prob, path, grid)
-            scale = max(float(np.max(np.abs(path.X))), 1e-30)
-            assert residual <= 1e-8 * scale
+            assert stationarity_defect(prob, grid) <= 1e-12
 
-    @pytest.mark.parametrize("sim_N", [50, 100])
-    def test_residual_equals_per_node_restack(self, sim_N):
-        # on and off the law's nodes: the same bytes as interpolating P and
-        # re-stacking the segment at every node
+    @pytest.mark.parametrize("N", [50, 100])
+    def test_residual_equals_per_node_restack(self, N):
+        # the same bytes as interpolating P and re-stacking the segment at
+        # every node (with the stored gain) and every step midpoint (with the
+        # one-time gain)
         prob = multidim_two_segment()
-        grid = rl.solve_riccati(prob, 50)
+        grid = rl.solve_riccati(prob, N)
         law = rl.FeedbackLaw(prob, grid)
-        path = rl.simulate_closed_loop(prob, law, sim_N, 109)
+        regimes = range(prob.num_regimes)
+        gains = [(t, grid.Theta[i]) for i, t in enumerate(grid.times)]
+        gains += [(t, [law.gain(t, k) for k in regimes])
+                  for t in 0.5 * (grid.times[:-1] + grid.times[1:])]
         worst = 0.0
-        for i in range(len(path.U)):
-            t = float(path.times[i])
-            k = int(path.regimes[i])
+        for t, Theta in gains:
             Shat, Rhat = _hat_terms(law.interpolated_P(t), _on_grid(prob, t))
-            F = Shat[k] @ path.X[i] + Rhat[k] @ path.U[i]
-            worst = max(worst, float(np.linalg.norm(F)))
-        assert rl.stationarity_residual(prob, path, grid) == worst
+            for k in regimes:
+                worst = max(worst, float(np.linalg.norm(Shat[k] + Rhat[k] @ Theta[k])))
+        assert stationarity_defect(prob, grid) == worst
 
     def test_perturbed_gain_detected(self):
         prob = stochastic_scalar()
         grid = rl.solve_riccati(prob, 100)
-        law = rl.FeedbackLaw(prob, grid)
-        path = rl.simulate_closed_loop(prob, law, 100, 106)
-        broken = path
-        broken.U = path.U + 0.1  # no longer the stationary control
-        residual = rl.stationarity_residual(prob, broken, grid)
-        scale = float(np.max(np.abs(path.X)))
-        assert residual > 1e-3 * scale
+        Theta = grid.Theta.copy()
+        Theta[40, 0] += 0.1  # no longer the stationary gain at one node
+        check = stationarity_check(prob, dataclasses.replace(grid, Theta=Theta), 106)
+        assert not check.passed
+        assert check.statistic > 1e-3
 
-    def test_zero_initial_state(self):
-        prob = rl.with_initial_state(stochastic_scalar(), [0.0])
+    def test_perturbed_node_p_detected_at_that_node(self):
+        # the midpoint gains are re-solved from the interpolated P, so only the
+        # perturbed node, whose stored gain came from the old P, breaks the identity
+        prob = multidim_two_segment()
         grid = rl.solve_riccati(prob, 50)
-        law = rl.FeedbackLaw(prob, grid)
-        path = rl.simulate_closed_loop(prob, law, 50, 107)
-        assert rl.stationarity_residual(prob, path, grid) == 0.0
+        P = grid.P.copy()
+        P[20] += 0.1 * np.eye(prob.n)
+        broken = dataclasses.replace(grid, P=P)
+        check = stationarity_check(prob, broken, 107)
+        assert not check.passed
+        Shat, Rhat = _hat_terms(P[20], _on_grid(prob, grid.times[20]))
+        at_node = np.linalg.norm(Shat + Rhat @ grid.Theta[20], axis=(-2, -1)).max()
+        assert check.statistic == pytest.approx(at_node, rel=1e-12)
 
     def test_check_wrapper(self):
         prob = two_regime_coupling()
         grid = rl.solve_riccati(prob, 100)
         check = stationarity_check(prob, grid, 108)
         assert check.passed
+        assert check.statistic == stationarity_defect(prob, grid)
+        assert check.tolerance == STATIONARITY_RTOL
         assert check.stderr == 0.0 and check.bias_allowance == 0.0
+        assert check.seed == 108 and check.n == 201 * prob.num_regimes
 
 
 class TestPerturbation:
@@ -280,10 +289,7 @@ class TestMultiDimensional:
         prob = self._problem()
         grid = rl.solve_riccati(prob, 100)
         assert rl.perturbation_test(prob, grid, 6, 4000, 122).passed
-        law = rl.FeedbackLaw(prob, grid)
-        path = rl.simulate_closed_loop(prob, law, 100, 123)
-        residual = rl.stationarity_residual(prob, path, grid)
-        assert residual <= 1e-8 * float(np.max(np.abs(path.X)))
+        assert stationarity_check(prob, grid, 123).statistic <= 1e-12
 
 
 class TestCheckContract:
