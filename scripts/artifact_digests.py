@@ -46,6 +46,8 @@ def invocations(multidim: Path) -> list[tuple[str, list[str]]]:
         ("verify-multidim-w2",
          run("verify", str(multidim), "25", "--paths", "8192", "--workers", "2")),
         ("verify-det_lqr", run("verify", cfg("det_lqr"), "50", "--paths", "5000")),
+        # a feedback law on A = C = Q = 0: the probe controls have dead X columns and a live drift
+        ("verify-scalar", run("verify", cfg("scalar"), "50", "--paths", "5000")),
         ("bsde-random_coeff", run("bsde", cfg("random_coeff"), "100", "--paths", "30000")),
         ("bsde-random_coeff-degree2",
          run("bsde", cfg("random_coeff"), "40", "--paths", "20000", "--degree", "2")),

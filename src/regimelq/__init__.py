@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .chain import (
     ChainPath,
     GeneratorMatrix,
-    martingale_residual,
     sample_chain_paths,
     sample_regimes_on_grid,
     validate_generator,
@@ -15,7 +14,6 @@ from .model import (
     ProblemSpec,
     make_problem,
     problem_from_config,
-    problem_to_config,
     validate_problem,
     with_initial_state,
 )

@@ -309,36 +309,6 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
     )
 
 
-def problem_to_config(problem: ProblemSpec) -> dict:
-    """Inverse of :func:`problem_from_config` (round-trips exactly)."""
-    segments = []
-    for j in range(problem.num_segments):
-        coeffs = {}
-        for k in range(problem.num_regimes):
-            cs = problem.coefficients[j][k]
-            coeffs[str(k + 1)] = {
-                name: getattr(cs, name).tolist()
-                for name in ("A", "B", "C", "D", "Q", "S", "R")
-            }
-        segments.append({"t_start": float(problem.breakpoints[j]), "coefficients": coeffs})
-    return {
-        "spec_version": 1,
-        "kind": "slq",
-        "n": problem.n,
-        "m": problem.m,
-        "regimes": problem.num_regimes,
-        "T": problem.T,
-        "generator": problem.generator.rates.tolist(),
-        "segments": segments,
-        "G": {
-            str(k + 1): problem.coefficients[-1][k].G.tolist()
-            for k in range(problem.num_regimes)
-        },
-        "x0": problem.x0.tolist(),
-        "i0": problem.i0 + 1,
-    }
-
-
 def validate_problem(raw: dict) -> ProblemSpec:
     """Validate a raw config dict (alias for :func:`problem_from_config`)."""
     return problem_from_config(raw)

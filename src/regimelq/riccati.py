@@ -241,16 +241,24 @@ def rhat_certificate(grid: RiccatiGrid) -> float:
 
 
 def stationarity_defect(problem: ProblemSpec, grid: RiccatiGrid) -> float:
-    """Largest ||Shat + Rhat Theta||_F over regimes at every node and step midpoint.
+    """Largest relative stationarity defect over regimes at every node and step midpoint.
 
+    The defect of a (time, regime) is ||Shat + Rhat Theta||_F divided by its
+    scale ||Shat||_F + ||Rhat||_F ||Theta||_F, which bounds the numerator's
+    terms, so it does not grow with the cost weights; a zero scale has a
+    zero defect and counts as 0, and a NaN anywhere makes the result NaN.
     Pure algebra on the solved grid: ``grid.Theta`` at the nodes, and the
-    feedback law's re-solved gains at the midpoints, where P is interpolated.
+    feedback law's re-solved gains at the midpoints, where P is
+    interpolated.
     """
     law = FeedbackLaw(problem, grid)
     nodes = grid.times
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    worst = 0.0
+    worst = []
+    frobenius = lambda X: np.linalg.norm(X, axis=(-2, -1))
     for times, Theta in ((nodes, grid.Theta), (mids, law.gains_at_times(mids))):
         Shat, Rhat = law.hat_terms(times)
-        worst = max(worst, float(np.linalg.norm(Shat + Rhat @ Theta, axis=(-2, -1)).max()))
-    return worst
+        defect = frobenius(Shat + Rhat @ Theta)
+        scale = frobenius(Shat) + frobenius(Rhat) * frobenius(Theta)
+        worst.append(np.divide(defect, scale, out=defect.copy(), where=scale > 0).max())
+    return float(np.max(worst))

@@ -27,12 +27,13 @@ of Brownian increments from the chunk's stream into a reused buffer, and
 every variant consumes it.  ``mc_run`` steps a control and its common-noise
 partner at stride 1; ``paired_refinement_run`` steps its 2N grid at stride
 1 and its N grid at stride 2, on the sum of each pair of rows.  So a chunk's
-noise memory is O(paths), whatever the grid.  A pass that records no
-increments and whose variants have no diffusion (every table's rows
-Ccl X + D v zero at every node and regime: C = D = 0, as in the bundled
+noise memory is O(paths), whatever the grid.  Each variant steps only the
+row and column blocks of its matrix that are nonzero at some node and
+regime (see ``_kernel_pass``), and a pass that records no increments and
+whose variants have no live diffusion block (C = D = 0, as in the bundled
 ``slq`` configs) draws none.  That moves no byte: a chunk draws its chain
 first and its increments last, so no later draw shifts, and each skipped
-update added exact zeros to X.
+term was an exact zero.
 ``simulate_closed_loop`` is the same pass on one path with its states and
 increments recorded (used by algebraic checks and path dumps), so it always
 draws.
@@ -198,6 +199,50 @@ def _loop_table(problem: ProblemSpec, control: Control, times) -> _LoopTable:
     return _LoopTable(float(times[1] - times[0]), gains, M)
 
 
+class _LiveBlocks(NamedTuple):
+    """The live part of a loop table; see :func:`_live_blocks`."""
+
+    M: NDArray  # (N, kept rows, D x kept columns)
+    cols: slice  # the rows of [X; 1] that each regime's kept columns read
+    drift: slice | None  # rows of the compact product; None for a dead block
+    diffusion: slice | None
+    cost: slice | None
+    affine: int | None  # the v'R v row
+
+    @property
+    def dead(self) -> bool:
+        """No block is live: the state keeps x0 and the running cost 0."""
+        return all(block is None for block in self[2:])
+
+
+def _live_blocks(M: NDArray, n: int, num_regimes: int, keep_all: bool = False) -> _LiveBlocks:
+    """Cut the live blocks out of a loop table ``M``, (N, 3n+1, D(n+1)).
+
+    A row block (drift ``[0, n)``, diffusion ``[n, 2n)``, cost ``[2n, 3n)``,
+    affine cost ``3n``) or a column block (``X`` or the constant 1, in
+    every regime) is live when it holds a nonzero at some node and regime.
+    The compact matrix keeps the live rows and, per regime, the live
+    columns, in their order; with ``keep_all`` it is ``M`` itself, and only
+    the live row blocks are named.
+    """
+    per_regime = M.reshape(len(M), 3 * n + 1, num_regimes, n + 1)
+    x_live, one_live = per_regime[..., :n].any(), per_regime[..., n].any()
+    cols = slice(0 if x_live or keep_all else n, n + 1 if one_live or keep_all else n)
+    rows, blocks = [], []
+    for start, stop in ((0, n), (n, 2 * n), (2 * n, 3 * n), (3 * n, 3 * n + 1)):
+        at = len(rows)
+        blocks.append(slice(at, at + stop - start) if M[:, start:stop].any() else None)
+        if blocks[-1] is not None or keep_all:
+            rows += range(start, stop)
+    affine = blocks.pop()
+    blocks.append(None if affine is None else affine.start)
+    if keep_all:
+        return _LiveBlocks(M, cols, *blocks)
+    columns = np.arange(num_regimes)[:, None] * (n + 1) + np.arange(n + 1)[cols]
+    compact = M[:, np.array(rows, dtype=np.intp)[:, None], columns.ravel()]
+    return _LiveBlocks(np.ascontiguousarray(compact), cols, *blocks)
+
+
 def _kernel_pass(
     problem: ProblemSpec, times, regimes, rng, variants, states=None, dW=None
 ) -> list:
@@ -215,27 +260,45 @@ def _kernel_pass(
     ``states`` and ``dW``, when given, receive the first variant's X at each
     of its nodes, (nodes, n, paths), and the fine increments, (N, paths).
 
-    The pass needs noise when ``dW`` is given or when any variant's
-    diffusion rows ``M[:, n:2n]`` hold a nonzero at any node or regime.
-    Without it, it skips the draw, the sqrt(h) scaling, the stride
-    accumulator and the diffusion update, which added exact zeros, and
-    leaves ``rng`` where the chain draw left it.  On a 2-core Intel Xeon
-    machine that took a two-variant 4096-path pass of ``two_regime.json``
-    at N = 100 from 21.4 to 9.8 ms, and ``verify`` on it at
-    ``--grid 100 --paths 5000`` from 0.91 to 0.74 s.
+    Each variant steps only the live blocks of its table (see
+    :func:`_live_blocks`): its one-hot state holds only the live columns,
+    its product only the live rows, and the cost, drift and diffusion
+    updates run only for live row blocks; a variant with no live block
+    keeps ``x0`` and a zero running cost.  A pure feedback law has a dead
+    affine column and ``v'R v`` row, a problem with C = D = 0 dead
+    diffusion rows, and on ``two_regime.json`` (A = B = C = D = Q = S = 0)
+    the feedback law has no live block and a control table only its
+    ``v'R v`` entry.  No byte moves: every skipped term is an exact zero,
+    which leaves a nonzero or +0 state or cost as it was, and a matrix
+    product accumulates each entry over its terms in order.  A one-path
+    pass keeps every block, because its product is a matrix-vector
+    product, which BLAS sums in blocks of columns, so a dropped zero column
+    would regroup the other terms.  The mask ``regimes == k`` of a node is
+    formed once per step and shared by the variants that step from it.
+
+    The pass needs noise when ``dW`` is given or when some variant's
+    diffusion block is live.  Without it, it skips the draw, the sqrt(h)
+    scaling and the stride accumulator, and leaves ``rng`` where the chain
+    draw left it.  On a 2-core Intel Xeon machine, a two-variant 4096-path
+    pass (feedback law and perturbed law) of ``two_regime.json`` at
+    N = 100 took 12.6 ms on the full table and 3.7 ms on the live blocks;
+    the multidim pass at N = 25, which only drops the affine blocks of its
+    feedback variant, took 10.2 -> 9.7 ms (medians of 60 interleaved runs).
     """
-    n = problem.n
+    n, num_regimes = problem.n, problem.num_regimes
     paths = regimes.shape[0]
-    noisy = dW is not None or any(table.M[:, n : 2 * n].any() for table, _ in variants)
-    labels = np.arange(problem.num_regimes, dtype=regimes.dtype)[:, None, None]
-    Z = np.empty((problem.num_regimes, n + 1, paths))  # e_k (x) [X; 1] per path
-    Y = np.empty((3 * n + 1, paths))
+    labels = np.arange(num_regimes, dtype=regimes.dtype)[:, None, None]
     lanes = []
     for table, stride in variants:
+        live = _live_blocks(table.M, n, num_regimes, keep_all=paths == 1)
         X1 = np.ones((n + 1, paths))  # [X; 1]
         X1[:n] = problem.x0[:, None]
-        acc = np.empty(paths) if stride > 1 else None
-        lanes.append((table, stride, X1, np.zeros(paths), acc))
+        acc = np.empty(paths) if stride > 1 and live.diffusion is not None else None
+        lanes.append((table.h, stride, live, X1, np.zeros(paths), acc))
+    noisy = dW is not None or any(live.diffusion is not None for _, _, live, *_ in lanes)
+    # one buffer each for the one-hot state and the product, sized for the widest lane
+    Z = np.empty(max((live.M.shape[2] for _, _, live, *_ in lanes), default=0) * paths)
+    Y = np.empty(max((live.M.shape[1] for _, _, live, *_ in lanes), default=0) * paths)
     row = np.empty(paths)
     sqrt_h = np.sqrt(times[1] - times[0])
     for i in range(len(times) - 1):
@@ -244,9 +307,10 @@ def _kernel_pass(
             row *= sqrt_h
             if dW is not None:
                 dW[i] = row
-        for lane, (table, stride, X1, running, acc) in enumerate(lanes):
+        masks = {}  # node -> regimes == labels at that node
+        for lane, (h, stride, live, X1, running, acc) in enumerate(lanes):
             dw = row
-            if stride > 1 and noisy:
+            if acc is not None:
                 if i % stride:
                     np.add(acc, row, out=acc)
                 else:
@@ -258,15 +322,29 @@ def _kernel_pass(
             X = X1[:n]
             if states is not None and lane == 0:
                 states[j] = X
-            np.multiply(regimes[:, i + 1 - stride] == labels, X1, out=Z)
-            np.matmul(table.M[j], Z.reshape(-1, paths), out=Y)
-            running += table.h * (np.einsum("ip,ip->p", X, Y[2 * n : 3 * n]) + Y[3 * n])
-            X += Y[:n] * table.h
-            if noisy:
-                X += Y[n : 2 * n] * dw
+            if live.dead:
+                continue
+            left = i + 1 - stride
+            if left not in masks:
+                masks[left] = regimes[:, left] == labels
+            Zj = Z[: live.M.shape[2] * paths].reshape(num_regimes, -1, paths)
+            np.multiply(masks[left], X1[live.cols], out=Zj)
+            Yj = Y[: live.M.shape[1] * paths].reshape(-1, paths)
+            np.matmul(live.M[j], Zj.reshape(-1, paths), out=Yj)
+            if live.cost is not None:
+                cost = np.einsum("ip,ip->p", X, Yj[live.cost])
+                if live.affine is not None:
+                    cost += Yj[live.affine]
+                running += h * cost
+            elif live.affine is not None:
+                running += h * Yj[live.affine]
+            if live.drift is not None:
+                X += Yj[live.drift] * h
+            if live.diffusion is not None:
+                X += Yj[live.diffusion] * dw
     G_T = problem.terminal_weights()[regimes[:, -1]]
     out = []
-    for _, _, X1, running, _ in lanes:
+    for *_, X1, running, _ in lanes:
         X_T = X1[:n].T
         if not np.all(np.isfinite(X_T)):
             raise NonFiniteState("state became non-finite during batch simulation")

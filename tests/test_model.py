@@ -11,7 +11,7 @@ from regimelq.errors import (
     OutOfHorizon,
 )
 
-from canonical import coeff_at, scalar_analytic
+from canonical import coeff_at, problem_to_config, scalar_analytic
 
 
 def _scalar_coeffs(**kw):
@@ -130,7 +130,7 @@ class TestConfigRoundTrip:
             G=[[[1.0]], [[2.0]]], x0=[1.5], i0=1,
             breakpoints=[0.0, 0.25, 1.0],
         )
-        cfg = rl.problem_to_config(prob)
+        cfg = problem_to_config(prob)
         prob2 = rl.problem_from_config(cfg)
         assert prob2.i0 == prob.i0
         np.testing.assert_array_equal(prob2.breakpoints, prob.breakpoints)
@@ -143,10 +143,10 @@ class TestConfigRoundTrip:
                         getattr(prob.coefficients[j][k], name),
                     )
         # second round trip is byte-stable
-        assert rl.problem_to_config(prob2) == cfg
+        assert problem_to_config(prob2) == cfg
 
     def test_one_based_regime_labels_in_config(self):
         prob = scalar_analytic()
-        cfg = rl.problem_to_config(prob)
+        cfg = problem_to_config(prob)
         assert cfg["i0"] == 1
         assert set(cfg["G"].keys()) == {"1"}

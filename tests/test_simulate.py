@@ -562,6 +562,160 @@ def test_recorded_diffusion_free_path_keeps_drawing_its_increments():
     assert path.dW.tobytes() == dW[0].tobytes()
 
 
+# --- live blocks -----------------------------------------------------------
+
+def _block_index(n: int, block: str):
+    """(row or column axis, index) of a named block of a (N, 3n+1, D, n+1) table."""
+    return {
+        "drift": (1, slice(0, n)), "diffusion": (1, slice(n, 2 * n)),
+        "cost": (1, slice(2 * n, 3 * n)), "affine": (1, 3 * n),
+        "X": (3, slice(0, n)), "1": (3, n),
+    }[block]
+
+
+def _zeroed(table, n: int, num_regimes: int, blocks, regimes=None):
+    """``table`` with the named blocks zeroed, in every regime or only in ``regimes``."""
+    M = table.M.reshape(len(table.M), 3 * n + 1, num_regimes, n + 1).copy()
+    for block in blocks:
+        axis, index = _block_index(n, block)
+        where = [slice(None)] * 4
+        where[axis] = index
+        where[2] = slice(None) if regimes is None else regimes
+        M[tuple(where)] = 0.0
+    return table._replace(M=M.reshape(table.M.shape))
+
+
+def _assert_pass_matches_full_table(prob, times, variants, n_paths, seed, record=False):
+    """The live-block pass, its draws and its recordings, bit for bit against
+    the full-table reference on the increments replayed from the same stream."""
+    rng = derive_rng(seed)
+    regimes = sample_regimes_on_grid(prob.generator, prob.i0, times, rng, n_paths)
+    after_chain = rng.bit_generator.state
+    N, first_stride = len(times) - 1, variants[0][1]
+    states = np.empty((N // first_stride + 1, prob.n, n_paths)) if record else None
+    drawn = np.empty((N, n_paths)) if record else None
+    got = _kernel_pass(prob, times, regimes, rng, variants, states=states, dW=drawn)
+    _, dW = ref.replay_chunk_noise(prob, times, derive_rng(seed), n_paths)
+    noisy = record or any(table.M[:, prob.n : 2 * prob.n].any() for table, _ in variants)
+    assert (rng.bit_generator.state != after_chain) == noisy
+    if record:
+        assert drawn.T.tobytes() == np.ascontiguousarray(dW).tobytes()
+    for lane, ((table, stride), actual) in enumerate(zip(variants, got)):
+        want_states = np.empty_like(states) if record and lane == 0 else None
+        summed = sum(dW[:, k::stride] for k in range(stride))
+        want = ref.full_table_evolve(prob, table, regimes[:, ::stride], summed, want_states)
+        for a, b in zip(actual, want):
+            assert a.tobytes() == np.ascontiguousarray(b).tobytes()
+        if want_states is not None:
+            assert states.tobytes() == want_states.tobytes()
+    return got
+
+
+LIVE_BLOCKS = ["drift", "diffusion", "cost", "affine", "X", "1"]
+
+
+@pytest.mark.parametrize("blocks", [[b] for b in LIVE_BLOCKS] + [LIVE_BLOCKS],
+                         ids=LIVE_BLOCKS + ["all"])
+@pytest.mark.parametrize("record", [False, True], ids=["batch", "recorded"])
+def test_live_block_pass_matches_full_table(blocks, record):
+    # a perturbed law on a problem with diffusion has every block live; one
+    # block (or all) zeroed in its stride-1 lane and its stride-2 lane, next
+    # to an untouched feedback lane
+    prob = multidim_two_segment()
+    n, d, N = prob.n, prob.num_regimes, 10
+    times2 = np.linspace(0.0, prob.T, 2 * N + 1)
+    law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 2 * N))
+    v = 0.3 * derive_rng(33).standard_normal((2 * N, prob.m))
+    perturbed = rl.PerturbedFeedback(law, rl.ControlTable(v))
+    fine = _zeroed(_loop_table(prob, perturbed, times2), n, d, blocks)
+    coarse = _zeroed(_loop_table(prob, law, times2[::2]), n, d, blocks)
+    full = simulate._live_blocks(_loop_table(prob, perturbed, times2).M, n, d)
+    live = simulate._live_blocks(fine.M, n, d)
+    assert full.M.shape == (2 * N, 3 * n + 1, d * (n + 1))
+    assert live.M.size == 0 if blocks == LIVE_BLOCKS else live.M.size < full.M.size
+    variants = [(fine, 1), (coarse, 2), (_loop_table(prob, law, times2), 1)]
+    got = _assert_pass_matches_full_table(prob, times2, variants, 40, 34, record)
+    if blocks == LIVE_BLOCKS:
+        for lane in got[:2]:  # no live block: x0 and a zero running cost
+            assert not lane[0].any() and (lane[2] == prob.x0).all()
+
+
+def test_live_blocks_vanish_in_every_regime_only():
+    # a block zeroed in some regimes but not all stays live
+    prob = multidim_two_segment()
+    n, d, N = prob.n, prob.num_regimes, 6
+    times = np.linspace(0.0, prob.T, N + 1)
+    law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, N))
+    table = _zeroed(_loop_table(prob, law, times), n, d, ["drift", "X"], regimes=[0, 2])
+    live = simulate._live_blocks(table.M, n, d)
+    assert live.cols == slice(0, n)  # the constant column of a feedback law is dead
+    assert (live.drift, live.diffusion, live.cost, live.affine) == (
+        slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n), None
+    )
+    assert live.M.shape == (N, 3 * n, d * n)
+    _assert_pass_matches_full_table(prob, times, [(table, 1)], 40, 35)
+
+
+def test_two_regime_pattern_steps_only_the_affine_cost():
+    # A = B = C = D = Q = S = 0: Theta = 0, so the feedback law has no live
+    # block and a perturbed law only its v'R v entry; nothing is drawn
+    prob = rl.validate_problem(json.loads((CONFIGS / "two_regime.json").read_text()))
+    n, d, N = prob.n, prob.num_regimes, 10
+    times2 = np.linspace(0.0, prob.T, 2 * N + 1)
+    law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 2 * N))
+    v = 0.3 * derive_rng(36).standard_normal((2 * N, prob.m))
+    perturbed = _loop_table(prob, rl.PerturbedFeedback(law, rl.ControlTable(v)), times2)
+    feedback = _loop_table(prob, law, times2)
+    assert simulate._live_blocks(feedback.M, n, d).M.size == 0
+    live = simulate._live_blocks(perturbed.M, n, d)
+    assert live.M.shape == (2 * N, 1, d) and live.cols == slice(n, n + 1)
+    assert live.affine == 0 and live.drift is live.diffusion is live.cost is None
+    variants = [(perturbed, 1), (_loop_table(prob, law, times2[::2]), 2), (feedback, 1)]
+    got = _assert_pass_matches_full_table(prob, times2, variants, 40, 37)
+    for running, _, x_T in got[1:]:
+        assert not running.any() and (x_T == prob.x0).all()
+
+
+@st.composite
+def zero_patterns(draw):
+    """A random table with n, D <= 3 and a random set of its blocks zeroed,
+    in every regime or in some, as up to three lanes at stride 1 or 2."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    d = draw(st.integers(min_value=1, max_value=3))
+    N = draw(st.integers(min_value=1, max_value=5))
+    rates = np.full((d, d), 1.5)
+    np.fill_diagonal(rates, -1.5 * (d - 1))
+    cell = {"A": np.zeros((n, n)), "B": np.zeros((n, 1)), "C": np.zeros((n, n)),
+            "D": np.zeros((n, 1)), "Q": np.eye(n), "S": np.zeros((1, n)), "R": np.eye(1)}
+    x0 = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))) + 0.0
+    prob = rl.make_problem(
+        n=n, m=1, T=1.0, generator=rates, coefficients=[[cell] * d],
+        G=[np.eye(n)] * d, x0=x0, i0=draw(st.integers(min_value=0, max_value=d - 1)),
+    )
+    times = np.linspace(0.0, 1.0, 2 * N + 1)
+    variants = []
+    for lane in range(draw(st.integers(min_value=1, max_value=3))):
+        stride = draw(st.sampled_from([1, 2]))
+        nodes = 2 * N // stride
+        rng = derive_rng(38, n, d, N, lane)
+        M = 0.5 * rng.standard_normal((nodes, 3 * n + 1, d * (n + 1)))
+        table = simulate._LoopTable(float(times[stride]), None, M)
+        dead = draw(st.lists(st.sampled_from(LIVE_BLOCKS), unique=True))
+        some = draw(st.lists(st.integers(min_value=0, max_value=d - 1), unique=True))
+        table = _zeroed(table, n, d, dead)
+        table = _zeroed(table, n, d, draw(st.lists(st.sampled_from(LIVE_BLOCKS))), some)
+        variants.append((table, stride))
+    n_paths = draw(st.sampled_from([1, 2, 5, 37]))
+    return prob, times, variants, n_paths, draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(zero_patterns())
+def test_property_live_block_pass_matches_full_table(instance):
+    prob, times, variants, n_paths, record = instance
+    _assert_pass_matches_full_table(prob, times, variants, n_paths, 39, record)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_chunk_lanes_keep_the_floating_point_error_state(workers):
     # a fault raises on a worker lane exactly as on the caller's thread

@@ -14,6 +14,8 @@ from canonical import (
     multidim_two_segment,
     nonconvex,
     one_regime_market,
+    problem_to_config,
+    random_convex,
     scalar_analytic,
     stochastic_scalar,
     two_regime_coupling,
@@ -120,6 +122,24 @@ class TestValueIdentity:
 
 
 
+def _relative_defect(Shat, Rhat, Theta) -> float:
+    """||Shat + Rhat Theta||_F / (||Shat||_F + ||Rhat||_F ||Theta||_F), 0 on a zero scale."""
+    norm = np.linalg.norm
+    scale = norm(Shat) + norm(Rhat) * norm(Theta)
+    return float(norm(Shat + Rhat @ Theta) / scale) if scale > 0 else 0.0
+
+
+def _scaled_costs(prob: rl.ProblemSpec, scale: float) -> rl.ProblemSpec:
+    """``prob`` with Q, S, R and G multiplied by ``scale``."""
+    cfg = problem_to_config(prob)
+    for segment in cfg["segments"]:
+        for cell in segment["coefficients"].values():
+            for name in ("Q", "S", "R"):
+                cell[name] = (scale * np.array(cell[name])).tolist()
+    cfg["G"] = {k: (scale * np.array(G)).tolist() for k, G in cfg["G"].items()}
+    return rl.problem_from_config(cfg)
+
+
 class TestStationarity:
     def test_residual_tiny_on_closed_loop(self):
         # Shat + Rhat Theta is the closed-loop stationarity functional per unit state
@@ -143,7 +163,7 @@ class TestStationarity:
         for t, Theta in gains:
             Shat, Rhat = _hat_terms(law.interpolated_P(t), _on_grid(prob, t))
             for k in regimes:
-                worst = max(worst, float(np.linalg.norm(Shat[k] + Rhat[k] @ Theta[k])))
+                worst = max(worst, _relative_defect(Shat[k], Rhat[k], Theta[k]))
         assert stationarity_defect(prob, grid) == worst
 
     def test_perturbed_gain_detected(self):
@@ -166,8 +186,38 @@ class TestStationarity:
         check = stationarity_check(prob, broken, 107)
         assert not check.passed
         Shat, Rhat = _hat_terms(P[20], _on_grid(prob, grid.times[20]))
-        at_node = np.linalg.norm(Shat + Rhat @ grid.Theta[20], axis=(-2, -1)).max()
+        at_node = max(_relative_defect(*terms) for terms in zip(Shat, Rhat, grid.Theta[20]))
         assert check.statistic == pytest.approx(at_node, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e8, 1e10])
+    def test_bound_is_relative_to_the_cost_weights(self, scale):
+        # Q, S, R and G times a scale leave Theta unchanged and P scaled; the
+        # absolute defect grew with it (1.33e-7 at 1e8, 9.3e-6 at 1e10)
+        prob = _scaled_costs(random_convex(3), scale)
+        grid = rl.solve_riccati(prob, 50)
+        check = stationarity_check(prob, grid, 109)
+        assert check.passed and check.statistic <= 1e-14
+        Theta = grid.Theta.copy()
+        Theta[20, 0] *= 1.0 + 1e-6  # a gain off by a relative 1e-6 at one node
+        broken = stationarity_check(prob, dataclasses.replace(grid, Theta=Theta), 109)
+        assert not broken.passed and broken.statistic > 1e-7
+
+    def test_non_finite_gain_detected(self):
+        # a NaN defect fails the check rather than dropping out of the maximum
+        prob = stochastic_scalar()
+        grid = rl.solve_riccati(prob, 50)
+        Theta = grid.Theta.copy()
+        Theta[10, 0] = np.nan
+        check = stationarity_check(prob, dataclasses.replace(grid, Theta=Theta), 111)
+        assert not check.passed and np.isnan(check.statistic)
+
+    def test_zero_scale_counts_as_zero(self):
+        # two_regime_coupling has B = D = S = 0, so Shat = 0 and Theta = 0
+        prob = two_regime_coupling()
+        grid = rl.solve_riccati(prob, 50)
+        assert not grid.Theta.any()
+        check = stationarity_check(prob, grid, 110)
+        assert check.passed and check.statistic == 0.0
 
     def test_check_wrapper(self):
         prob = two_regime_coupling()
