@@ -11,17 +11,27 @@ alone), so a floating-point fault is a numerical failure too.  Errors are
 printed as single-line JSON on stderr.  Seeds are mandatory; outputs embed
 the config hash, seed and tool version and are byte-identical for identical
 invocations, independent of ``--workers``.
+
+Parallelism: ``--workers`` lanes run path chunks on threads, and they are
+the only parallelism.  When this module is the first to load numpy and none
+of ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` is
+set, it sets ``OMP_NUM_THREADS=1`` before that import, so BLAS runs one
+thread per lane instead of stacking its own threads on the lanes (an idle
+OpenBLAS thread busy-waits).  Any of the three variables overrides it.
+Library use, with numpy imported first, keeps numpy's default.  The
+artifacts do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
 import os
-import sys
-from pathlib import Path
 
+if not any(v in os.environ for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                     "MKL_NUM_THREADS")):
+    os.environ["OMP_NUM_THREADS"] = "1"
+
+# numpy and the package load before the standard modules below: that order
+# gave the lowest peak RSS
 import numpy as np
 
 from . import __version__
@@ -33,6 +43,12 @@ from .riccati import FeedbackLaw, solve_riccati
 from .simulate import MIN_PATHS, mc_cost, simulate_closed_loop
 from .streams import derive_seed
 from .verify import run_standard_checks
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,7 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=os.cpu_count() or 1,
-            help="worker lanes for path chunks (output-invariant)",
+            help="worker lanes for path chunks, one BLAS thread each unless "
+                 "OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS is set "
+                 "(output-invariant)",
         )
 
     common(sub.add_parser("solve", help="solve the Riccati system, write CSV"), 0)

@@ -79,8 +79,8 @@ def _guard_rhat(Rhat: NDArray, times) -> NDArray:
     below ``RHAT_FLOOR``, naming the regime of smallest eigenvalue there.
     """
     min_eigs = np.linalg.eigvalsh(Rhat)[..., 0]
-    failing = np.any(min_eigs < RHAT_FLOOR, axis=-1)
-    if np.any(failing):
+    failing = (min_eigs < RHAT_FLOOR).any(axis=-1)
+    if failing.any():
         i = int(np.argmax(failing))
         k = int(np.argmin(min_eigs[i]))
         raise SingularRhat(float(times[i]), k, float(min_eigs[i, k]))
@@ -174,7 +174,7 @@ def _integrate_backward(
     for i in range(N, 0, -1):
         st = _SegmentStack(*(a[i - 1] for a in steps))
         P[i - 1] = _rk4_step(P[i], h, times[i], st, rates, quadratic)
-        if not np.all(np.isfinite(P[i - 1])):
+        if not np.isfinite(P[i - 1]).all():
             raise NonFiniteState(f"non-finite Riccati state at t={times[i - 1]:.6g}")
     return times, P
 

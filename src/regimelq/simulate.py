@@ -173,6 +173,7 @@ class _LoopTable(NamedTuple):
     h: float
     gains: NDArray | None  # (N, D, m, n) Theta; None for a pure ControlTable
     M: NDArray  # (N, 3n+1, D(n+1)): column block k maps [X; 1] of regime k
+    live: _LiveBlocks  # the live blocks of M, cut once per table
 
 
 def _loop_table(problem: ProblemSpec, control: Control, times) -> _LoopTable:
@@ -196,7 +197,8 @@ def _loop_table(problem: ProblemSpec, control: Control, times) -> _LoopTable:
         )
         M[..., 3 * n :, n:] = v.swapaxes(-1, -2) @ Rv
     M = np.ascontiguousarray(M.transpose(0, 2, 1, 3)).reshape(len(M), 3 * n + 1, -1)
-    return _LoopTable(float(times[1] - times[0]), gains, M)
+    h = float(times[1] - times[0])
+    return _LoopTable(h, gains, M, _live_blocks(M, n, problem.num_regimes))
 
 
 class _LiveBlocks(NamedTuple):
@@ -243,6 +245,30 @@ def _live_blocks(M: NDArray, n: int, num_regimes: int, keep_all: bool = False) -
     return _LiveBlocks(np.ascontiguousarray(compact), cols, *blocks)
 
 
+class _Lane(NamedTuple):
+    """One variant's plan for one kernel pass (see :func:`_kernel_pass`).
+
+    The buffer fields are views into the pass's shared one-hot buffer ``Z``
+    and product buffer ``Y``, set up once per pass; every row field is None
+    when its block is dead, and ``M`` is None when every block is.
+    """
+
+    h: float
+    stride: int
+    M: NDArray | None  # the live table, (nodes, rows, cols)
+    X: NDArray  # (n, paths) view of the state
+    X1: NDArray  # the rows of [X; 1] that the live columns read
+    Z: NDArray  # (D, kept columns, paths): the one-hot state
+    Z2: NDArray  # Z as (D x kept columns, paths), the product's operand
+    Y: NDArray  # (rows, paths): the product
+    drift: NDArray | None  # rows of Y
+    diffusion: NDArray | None
+    cost: NDArray | None
+    affine: NDArray | None  # the v'R v row of Y
+    running: NDArray  # (paths,) running cost
+    acc: NDArray | None  # (paths,) pair-sum of the increments at stride > 1
+
+
 def _kernel_pass(
     problem: ProblemSpec, times, regimes, rng, variants, states=None, dW=None
 ) -> list:
@@ -260,21 +286,28 @@ def _kernel_pass(
     ``states`` and ``dW``, when given, receive the first variant's X at each
     of its nodes, (nodes, n, paths), and the fine increments, (N, paths).
 
-    Each variant steps only the live blocks of its table (see
-    :func:`_live_blocks`): its one-hot state holds only the live columns,
-    its product only the live rows, and the cost, drift and diffusion
-    updates run only for live row blocks; a variant with no live block
-    keeps ``x0`` and a zero running cost.  A pure feedback law has a dead
-    affine column and ``v'R v`` row, a problem with C = D = 0 dead
+    Each variant steps only the live blocks of its table (``table.live``,
+    see :func:`_live_blocks`): its one-hot state holds only the live
+    columns, its product only the live rows, and the cost, drift and
+    diffusion updates run only for live row blocks; a variant with no live
+    block keeps ``x0`` and a zero running cost.  A pure feedback law has a
+    dead affine column and ``v'R v`` row, a problem with C = D = 0 dead
     diffusion rows, and on ``two_regime.json`` (A = B = C = D = Q = S = 0)
     the feedback law has no live block and a control table only its
     ``v'R v`` entry.  No byte moves: every skipped term is an exact zero,
     which leaves a nonzero or +0 state or cost as it was, and a matrix
     product accumulates each entry over its terms in order.  A one-path
-    pass keeps every block, because its product is a matrix-vector
-    product, which BLAS sums in blocks of columns, so a dropped zero column
-    would regroup the other terms.  The mask ``regimes == k`` of a node is
-    formed once per step and shared by the variants that step from it.
+    pass cuts the whole table instead, because its product is a
+    matrix-vector product, which BLAS sums in blocks of columns, so a
+    dropped zero column would regroup the other terms.
+
+    Each variant's plan (:class:`_Lane`) is set up once per pass: its
+    buffer and row views, and its dead flag.  A step forms the mask
+    ``regimes == k`` of a node into one reused buffer, once for the lanes
+    in a row that step from that node, and updates the cost and the state
+    in place through one scratch row, by the operations and in the order
+    of ``running += h * (X'Y_cost + Y_affine)``, ``X += Y_drift * h`` and
+    ``X += Y_diffusion * dW``.
 
     The pass needs noise when ``dW`` is given or when some variant's
     diffusion block is live.  Without it, it skips the draw, the sqrt(h)
@@ -287,19 +320,32 @@ def _kernel_pass(
     """
     n, num_regimes = problem.n, problem.num_regimes
     paths = regimes.shape[0]
-    labels = np.arange(num_regimes, dtype=regimes.dtype)[:, None, None]
+    cuts = [
+        _live_blocks(table.M, n, num_regimes, keep_all=True) if paths == 1 else table.live
+        for table, _ in variants
+    ]
+    # one buffer each for the one-hot state and the product, sized for the widest lane
+    Z = np.empty(max((live.M.shape[2] for live in cuts), default=0) * paths)
+    Y = np.empty(max((live.M.shape[1] for live in cuts), default=0) * paths)
     lanes = []
-    for table, stride in variants:
-        live = _live_blocks(table.M, n, num_regimes, keep_all=paths == 1)
+    for (table, stride), live in zip(variants, cuts):
         X1 = np.ones((n + 1, paths))  # [X; 1]
         X1[:n] = problem.x0[:, None]
-        acc = np.empty(paths) if stride > 1 and live.diffusion is not None else None
-        lanes.append((table.h, stride, live, X1, np.zeros(paths), acc))
-    noisy = dW is not None or any(live.diffusion is not None for _, _, live, *_ in lanes)
-    # one buffer each for the one-hot state and the product, sized for the widest lane
-    Z = np.empty(max((live.M.shape[2] for _, _, live, *_ in lanes), default=0) * paths)
-    Y = np.empty(max((live.M.shape[1] for _, _, live, *_ in lanes), default=0) * paths)
+        Zj = Z[: live.M.shape[2] * paths].reshape(num_regimes, -1, paths)
+        Yj = Y[: live.M.shape[1] * paths].reshape(-1, paths)
+        rows = lambda block: None if block is None else Yj[block]
+        lanes.append(_Lane(
+            table.h, stride, None if live.dead else live.M, X1[:n], X1[live.cols],
+            Zj, Zj.reshape(-1, paths), Yj, rows(live.drift), rows(live.diffusion),
+            rows(live.cost), rows(live.affine), np.zeros(paths),
+            np.empty(paths) if stride > 1 and live.diffusion is not None else None,
+        ))
+    noisy = dW is not None or any(lane.diffusion is not None for lane in lanes)
+    labels = np.arange(num_regimes, dtype=regimes.dtype)[:, None, None]
+    mask = np.empty((num_regimes, 1, paths), dtype=bool)
+    mask_node = -1  # the node whose regimes == labels the mask holds
     row = np.empty(paths)
+    scratch = np.empty(paths)
     sqrt_h = np.sqrt(times[1] - times[0])
     for i in range(len(times) - 1):
         if noisy:
@@ -307,8 +353,8 @@ def _kernel_pass(
             row *= sqrt_h
             if dW is not None:
                 dW[i] = row
-        masks = {}  # node -> regimes == labels at that node
-        for lane, (h, stride, live, X1, running, acc) in enumerate(lanes):
+        for lane, (h, stride, M, X, X1, Zj, Z2, Yj, drift, diffusion, cost, affine,
+                   running, acc) in enumerate(lanes):
             dw = row
             if acc is not None:
                 if i % stride:
@@ -319,37 +365,38 @@ def _kernel_pass(
             if (i + 1) % stride:
                 continue
             j = i // stride
-            X = X1[:n]
             if states is not None and lane == 0:
                 states[j] = X
-            if live.dead:
+            if M is None:
                 continue
             left = i + 1 - stride
-            if left not in masks:
-                masks[left] = regimes[:, left] == labels
-            Zj = Z[: live.M.shape[2] * paths].reshape(num_regimes, -1, paths)
-            np.multiply(masks[left], X1[live.cols], out=Zj)
-            Yj = Y[: live.M.shape[1] * paths].reshape(-1, paths)
-            np.matmul(live.M[j], Zj.reshape(-1, paths), out=Yj)
-            if live.cost is not None:
-                cost = np.einsum("ip,ip->p", X, Yj[live.cost])
-                if live.affine is not None:
-                    cost += Yj[live.affine]
-                running += h * cost
-            elif live.affine is not None:
-                running += h * Yj[live.affine]
-            if live.drift is not None:
-                X += Yj[live.drift] * h
-            if live.diffusion is not None:
-                X += Yj[live.diffusion] * dw
+            if left != mask_node:
+                np.equal(regimes[:, left], labels, out=mask)
+                mask_node = left
+            np.multiply(mask, X1, out=Zj)
+            np.matmul(M[j], Z2, out=Yj)
+            term = affine
+            if cost is not None:
+                term = np.einsum("ip,ip->p", X, cost, out=scratch)
+                if affine is not None:
+                    term += affine
+            if term is not None:
+                term *= h
+                running += term
+            if drift is not None:
+                drift *= h
+                X += drift
+            if diffusion is not None:
+                diffusion *= dw
+                X += diffusion
     G_T = problem.terminal_weights()[regimes[:, -1]]
     out = []
-    for *_, X1, running, _ in lanes:
-        X_T = X1[:n].T
-        if not np.all(np.isfinite(X_T)):
+    for lane in lanes:
+        X_T, running = lane.X.T, lane.running
+        if not np.isfinite(X_T).all():
             raise NonFiniteState("state became non-finite during batch simulation")
         terminal = np.einsum("pi,pij,pj->p", X_T, G_T, X_T)
-        if not (np.all(np.isfinite(running)) and np.all(np.isfinite(terminal))):
+        if not (np.isfinite(running).all() and np.isfinite(terminal).all()):
             raise NonFiniteState("cost became non-finite during batch simulation")
         out.append((running, terminal, X_T))
     if states is not None:

@@ -429,22 +429,94 @@ class TestBsdeCommand:
         assert rc == 0
 
 
+_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _fresh_python(code: str, **env) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this checkout's
+    package, with none of the BLAS thread variables set except ``env``'s."""
+    src = Path(rl.__file__).resolve().parent.parent
+    base = {k: v for k, v in os.environ.items() if k not in _THREAD_VARIABLES}
+    base["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**base, **env}, check=True,
+    )
+    return result.stdout
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is imported on use by the frontier's moment propagation only
-    src = Path(rl.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     code = "import sys, regimelq.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_package_import_loads_no_numpy():
+    # the public names load on first access, so the CLI can set the BLAS
+    # thread default before numpy loads
+    code = "import sys, regimelq; print('numpy' in sys.modules, regimelq.__version__)"
+    assert _fresh_python(code).split() == ["False", rl.__version__]
+
+
+@pytest.mark.parametrize("user", [
+    {}, {"OMP_NUM_THREADS": "3"}, {"OPENBLAS_NUM_THREADS": "4"}, {"MKL_NUM_THREADS": "2"},
+], ids=["none", "omp", "openblas", "mkl"])
+def test_cli_import_sets_one_blas_thread_unless_the_user_chose(user):
+    code = (
+        "import json, os, regimelq.cli\n"
+        f"print(json.dumps({{k: os.environ.get(k) for k in {_THREAD_VARIABLES!r}}}))\n"
     )
-    assert result.stdout.strip() == "[]"
+    seen = json.loads(_fresh_python(code, **user))
+    want = dict.fromkeys(_THREAD_VARIABLES, None)
+    want.update(user or {"OMP_NUM_THREADS": "1"})
+    assert seen == want
+
+
+# every public name of the package, by the submodule that defines it
+PUBLIC_NAMES = {
+    "chain": ["ChainPath", "GeneratorMatrix", "sample_chain_paths", "sample_regimes_on_grid",
+              "validate_generator"],
+    "model": ["CoefficientSet", "ProblemSpec", "make_problem", "problem_from_config",
+              "validate_problem", "with_initial_state"],
+    "riccati": ["FeedbackLaw", "RiccatiGrid", "rhat_certificate", "solve_riccati"],
+    "simulate": ["ControlTable", "MCEstimate", "PathRecord", "PerturbedFeedback", "mc_cost",
+                 "mc_cost_diff", "simulate_closed_loop"],
+    "verify": ["CheckResult", "LyapunovGrid", "convexity_probe", "lyapunov_identity_check",
+               "lyapunov_solve", "perturbation_test", "run_standard_checks",
+               "value_identity_check"],
+    "bsde": ["BsdeSolution", "PathBundle", "RandomCoefficientModel",
+             "backward_regression_solve", "bsde_residual", "generate_training_paths",
+             "make_model"],
+    "meanvar": ["FrontierPoint", "MarketSpec", "efficient_frontier", "lagrange_solve",
+                "make_market", "market_from_config", "market_to_problem", "mv_moment_odes",
+                "mv_riccati", "mv_simulate_check"],
+}
+
+
+def test_lazy_names_are_the_submodules_objects():
+    code = (
+        "import importlib, json, sys, regimelq\n"
+        f"sources = {PUBLIC_NAMES!r}\n"
+        "before = 'numpy' in sys.modules\n"
+        "same = all(getattr(regimelq, name) is getattr(importlib.import_module(\n"
+        "    'regimelq.' + module), name) for module, names in sources.items() for name in names)\n"
+        "try:\n"
+        "    regimelq.no_such_name\n"
+        "    missing = 'no error'\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "print(json.dumps([before, same, sorted(regimelq.__all__),\n"
+        "                  set(regimelq.__all__) <= set(dir(regimelq)), missing]))\n"
+    )
+    before, same, names, listed, missing = json.loads(_fresh_python(code))
+    assert not before and same and listed
+    assert names == sorted(name for names in PUBLIC_NAMES.values() for name in names)
+    assert missing == "module 'regimelq' has no attribute 'no_such_name'"
 
 
 def test_thread_pool_is_imported_only_for_two_lanes():
     # run_chunks imports concurrent.futures (and with it logging) when it
     # starts a pool, so neither loads with the CLI or a single lane
-    src = Path(rl.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys, numpy as np, regimelq.cli\n"
         "from regimelq.streams import CHUNK_SIZE, run_chunks\n"
@@ -456,9 +528,6 @@ def test_thread_pool_is_imported_only_for_two_lanes():
         "run_chunks(2 * CHUNK_SIZE, 1, 'lanes', draw, 2)\n"
         "print(loaded())\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert result.stdout.split("\n")[:3] == [
+    assert _fresh_python(code).split("\n")[:3] == [
         "[]", "[]", "['concurrent.futures', 'logging']"
     ]

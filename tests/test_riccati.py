@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 import regimelq as rl
 from regimelq.errors import SingularRhat, ValidationError
@@ -408,3 +409,51 @@ def test_property_gain_table_equals_pointwise_gain(instance):
     for t, row in zip(times, gains):
         for k in range(prob.num_regimes):
             assert row[k].tobytes() == law.gain(t, k).tobytes()
+
+
+def _dop853_reference(prob, times) -> np.ndarray:
+    """P at ``times`` from scipy's DOP853 (rtol 1e-10), segment by segment.
+
+    The right-hand side is written out per regime, apart from the package's
+    stacked algebra; coefficients are constant on each segment, so each one
+    is integrated on its own, backward from its right end.
+    """
+    rates = prob.generator.rates
+    d, n = prob.num_regimes, prob.n
+
+    def rhs(cells):
+        def f(t, y):
+            P = y.reshape(d, n, n)
+            dP = np.empty_like(P)
+            for k, c in enumerate(cells):
+                Shat = c.B.T @ P[k] + c.D.T @ P[k] @ c.C + c.S
+                Rhat = c.R + c.D.T @ P[k] @ c.D
+                dP[k] = -(P[k] @ c.A + c.A.T @ P[k] + c.C.T @ P[k] @ c.C + c.Q
+                          - Shat.T @ np.linalg.solve(Rhat, Shat)
+                          + sum(rates[k, l] * P[l] for l in range(d)))
+            return dP.ravel()
+        return f
+
+    P = np.empty((len(times), d, n, n))
+    y = prob.terminal_weights().ravel()
+    bp = prob.breakpoints
+    for j in range(prob.num_segments - 1, -1, -1):
+        inside = (times >= bp[j]) & (times <= bp[j + 1])
+        sol = solve_ivp(rhs(prob.coefficients[j]), (bp[j + 1], bp[j]), y, method="DOP853",
+                        rtol=1e-10, atol=1e-12, dense_output=True)
+        assert sol.success, sol.message
+        P[inside] = sol.sol(times[inside]).T.reshape(-1, d, n, n)
+        y = sol.y[:, -1]  # at the segment's left end, which need not be a node
+    return P
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(gain_instances())
+def test_property_solve_agrees_with_dop853_reference(instance):
+    # RK4 at 48 N steps (192-576; a breakpoint stays on a node) against an
+    # independent adaptive solve, at every node: over 1500 random instances
+    # the largest error was 2.4e-9 of 1 + max |P| (6.1e-8 at 24 N steps)
+    prob, N, _ = instance
+    grid = rl.solve_riccati(prob, 48 * N)
+    ref = _dop853_reference(prob, grid.times)
+    assert np.max(np.abs(grid.P - ref)) <= 1e-7 * (1.0 + np.max(np.abs(ref)))

@@ -582,7 +582,8 @@ def _zeroed(table, n: int, num_regimes: int, blocks, regimes=None):
         where[axis] = index
         where[2] = slice(None) if regimes is None else regimes
         M[tuple(where)] = 0.0
-    return table._replace(M=M.reshape(table.M.shape))
+    M = M.reshape(table.M.shape)
+    return table._replace(M=M, live=simulate._live_blocks(M, n, num_regimes))
 
 
 def _assert_pass_matches_full_table(prob, times, variants, n_paths, seed, record=False):
@@ -699,7 +700,7 @@ def zero_patterns(draw):
         nodes = 2 * N // stride
         rng = derive_rng(38, n, d, N, lane)
         M = 0.5 * rng.standard_normal((nodes, 3 * n + 1, d * (n + 1)))
-        table = simulate._LoopTable(float(times[stride]), None, M)
+        table = simulate._LoopTable(float(times[stride]), None, M, simulate._live_blocks(M, n, d))
         dead = draw(st.lists(st.sampled_from(LIVE_BLOCKS), unique=True))
         some = draw(st.lists(st.integers(min_value=0, max_value=d - 1), unique=True))
         table = _zeroed(table, n, d, dead)
@@ -714,6 +715,49 @@ def zero_patterns(draw):
 def test_property_live_block_pass_matches_full_table(instance):
     prob, times, variants, n_paths, record = instance
     _assert_pass_matches_full_table(prob, times, variants, n_paths, 39, record)
+
+
+# --- the kernel plan ---------------------------------------------------------
+
+def _record_cuts(monkeypatch) -> list:
+    """Record every ``_live_blocks`` call as (keep_all, the table's M, the cut)."""
+    calls = []
+    cut = simulate._live_blocks
+
+    def recorded(M, n, num_regimes, keep_all=False):
+        live = cut(M, n, num_regimes, keep_all)
+        calls.append((keep_all, M, live))
+        return live
+
+    monkeypatch.setattr(simulate, "_live_blocks", recorded)
+    return calls
+
+
+def test_each_table_is_cut_once_per_run(monkeypatch):
+    # the cut travels with its table, so no chunk of the run cuts again
+    prob = multidim_two_segment()
+    N, n_paths = 4, 2 * CHUNK_SIZE + 100  # three chunks
+    law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 2 * N))
+    perturbed = rl.PerturbedFeedback(law, rl.ControlTable(0.1 * np.ones((N, prob.m))))
+    calls = _record_cuts(monkeypatch)
+    mc_run(prob, law, n_paths, 3, N, control_b=perturbed)
+    assert [keep_all for keep_all, *_ in calls] == [False, False]
+    calls.clear()
+    paired_refinement_run(prob, lambda _: law, n_paths, 3, N)
+    assert [keep_all for keep_all, *_ in calls] == [False, False]
+
+
+def test_one_path_pass_steps_the_full_table(monkeypatch):
+    # BLAS sums a matrix-vector product in blocks of columns, so a one-path
+    # pass cuts the whole table again, although the feedback law's affine
+    # column is dead and its compact cut is narrower
+    prob = multidim_two_segment()
+    law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 6))
+    calls = _record_cuts(monkeypatch)
+    rl.simulate_closed_loop(prob, law, 6, 7)
+    (keep_compact, M, compact), (keep_full, M_full, full) = calls
+    assert (keep_compact, keep_full) == (False, True) and M_full is M
+    assert full.M is M and compact.M.shape[2] < M.shape[2]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

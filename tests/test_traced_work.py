@@ -5,7 +5,9 @@
 ``path_steps_per_s`` divides that count by wall time.  A refactor that moved
 Monte Carlo work out of those entry points would change the throughput
 without changing the work; this test pins the count to ``verify``'s
-constants instead.
+constants instead.  The tracer also lists every entry point it could not
+find, and the benchmark then leaves that entry point's metrics out of its
+result line, so a rename must not go unnoticed.
 """
 
 import json
@@ -14,6 +16,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from regimelq.simulate import CHUNK_SIZE
 from regimelq.verify import (
@@ -26,19 +30,34 @@ from regimelq.verify import (
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_path_steps_match_verify_constants(tmp_path):
-    paths, N = CHUNK_SIZE + 100, 4  # two chunks per full-size run
+def _traced(tmp_path, *args) -> dict:
+    """The spans file of one ``bench/tracer.py`` run of the CLI on ``args``."""
     spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "tracer.py"), str(spans), "--",
-         "verify", "--config", str(ROOT / "configs" / "two_regime.json"),
-         "--grid", str(N), "--paths", str(paths), "--workers", "1", "--seed", "5",
-         "--out", str(tmp_path / "out")],
+         *args, "--seed", "5", "--out", str(tmp_path / "out")],
         cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    counts = json.loads(spans.read_text())["counts"]
+    return json.loads(spans.read_text())
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--config", "two_regime.json", "--grid", "4", "--paths", "200"],
+    ["bsde", "--config", "random_coeff.json", "--grid", "4", "--paths", "200"],
+], ids=["verify", "bsde"])
+def test_tracer_finds_every_entry_point(tmp_path, args):
+    args[2] = str(ROOT / "configs" / args[2])
+    assert _traced(tmp_path, *args, "--workers", "1")["missing"] == []
+
+
+def test_traced_path_steps_match_verify_constants(tmp_path):
+    paths, N = CHUNK_SIZE + 100, 4  # two chunks per full-size run
+    counts = _traced(
+        tmp_path, "verify", "--config", str(ROOT / "configs" / "two_regime.json"),
+        "--grid", str(N), "--paths", str(paths), "--workers", "1",
+    )["counts"]
     probe = min(paths, MAX_PROBE_PATHS)
     # value and Lyapunov identities, their two Richardson calibrations (N and
     # 2N grids), the paired perturbation runs and the probe controls
