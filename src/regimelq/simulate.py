@@ -248,17 +248,18 @@ def _live_blocks(M: NDArray, n: int, num_regimes: int, keep_all: bool = False) -
 class _Lane(NamedTuple):
     """One variant's plan for one kernel pass (see :func:`_kernel_pass`).
 
-    The buffer fields are views into the pass's shared one-hot buffer ``Z``
-    and product buffer ``Y``, set up once per pass; every row field is None
-    when its block is dead, and ``M`` is None when every block is.
+    The buffer fields are views into the pass's shared one-hot buffer ``Z``,
+    its float mask, or product buffer ``Y``, set up once per pass; every
+    row field is None when its block is dead, and ``M`` is None when every
+    block is.
     """
 
     h: float
     stride: int
     M: NDArray | None  # the live table, (nodes, rows, cols)
     X: NDArray  # (n, paths) view of the state
-    X1: NDArray  # the rows of [X; 1] that the live columns read
-    Z: NDArray  # (D, kept columns, paths): the one-hot state
+    X1: NDArray | None  # the rows of [X; 1] that the live columns read; None for [1]
+    Z: NDArray  # (D, kept columns, paths): the one-hot state; the float mask for [1]
     Z2: NDArray  # Z as (D x kept columns, paths), the product's operand
     Y: NDArray  # (rows, paths): the product
     drift: NDArray | None  # rows of Y
@@ -303,10 +304,15 @@ def _kernel_pass(
 
     Each variant's plan (:class:`_Lane`) is set up once per pass: its
     buffer and row views, and its dead flag.  A step forms the mask
-    ``regimes == k`` of a node into one reused buffer, once for the lanes
-    in a row that step from that node, and updates the cost and the state
-    in place through one scratch row, by the operations and in the order
-    of ``running += h * (X'Y_cost + Y_affine)``, ``X += Y_drift * h`` and
+    ``regimes == k`` of a node into one reused bool buffer, once for the
+    lanes in a row that step from that node, and multiplies it by each
+    lane's rows of [X; 1].  A lane whose only live column is the constant 1
+    (a control table on ``two_regime.json``) reads instead a float copy of
+    the mask, which holds the values of ``mask * 1.0``, made once per node
+    when such a lane exists.
+    The cost and the state are updated in place through one scratch row,
+    by the operations and in the order of
+    ``running += h * (X'Y_cost + Y_affine)``, ``X += Y_drift * h`` and
     ``X += Y_diffusion * dW``.
 
     The pass needs noise when ``dW`` is given or when some variant's
@@ -317,6 +323,9 @@ def _kernel_pass(
     N = 100 took 12.6 ms on the full table and 3.7 ms on the live blocks;
     the multidim pass at N = 25, which only drops the affine blocks of its
     feedback variant, took 10.2 -> 9.7 ms (medians of 60 interleaved runs).
+    The per-pass plan and the float mask then took the same two_regime
+    pass 3.9 -> 2.2 ms and left the multidim pass at 11.6 ms (one BLAS
+    thread, medians over 7 alternating processes of 60 runs each).
     """
     n, num_regimes = problem.n, problem.num_regimes
     paths = regimes.shape[0]
@@ -327,15 +336,18 @@ def _kernel_pass(
     # one buffer each for the one-hot state and the product, sized for the widest lane
     Z = np.empty(max((live.M.shape[2] for live in cuts), default=0) * paths)
     Y = np.empty(max((live.M.shape[1] for live in cuts), default=0) * paths)
+    ones_only = [live.cols == slice(n, n + 1) for live in cuts]
+    mask_1 = np.empty((num_regimes, 1, paths)) if any(ones_only) else None  # mask * 1.0
     lanes = []
-    for (table, stride), live in zip(variants, cuts):
+    for (table, stride), live, ones in zip(variants, cuts, ones_only):
         X1 = np.ones((n + 1, paths))  # [X; 1]
         X1[:n] = problem.x0[:, None]
-        Zj = Z[: live.M.shape[2] * paths].reshape(num_regimes, -1, paths)
+        Zj = mask_1 if ones else Z[: live.M.shape[2] * paths].reshape(num_regimes, -1, paths)
         Yj = Y[: live.M.shape[1] * paths].reshape(-1, paths)
         rows = lambda block: None if block is None else Yj[block]
         lanes.append(_Lane(
-            table.h, stride, None if live.dead else live.M, X1[:n], X1[live.cols],
+            table.h, stride, None if live.dead else live.M, X1[:n],
+            None if ones else X1[live.cols],
             Zj, Zj.reshape(-1, paths), Yj, rows(live.drift), rows(live.diffusion),
             rows(live.cost), rows(live.affine), np.zeros(paths),
             np.empty(paths) if stride > 1 and live.diffusion is not None else None,
@@ -372,8 +384,11 @@ def _kernel_pass(
             left = i + 1 - stride
             if left != mask_node:
                 np.equal(regimes[:, left], labels, out=mask)
+                if mask_1 is not None:
+                    np.copyto(mask_1, mask)
                 mask_node = left
-            np.multiply(mask, X1, out=Zj)
+            if X1 is not None:
+                np.multiply(mask, X1, out=Zj)
             np.matmul(M[j], Z2, out=Yj)
             term = affine
             if cost is not None:
