@@ -58,12 +58,12 @@ from numpy.typing import NDArray
 
 from .chain import GeneratorMatrix, sample_regimes_on_grid, validate_generator
 from .errors import (
+    RHAT_FLOOR,
     IllConditionedRegression,
     NegativeRhat,
     ValidationError,
 )
 from .model import ConfigReader, ProblemSpec, check_horizon, make_problem
-from .riccati import RHAT_FLOOR
 from .streams import derive_rng, run_chunks
 
 COEFF_NAMES = ("A", "B", "C", "D", "Q", "S", "R", "G")

@@ -20,6 +20,13 @@ thread per lane instead of stacking its own threads on the lanes (an idle
 OpenBLAS thread busy-waits).  Any of the three variables overrides it.
 Library use, with numpy imported first, keeps numpy's default.  The
 artifacts do not depend on the BLAS thread count.
+
+Start-up: importing this module loads numpy and the package's ``errors``
+only; each command imports the engine modules it runs when it runs.  So
+``bsde`` loads ``bsde``, ``chain``, ``model`` and ``streams``, ``solve`` on
+a problem config adds ``riccati`` instead of ``bsde``, ``simulate`` adds
+``simulate`` to that, ``verify`` adds ``verify``, and ``frontier`` (or
+``solve`` on a market config) loads everything but ``bsde``.
 """
 
 from __future__ import annotations
@@ -30,19 +37,12 @@ if not any(v in os.environ for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                      "MKL_NUM_THREADS")):
     os.environ["OMP_NUM_THREADS"] = "1"
 
-# numpy and the package load before the standard modules below: that order
-# gave the lowest peak RSS
+# numpy loads before the standard modules below, and each command imports
+# its own engine modules after all of them, when it runs
 import numpy as np
 
 from . import __version__
-from .bsde import backward_regression_solve, generate_training_paths, model_from_config
 from .errors import NumericalError, ValidationError
-from .meanvar import efficient_frontier, market_from_config, mv_riccati, mv_simulate_check
-from .model import problem_from_config
-from .riccati import FeedbackLaw, solve_riccati
-from .simulate import MIN_PATHS, mc_cost, simulate_closed_loop
-from .streams import derive_seed
-from .verify import run_standard_checks
 
 import argparse
 import hashlib
@@ -154,10 +154,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args, cfg, meta, out: Path) -> int:
     if cfg.get("kind") == "market":
+        from .meanvar import market_from_config, mv_riccati
+
         market, _ = _parse(market_from_config, cfg)
         grid = mv_riccati(market, args.grid)
         n = m = 1
     else:
+        from .model import problem_from_config
+        from .riccati import solve_riccati
+
         problem = _parse(problem_from_config, cfg)
         grid = solve_riccati(problem, args.grid)
         n, m = problem.n, problem.m
@@ -181,6 +186,11 @@ def _cmd_solve(args, cfg, meta, out: Path) -> int:
 
 
 def _cmd_simulate(args, cfg, meta, out: Path) -> int:
+    from .model import problem_from_config
+    from .riccati import FeedbackLaw, solve_riccati
+    from .simulate import mc_cost, simulate_closed_loop
+    from .streams import derive_seed
+
     seed = meta["seed"]
     if args.dump_paths < 0:
         raise ValidationError("need --dump-paths >= 0")
@@ -223,6 +233,9 @@ def _cmd_simulate(args, cfg, meta, out: Path) -> int:
 
 
 def _cmd_verify(args, cfg, meta, out: Path) -> int:
+    from .model import problem_from_config
+    from .verify import run_standard_checks
+
     seed = meta["seed"]
     problem = _parse(problem_from_config, cfg)
     checks = run_standard_checks(
@@ -237,6 +250,9 @@ def _cmd_verify(args, cfg, meta, out: Path) -> int:
 
 
 def _cmd_frontier(args, cfg, meta, out: Path) -> int:
+    from .meanvar import efficient_frontier, market_from_config, mv_simulate_check
+    from .streams import derive_seed
+
     seed = meta["seed"]
     market, targets = _parse(market_from_config, cfg)
     if not targets:
@@ -264,6 +280,8 @@ def _cmd_frontier(args, cfg, meta, out: Path) -> int:
 
 
 def _cmd_bsde(args, cfg, meta, out: Path) -> int:
+    from .bsde import backward_regression_solve, generate_training_paths, model_from_config
+
     seed = meta["seed"]
     if args.degree < 0:
         raise ValidationError("need --degree >= 0")
@@ -316,8 +334,11 @@ def main(argv=None) -> int:
             raise ValidationError("need grid N >= 2")
         if args.workers < 1:
             raise ValidationError("need --workers >= 1")
-        if args.command in _MC_COMMANDS and args.paths < MIN_PATHS:
-            raise ValidationError(f"need at least {MIN_PATHS} paths")
+        if args.command in _MC_COMMANDS:
+            from .simulate import MIN_PATHS
+
+            if args.paths < MIN_PATHS:
+                raise ValidationError(f"need at least {MIN_PATHS} paths")
         seed = _require_seed(args)
         cfg, config_hash = _load_config(args.config)
         meta = _meta(args, config_hash, seed)

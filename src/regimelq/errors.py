@@ -4,6 +4,10 @@ Two broad families matter for callers: ``ValidationError`` (bad inputs,
 CLI exit code 1) and ``NumericalError`` (a solve failed, CLI exit code 2).
 """
 
+# smallest admissible R + D'PD: the Riccati solve raises SingularRhat below
+# it, the BSDE sweep raises NegativeRhat at it and clips its samples up to it
+RHAT_FLOOR = 1e-8
+
 
 class RegimeLQError(Exception):
     """Base class for all package errors."""

@@ -35,10 +35,9 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NonFiniteState, SingularRhat, ValidationError
+from .errors import RHAT_FLOOR, NonFiniteState, SingularRhat, ValidationError
 from .model import ProblemSpec
 
-RHAT_FLOOR = 1e-8
 MAX_STEP_HALVINGS = 4  # deepest halving of an RK4 step that fails the Rhat guard
 
 

@@ -531,3 +531,31 @@ def test_thread_pool_is_imported_only_for_two_lanes():
     assert _fresh_python(code).split("\n")[:3] == [
         "[]", "[]", "['concurrent.futures', 'logging']"
     ]
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (None, ["bsde", "meanvar", "riccati", "simulate", "verify"]),
+    (["bsde", "--config", "random_coeff.json", "--grid", "4", "--paths", "200"],
+     ["simulate", "verify", "meanvar", "riccati"]),
+    (["verify", "--config", "two_regime.json", "--grid", "4", "--paths", "200",
+      "--workers", "1"], ["bsde", "meanvar"]),
+    (["solve", "--config", "scalar.json", "--grid", "10"],
+     ["simulate", "verify", "bsde", "meanvar"]),
+], ids=["import", "bsde", "verify", "solve"])
+def test_each_command_loads_only_the_engine_modules_it_runs(tmp_path, argv, absent):
+    # the CLI imports a command's engine modules in that command's body, so
+    # no invocation pays to compile and run the modules of another command
+    if argv is not None:
+        argv = [*argv, "--seed", "5", "--out", str(tmp_path)]
+        argv[2] = str(CONFIGS / argv[2])
+    code = (
+        "import contextlib, json, sys, regimelq.cli\n"
+        f"argv = {argv!r}\n"
+        "with contextlib.redirect_stdout(sys.stderr):\n"
+        "    rc = 0 if argv is None else regimelq.cli.main(argv)\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('regimelq.'))]))\n"
+    )
+    rc, loaded = json.loads(_fresh_python(code))
+    assert rc == 0
+    assert "regimelq.errors" in loaded
+    assert not set(loaded) & {f"regimelq.{name}" for name in absent}

@@ -43,13 +43,23 @@ def _traced(tmp_path, *args) -> dict:
     return json.loads(spans.read_text())
 
 
-@pytest.mark.parametrize("args", [
-    ["verify", "--config", "two_regime.json", "--grid", "4", "--paths", "200"],
-    ["bsde", "--config", "random_coeff.json", "--grid", "4", "--paths", "200"],
-], ids=["verify", "bsde"])
-def test_tracer_finds_every_entry_point(tmp_path, args):
+@pytest.mark.parametrize("args, layers", [
+    (["solve", "--config", "scalar.json", "--grid", "4"], ["riccati.solve"]),
+    (["simulate", "--config", "two_regime.json", "--grid", "4", "--paths", "200",
+      "--dump-paths", "1"], ["riccati.solve", "simulate.mc", "simulate.record"]),
+    (["verify", "--config", "two_regime.json", "--grid", "4", "--paths", "200"],
+     ["riccati.solve", "simulate.mc"]),
+    (["bsde", "--config", "random_coeff.json", "--grid", "4", "--paths", "200"],
+     ["bsde.paths", "bsde.regression"]),
+], ids=["solve", "simulate", "verify", "bsde"])
+def test_tracer_finds_every_entry_point(tmp_path, args, layers):
+    # a name the CLI binds where the tracer does not rebind it runs untraced:
+    # its layer then records no span although nothing is listed as missing
     args[2] = str(ROOT / "configs" / args[2])
-    assert _traced(tmp_path, *args, "--workers", "1")["missing"] == []
+    trace = _traced(tmp_path, *args, "--workers", "1")
+    assert trace["missing"] == []
+    recorded = {span[1] for span in trace["spans"]}
+    assert {"model.ingest", *layers} <= recorded
 
 
 def test_traced_path_steps_match_verify_constants(tmp_path):
