@@ -51,6 +51,11 @@ def invocations(multidim: Path) -> list[tuple[str, list[str]]]:
         ("bsde-random_coeff", run("bsde", cfg("random_coeff"), "100", "--paths", "30000")),
         ("bsde-random_coeff-degree2",
          run("bsde", cfg("random_coeff"), "40", "--paths", "20000", "--degree", "2")),
+        # a one-column basis (degree 0) and a six-column one (condition up to about 80)
+        ("bsde-random_coeff-degree0",
+         run("bsde", cfg("random_coeff"), "40", "--paths", "2000", "--degree", "0")),
+        ("bsde-random_coeff-degree5",
+         run("bsde", cfg("random_coeff"), "40", "--paths", "20000", "--degree", "5")),
         # N = 9 checkpoints the driver every 4 nodes: the last segment is one step
         ("bsde-random_coeff-grid9", run("bsde", cfg("random_coeff"), "9", "--paths", "2000")),
         *((f"solve-{name}", run("solve", cfg(name), "200"))

@@ -23,8 +23,11 @@ Uniform positivity of Rhat is monitored throughout; losing it signals a
 problem that is not uniformly convex and raises :class:`SingularRhat`
 instead of regularizing.  A coarse step can lose it at a stage value or at
 its end value although the solution keeps Rhat >= R, so such a step is
-redone as two half-steps, up to ``MAX_STEP_HALVINGS`` deep; the solve
-raises when G fails, or when a step fails at that depth.
+redone as two half-steps, up to ``MAX_STEP_HALVINGS`` deep.  A step that
+still fails there may have been set up by an earlier step that passed the
+guard but left P far off, so the whole solve is then redone on the grids of
+2N, 4N, ..., 2^MAX_STEP_HALVINGS N steps and read off at the N-grid nodes;
+the solve raises when G fails, or when the finest of those grids fails.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from numpy.typing import NDArray
 from .errors import RHAT_FLOOR, NonFiniteState, SingularRhat, ValidationError
 from .model import ProblemSpec
 
-MAX_STEP_HALVINGS = 4  # deepest halving of an RK4 step that fails the Rhat guard
+MAX_STEP_HALVINGS = 4  # deepest halving of a failing RK4 step, then of the whole grid
 
 
 class _SegmentStack(NamedTuple):
@@ -156,9 +159,26 @@ def _rk4_step(
 def _integrate_backward(
     problem: ProblemSpec, N: int, quadratic: bool = True
 ) -> tuple[NDArray, NDArray]:
-    """RK4 backward integration from P(T) = G on the uniform N-step grid."""
+    """RK4 backward integration from P(T) = G on the uniform N-step grid.
+
+    When a step fails the Rhat guard at full halving depth, the integration
+    is redone on the 2^j N-step grid for j = 1, 2, ..., MAX_STEP_HALVINGS,
+    and the first that solves gives every 2^j-th node: the same values as
+    the solve at 2^j N.  Only the finest grid's failure raises.
+    """
     if N < 2:
         raise ValidationError("need at least N=2 grid steps")
+    for level in range(MAX_STEP_HALVINGS + 1):
+        try:
+            times, P = _integrate_on_grid(problem, N * 2**level, quadratic)
+            return times[:: 2**level], P[:: 2**level]
+        except SingularRhat as exc:
+            failure = exc
+    raise failure
+
+
+def _integrate_on_grid(problem: ProblemSpec, N: int, quadratic: bool):
+    """RK4 backward integration on the uniform N-step grid, halving failed steps."""
     T = problem.T
     h = T / N
     times = np.linspace(0.0, T, N + 1)

@@ -1,7 +1,8 @@
 """Reference backward sweep: three ``lstsq`` solves per node, path-major data.
 
 This is the regression sweep that ``bsde.backward_regression_solve``
-replaced, kept as the oracle its one-SVD-per-node form is tested against.
+replaced, kept as the oracle that the package's sweep, one factorization of
+the basis per node, is tested against.
 Each node builds the Vandermonde basis of the scaled driver, solves the
 value targets, the dW-weighted targets and the refit with separate
 ``np.linalg.lstsq`` calls, evaluates the coefficient maps once per regime

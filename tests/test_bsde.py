@@ -3,7 +3,7 @@
 import dataclasses
 import inspect
 import json
-from math import isqrt
+from math import fsum, isqrt
 from pathlib import Path
 
 import numpy as np
@@ -394,8 +394,77 @@ class TestBsdeResidual:
         assert maxima[0] > maxima[1] > maxima[2]
 
 
+def _exact_products(A, B):
+    """A B' of row-major (p, M) and (q, M) arrays, each entry summed exactly.
+
+    Only the products round, by eps / 2 each, so an entry is off by at most
+    eps / 2 times the sum of its terms' magnitudes; a plain dot product of M
+    terms would add up to M eps and swamp the bounds below.
+    """
+    return np.array([[fsum(a * b) for b in B] for a in A])
+
+
+class TestBasisFactorization:
+    """``_basis_svd`` (R factor, then the SVD of R) against numpy's thin SVD."""
+
+    EPS = np.finfo(np.float64).eps
+
+    @pytest.mark.parametrize("degree", [0, 3, 5, 8, 12])
+    def test_matches_numpy_svd(self, degree):
+        y = 0.3 + 0.5 * np.random.default_rng(5).standard_normal(20_000)
+        Ut, sv, Vt, c, s = bsde._basis_svd(y, degree, np.empty((degree + 1, len(y))))
+        assert (c, s) == (float(y.mean()), float(y.std()))
+        assert Ut.shape == (degree + 1, len(y)) and Ut.flags.c_contiguous
+        U, sv_ref, _ = np.linalg.svd(
+            np.vander((y - c) / s, degree + 1, increasing=True), full_matrices=False
+        )
+        np.testing.assert_allclose(sv, sv_ref, rtol=0, atol=10 * self.EPS * sv_ref[0])
+        bound = 10 * (sv_ref[0] / sv_ref[-1]) * self.EPS
+        gram = _exact_products(Ut, Ut)
+        assert np.max(np.abs(gram - np.eye(degree + 1))) <= bound
+        # targets with a large part in the span, one without
+        Y = np.vstack([np.cos(y), y * y, np.random.default_rng(6).standard_normal(len(y))])
+        got = _exact_products(Y, Ut) @ Ut
+        if degree == 0:
+            # the projector is the sample mean; numpy's U of a ones column
+            # spreads over about 20 ulp, so its projector is the rougher one
+            want = np.array([[fsum(row) / len(y)] for row in Y])
+        else:
+            want = _exact_products(Y, U.T) @ U.T
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+    def test_degenerate_samples_give_the_constant_basis(self):
+        y = 0.7 + 1e-14 * np.random.default_rng(7).standard_normal(1000)
+        assert y.std() < bsde.DEGENERATE_STD
+        Ut, sv, Vt, c, s = bsde._basis_svd(y, 5, np.empty((6, len(y))))
+        assert Ut.shape == (1, len(y)) and sv.shape == (1,) and Vt.shape == (1, 1)
+        assert (c, s) == (float(y.mean()), 1.0)
+        np.testing.assert_allclose(sv, np.sqrt(len(y)), rtol=4 * self.EPS)
+        np.testing.assert_allclose(Ut * Vt[0, 0], 1.0 / np.sqrt(len(y)), rtol=4 * self.EPS)
+
+    def test_four_distinct_values_cannot_carry_a_quintic(self):
+        # the driver takes 4 values at every node (nu = 0), so the degree 5
+        # basis has rank 4; under the CLI's floating-point traps the sweep
+        # still reports the condition number, not a floating-point error
+        model = dataclasses.replace(y_dependent_model(), nu=0.0)
+        M, N = 400, 4
+        nodes = checkpoint_nodes(N)
+        bundle = PathBundle(
+            times=np.linspace(0.0, 1.0, N + 1),
+            y=np.tile(0.1 * (np.arange(M) % 4), (len(nodes), 1)),
+            checkpoints=nodes,
+            seed=0,
+            generator=model.generator,
+            i0=model.i0,
+        )
+        assert np.unique(full_driver(model, bundle), axis=1).shape[1] == 4
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            with pytest.raises(IllConditionedRegression):
+                rl.backward_regression_solve(model, bundle, degree=5)
+
+
 class TestSweepAgainstReference:
-    """The one-SVD sweep against the three-lstsq sweep it replaced."""
+    """The sweep against the three-lstsq sweep it replaced."""
 
     CASES = {
         # the bsde command's bundled config at its benchmark size and seed

@@ -146,16 +146,21 @@ class TestSolveRiccati:
             rl.solve_riccati(prob, 2)
         assert exc_info.value.t == 0.5
 
-    @pytest.mark.xfail(
-        strict=True, raises=SingularRhat,
-        reason="halving never revisits an accepted sub-step; N = 3 solves",
-    )
-    def test_convex_problem_solves_at_two_steps(self):
-        # random_convex(7) keeps Rhat >= R >= I along the exact solution, yet an
-        # accepted half-step carries P to where the next stage loses positivity
+    def test_convex_problem_solves_at_two_steps(self, monkeypatch):
+        # random_convex(7) keeps Rhat >= R >= I along the exact solution, yet the
+        # first full step passes the guard and leaves P(0.5) where every
+        # subdivision of the second step loses positivity; the solve is then
+        # redone at N = 4, which passes, and read off at every other node
         prob = random_convex(7)
         grid = rl.solve_riccati(prob, 2)
         assert rl.rhat_certificate(grid) >= 1.0
+        fine = rl.solve_riccati(prob, 4)
+        np.testing.assert_array_equal(grid.times, fine.times[::2])
+        np.testing.assert_array_equal(grid.P, fine.P[::2])
+        np.testing.assert_array_equal(grid.Theta, fine.Theta[::2])
+        monkeypatch.setattr(riccati, "MAX_STEP_HALVINGS", 0)
+        with pytest.raises(SingularRhat):
+            rl.solve_riccati(prob, 2)
 
     def test_two_segments_compose(self):
         # solving the piecewise problem equals composing per-segment solves
