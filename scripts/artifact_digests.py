@@ -48,6 +48,9 @@ def invocations(multidim: Path) -> list[tuple[str, list[str]]]:
         ("verify-det_lqr", run("verify", cfg("det_lqr"), "50", "--paths", "5000")),
         # a feedback law on A = C = Q = 0: the probe controls have dead X columns and a live drift
         ("verify-scalar", run("verify", cfg("scalar"), "50", "--paths", "5000")),
+        # two segments split at t = 0.5, with live C, D and S: reads each segment's coefficients
+        ("verify-switching_diffusion",
+         run("verify", cfg("switching_diffusion"), "100", "--paths", "5000")),
         ("bsde-random_coeff", run("bsde", cfg("random_coeff"), "100", "--paths", "30000")),
         ("bsde-random_coeff-degree2",
          run("bsde", cfg("random_coeff"), "40", "--paths", "20000", "--degree", "2")),
@@ -59,7 +62,8 @@ def invocations(multidim: Path) -> list[tuple[str, list[str]]]:
         # N = 9 checkpoints the driver every 4 nodes: the last segment is one step
         ("bsde-random_coeff-grid9", run("bsde", cfg("random_coeff"), "9", "--paths", "2000")),
         *((f"solve-{name}", run("solve", cfg(name), "200"))
-          for name in ("scalar", "two_regime", "det_lqr", "market_one_regime")),
+          for name in ("scalar", "two_regime", "det_lqr", "market_one_regime",
+                       "switching_diffusion")),
         ("solve-multidim", run("solve", str(multidim), "200")),
         ("frontier-market_one_regime",
          run("frontier", cfg("market_one_regime"), "100", "--paths", "5000")),

@@ -21,7 +21,7 @@ _SOURCES = {
         "validate_generator",
     ),
     "model": (
-        "CoefficientSet",
+        "Coefficients",
         "ProblemSpec",
         "make_problem",
         "problem_from_config",

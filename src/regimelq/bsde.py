@@ -188,10 +188,18 @@ def make_model(
     )
 
 
+def _numbers(value, lengths: tuple, field: str, form: str) -> tuple:
+    """A config list of one of the ``lengths``, as a tuple; else bad input naming ``field``."""
+    if not isinstance(value, list) or len(value) not in lengths:
+        raise ValidationError(f"{field} must be a list {form}, got {value!r}")
+    return tuple(value)
+
+
 def model_from_config(cfg: dict) -> RandomCoefficientModel:
     """Parse the ``kind: "random_coefficients"`` JSON config."""
     read = ConfigReader(cfg, "random_coefficients", ("driver", "coefficients"))
     driver = cfg["driver"]
+    regimes = read.by_regime(cfg["coefficients"], "coefficients")
     return make_model(
         T=read.T,
         generator=read.generator,
@@ -200,10 +208,12 @@ def model_from_config(cfg: dict) -> RandomCoefficientModel:
         theta_bar=float(driver["theta_bar"]),
         nu=float(driver["nu"]),
         y0=float(driver["y0"]),
-        y_range=tuple(driver["y_range"]),
+        y_range=_numbers(driver["y_range"], (2,), "driver.y_range", "[low, high]"),
         coeffs=[
-            {name: tuple(raw[name]) for name in COEFF_NAMES}
-            for raw in read.by_regime(cfg["coefficients"], "coefficients")
+            {name: _numbers(raw[name], (1, 2), f"coefficients.{k + 1}.{name}",
+                               "[const, slope] or [const]")
+             for name in COEFF_NAMES}
+            for k, raw in enumerate(regimes)
         ],
     )
 

@@ -9,13 +9,20 @@ with k the current regime of an independent Markov chain, and cost
     J(u) = E[ <G(k_T) X_T, X_T> + int_0^T <Q X, X> + 2 <S X, u> + <R u, u> dt ].
 
 Coefficients are deterministic functions of (t, regime), piecewise constant
-in t over a fixed segment partition of [0, T].  Regimes are 0-based in the
-Python API; JSON configs label them 1..D (converted at ingestion).
+in t over a fixed segment partition of [0, T].  They are stored once, as
+one (segments J, regimes D) table of records: ``problem.coefficients.A[j, k]``
+is A on segment j in regime k, ``problem.coefficients[j][k]`` that whole
+cell, and every record carries its regime's terminal weight, so
+``problem.G`` is the (D, n, n) stack G_k.  :meth:`ProblemSpec.coefficients_at`
+is the one indexer: it reads the table at any times into a
+:class:`Coefficients` of contiguous per-regime stacks.  Regimes are 0-based
+in the Python API; JSON configs label them 1..D (converted at ingestion).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -32,9 +39,8 @@ from .errors import (
 ASYMMETRY_MAX = 1e-9
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
-    """All coefficient matrices of one (time segment, regime) cell."""
+class Coefficients(NamedTuple):
+    """Per-regime coefficients at one time (D, ., .), or at K times (K, D, ., .)."""
 
     A: NDArray[np.float64]  # n x n drift
     B: NDArray[np.float64]  # n x m control drift
@@ -43,7 +49,13 @@ class CoefficientSet:
     Q: NDArray[np.float64]  # n x n state weight, symmetric
     S: NDArray[np.float64]  # m x n cross weight
     R: NDArray[np.float64]  # m x m control weight, symmetric
-    G: NDArray[np.float64]  # n x n terminal weight, symmetric
+
+
+def _cell_dtype(n: int, m: int) -> np.dtype:
+    """One (segment, regime) record: the seven coefficients and the terminal weight G."""
+    shapes = {"A": (n, n), "B": (n, m), "C": (n, n), "D": (n, m),
+              "Q": (n, n), "S": (m, n), "R": (m, m), "G": (n, n)}
+    return np.dtype([(name, np.float64, shape) for name, shape in shapes.items()])
 
 
 @dataclass(frozen=True)
@@ -56,7 +68,7 @@ class ProblemSpec:
     T: float
     generator: GeneratorMatrix
     breakpoints: NDArray[np.float64]  # 0 = s_0 < ... < s_J = T
-    coefficients: tuple  # coefficients[segment][regime] -> CoefficientSet
+    coefficients: np.recarray  # (J, D) records with fields A, B, C, D, Q, S, R, G
     x0: NDArray[np.float64]
     i0: int
 
@@ -78,10 +90,18 @@ class ProblemSpec:
                        self.num_segments - 1)
         return j if j.ndim else int(j)
 
-    def terminal_weights(self) -> NDArray[np.float64]:
+    @property
+    def G(self) -> NDArray[np.float64]:
         """Stacked (D, n, n) terminal weights G_k."""
-        last = self.coefficients[-1]
-        return np.stack([cs.G for cs in last])
+        return self.coefficients.G[-1]
+
+    def coefficients_at(self, times) -> Coefficients:
+        """Coefficients in force at ``times`` (see :meth:`segment_index`):
+        (D, ., .) stacks at a scalar time, (K, D, ., .) at K times."""
+        rows = self.segment_index(times)
+        return Coefficients(*(
+            np.take(self.coefficients[name], rows, axis=0) for name in Coefficients._fields
+        ))
 
 
 def _as_matrix(value, rows: int, cols: int, name: str) -> NDArray[np.float64]:
@@ -158,28 +178,24 @@ def make_problem(
 
     g_mats = [_symmetrized(_as_matrix(G[k], n, n, f"G[regime {k}]"), "G") for k in range(d)]
 
-    segments = []
+    table = np.recarray((num_segments, d), _cell_dtype(n, m))
     for j, seg in enumerate(coefficients):
         if len(seg) != d:
             raise DimensionMismatch(
                 f"segment {j} has {len(seg)} regime entries, expected {d}"
             )
-        per_regime = []
         for k, cs in enumerate(seg):
             where = f"segment {j}, regime {k}"
-            per_regime.append(
-                CoefficientSet(
-                    A=_as_matrix(cs["A"], n, n, f"A ({where})"),
-                    B=_as_matrix(cs["B"], n, m, f"B ({where})"),
-                    C=_as_matrix(cs["C"], n, n, f"C ({where})"),
-                    D=_as_matrix(cs["D"], n, m, f"D ({where})"),
-                    Q=_symmetrized(_as_matrix(cs["Q"], n, n, f"Q ({where})"), f"Q ({where})"),
-                    S=_as_matrix(cs["S"], m, n, f"S ({where})"),
-                    R=_symmetrized(_as_matrix(cs["R"], m, m, f"R ({where})"), f"R ({where})"),
-                    G=g_mats[k],
-                )
+            table[j, k] = (
+                _as_matrix(cs["A"], n, n, f"A ({where})"),
+                _as_matrix(cs["B"], n, m, f"B ({where})"),
+                _as_matrix(cs["C"], n, n, f"C ({where})"),
+                _as_matrix(cs["D"], n, m, f"D ({where})"),
+                _symmetrized(_as_matrix(cs["Q"], n, n, f"Q ({where})"), f"Q ({where})"),
+                _as_matrix(cs["S"], m, n, f"S ({where})"),
+                _symmetrized(_as_matrix(cs["R"], m, m, f"R ({where})"), f"R ({where})"),
+                g_mats[k],
             )
-        segments.append(tuple(per_regime))
 
     x0_arr = np.array(x0, dtype=np.float64).reshape(-1)
     if x0_arr.shape != (n,):
@@ -194,7 +210,7 @@ def make_problem(
         T=float(T),
         generator=gen,
         breakpoints=bp,
-        coefficients=tuple(segments),
+        coefficients=table,
         x0=x0_arr,
         i0=gen.initial_regime(i0),
     )

@@ -33,39 +33,17 @@ the solve raises when G fails, or when the finest of those grids fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import RHAT_FLOOR, NonFiniteState, SingularRhat, ValidationError
-from .model import ProblemSpec
+from .model import Coefficients, ProblemSpec
 
 MAX_STEP_HALVINGS = 4  # deepest halving of a failing RK4 step, then of the whole grid
 
 
-class _SegmentStack(NamedTuple):
-    """Per-regime coefficients at one time (D, ., .), or at K times (K, D, ., .)."""
-
-    A: NDArray
-    B: NDArray
-    C: NDArray
-    D: NDArray
-    Q: NDArray
-    S: NDArray
-    R: NDArray
-
-
-def _on_grid(problem: ProblemSpec, times) -> _SegmentStack:
-    """Coefficients in force at ``times``: (len(times), D, ., .), or (D, ., .) at one time."""
-    rows = problem.segment_index(times)
-    return _SegmentStack(*(
-        np.array([[getattr(cs, name) for cs in seg] for seg in problem.coefficients])[rows]
-        for name in _SegmentStack._fields
-    ))
-
-
-def _hat_terms(P: NDArray, st: _SegmentStack):
+def _hat_terms(P: NDArray, st: Coefficients):
     """Shat, Rhat for stacked symmetric P of shape (D, n, n) or (K, D, n, n)."""
     DtP = st.D.swapaxes(-1, -2) @ P
     Shat = st.B.swapaxes(-1, -2) @ P + DtP @ st.C + st.S
@@ -90,7 +68,7 @@ def _guard_rhat(Rhat: NDArray, times) -> NDArray:
 
 
 def _rhs(
-    P: NDArray, t: float, st: _SegmentStack, rates: NDArray, quadratic: bool = True
+    P: NDArray, t: float, st: Coefficients, rates: NDArray, quadratic: bool = True
 ) -> NDArray:
     """Forward-time derivative dP/dt of the stacked system; symmetrized.
 
@@ -122,7 +100,7 @@ class RiccatiGrid:
     rhat_min_eig: NDArray[np.float64]  # (N+1, D)
 
 
-def _node_gain(P: NDArray, st: _SegmentStack, times):
+def _node_gain(P: NDArray, st: Coefficients, times):
     """Gains and Rhat spectra of a (K, D, n, n) stack of P at ``times``."""
     Shat, Rhat = _hat_terms(P, st)
     min_eigs = _guard_rhat(Rhat, times)
@@ -130,7 +108,7 @@ def _node_gain(P: NDArray, st: _SegmentStack, times):
 
 
 def _rk4_step(
-    P: NDArray, h: float, t1: float, st: _SegmentStack, rates, quadratic: bool, depth: int = 0
+    P: NDArray, h: float, t1: float, st: Coefficients, rates, quadratic: bool, depth: int = 0
 ) -> NDArray:
     """One RK4 step of size h from P at t1 back to t1 - h.
 
@@ -185,13 +163,13 @@ def _integrate_on_grid(problem: ProblemSpec, N: int, quadratic: bool):
     # one segment owns the whole step when breakpoints sit on grid nodes;
     # the midpoint lookup avoids grabbing the right-hand segment at a
     # breakpoint node (segment_index is right-continuous)
-    steps = _on_grid(problem, times[1:] - 0.5 * h)
+    steps = problem.coefficients_at(times[1:] - 0.5 * h)
     rates = problem.generator.rates
 
     P = np.empty((N + 1, problem.num_regimes, problem.n, problem.n))
-    P[N] = problem.terminal_weights()
+    P[N] = problem.G
     for i in range(N, 0, -1):
-        st = _SegmentStack(*(a[i - 1] for a in steps))
+        st = Coefficients(*(a[i - 1] for a in steps))
         P[i - 1] = _rk4_step(P[i], h, times[i], st, rates, quadratic)
         if not np.isfinite(P[i - 1]).all():
             raise NonFiniteState(f"non-finite Riccati state at t={times[i - 1]:.6g}")
@@ -206,7 +184,7 @@ def solve_riccati(problem: ProblemSpec, N: int) -> RiccatiGrid:
     failure, reporting the failing node and regime.
     """
     times, P = _integrate_backward(problem, N)
-    Theta, rhat_min = _node_gain(P, _on_grid(problem, times), times)
+    Theta, rhat_min = _node_gain(P, problem.coefficients_at(times), times)
     return RiccatiGrid(times=times, P=P, Theta=Theta, rhat_min_eig=rhat_min)
 
 
@@ -237,17 +215,17 @@ class FeedbackLaw:
 
     def hat_terms(self, times):
         """Shat (K, D, m, n) and Rhat (K, D, m, m) at the interpolated P of K times."""
-        return _hat_terms(self.interpolated_P(times), _on_grid(self.problem, times))
+        return _hat_terms(self.interpolated_P(times), self.problem.coefficients_at(times))
 
     def gain(self, t: float, k: int) -> NDArray:
         """Feedback gain Theta(t, k), recomputed from the interpolated P."""
-        Theta, _ = _node_gain(self.interpolated_P([t]), _on_grid(self.problem, [t]), [t])
+        Theta, _ = _node_gain(self.interpolated_P([t]), self.problem.coefficients_at([t]), [t])
         return Theta[0, k]
 
     def gains_at_times(self, times) -> NDArray:
         """Stacked gains (len(times), D, m, n) for all regimes, one batched solve."""
         P = self.interpolated_P(times)
-        return _node_gain(P, _on_grid(self.problem, times), times)[0]
+        return _node_gain(P, self.problem.coefficients_at(times), times)[0]
 
 
 def rhat_certificate(grid: RiccatiGrid) -> float:

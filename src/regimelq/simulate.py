@@ -54,7 +54,7 @@ from numpy.typing import NDArray
 from .chain import sample_regimes_on_grid
 from .errors import NonFiniteState, ValidationError
 from .model import ProblemSpec
-from .riccati import FeedbackLaw, _on_grid
+from .riccati import FeedbackLaw
 # CHUNK_SIZE is re-exported: it is the path count of one batch chunk
 from .streams import CHUNK_SIZE, derive_rng, run_chunks
 
@@ -179,7 +179,7 @@ class _LoopTable(NamedTuple):
 def _loop_table(problem: ProblemSpec, control: Control, times) -> _LoopTable:
     """Closed-loop coefficients of ``control`` at every grid node and regime."""
     gains, v = _resolve_control(control, problem, times)
-    A, B, C, D, Q, S, R = _on_grid(problem, times[:-1])
+    A, B, C, D, Q, S, R = problem.coefficients_at(times[:-1])
     n = problem.n
     Theta = np.zeros(B.shape[:2] + (problem.m, n)) if gains is None else gains
     ThetaT = Theta.swapaxes(-1, -2)
@@ -404,7 +404,7 @@ def _kernel_pass(
             if diffusion is not None:
                 diffusion *= dw
                 X += diffusion
-    G_T = problem.terminal_weights()[regimes[:, -1]]
+    G_T = problem.G[regimes[:, -1]]
     out = []
     for lane in lanes:
         X_T, running = lane.X.T, lane.running

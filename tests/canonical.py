@@ -19,11 +19,11 @@ import numpy as np
 
 import regimelq as rl
 from regimelq.errors import OutOfHorizon, ValidationError
-from regimelq.riccati import _on_grid, _rhs
+from regimelq.riccati import _rhs
 
 
-def coeff_at(problem: rl.ProblemSpec, t: float, k: int) -> rl.CoefficientSet:
-    """Coefficient set in force at time t for regime k (right-continuous)."""
+def coeff_at(problem: rl.ProblemSpec, t: float, k: int) -> np.record:
+    """The (segment, regime) cell in force at time t for regime k (right-continuous)."""
     if not 0 <= k < problem.num_regimes:
         raise OutOfHorizon(f"regime {k} out of range")
     return problem.coefficients[problem.segment_index(t)][k]
@@ -40,7 +40,7 @@ def riccati_rhs(P_all, t: float, problem: rl.ProblemSpec) -> np.ndarray:
         raise ValidationError(
             f"P_all must have shape ({problem.num_regimes}, {problem.n}, {problem.n})"
         )
-    return _rhs(P, t, _on_grid(problem, t), problem.generator.rates)
+    return _rhs(P, t, problem.coefficients_at(t), problem.generator.rates)
 
 
 def problem_to_config(problem: rl.ProblemSpec) -> dict:
@@ -49,10 +49,9 @@ def problem_to_config(problem: rl.ProblemSpec) -> dict:
     for j in range(problem.num_segments):
         coeffs = {}
         for k in range(problem.num_regimes):
-            cs = problem.coefficients[j][k]
             coeffs[str(k + 1)] = {
-                name: getattr(cs, name).tolist()
-                for name in ("A", "B", "C", "D", "Q", "S", "R")
+                name: getattr(problem.coefficients, name)[j, k].tolist()
+                for name in rl.Coefficients._fields
             }
         segments.append({"t_start": float(problem.breakpoints[j]), "coefficients": coeffs})
     return {
@@ -64,10 +63,7 @@ def problem_to_config(problem: rl.ProblemSpec) -> dict:
         "T": problem.T,
         "generator": problem.generator.rates.tolist(),
         "segments": segments,
-        "G": {
-            str(k + 1): problem.coefficients[-1][k].G.tolist()
-            for k in range(problem.num_regimes)
-        },
+        "G": {str(k + 1): G.tolist() for k, G in enumerate(problem.G)},
         "x0": problem.x0.tolist(),
         "i0": problem.i0 + 1,
     }

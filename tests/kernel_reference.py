@@ -2,7 +2,7 @@
 gather with einsum mat-vecs, and the full-table matrix product.
 
 ``euler_maruyama_step`` and ``evaluate_cost`` step and cost one recorded
-path at a time, straight from the coefficient sets; the batch kernel is
+path at a time, straight from the coefficient cells; the batch kernel is
 tested against them on the same noise.
 
 :func:`full_table_evolve` is the state-major kernel before it stepped only
@@ -29,13 +29,12 @@ from numpy.typing import NDArray
 
 from regimelq.chain import sample_regimes_on_grid
 from regimelq.errors import NonFiniteState, ValidationError
-from regimelq.model import CoefficientSet, ProblemSpec
-from regimelq.riccati import _on_grid
+from regimelq.model import ProblemSpec
 from regimelq.simulate import Control, PathRecord, _resolve_control
 
 
 def euler_maruyama_step(
-    x: NDArray, u: NDArray, coeffs: CoefficientSet, dW: float, h: float
+    x: NDArray, u: NDArray, coeffs, dW: float, h: float
 ) -> NDArray:
     """One explicit step x' = x + (Ax + Bu) h + (Cx + Du) dW."""
     if not h > 0.0:
@@ -54,7 +53,7 @@ def evaluate_cost(path: PathRecord, problem: ProblemSpec) -> float:
         cs = problem.coefficients[problem.segment_index(path.times[i])][path.regimes[i]]
         x, u = path.X[i], path.U[i]
         total += (x @ cs.Q @ x + 2.0 * (u @ cs.S @ x) + u @ cs.R @ u) * h
-    G = problem.terminal_weights()[path.regimes[-1]]
+    G = problem.G[path.regimes[-1]]
     xT = path.X[-1]
     return float(total + xT @ G @ xT)
 
@@ -72,7 +71,7 @@ class _LoopTable(NamedTuple):
 def _loop_table(problem: ProblemSpec, control: Control, times) -> _LoopTable:
     """Closed-loop coefficients of ``control`` at every grid node and regime."""
     gains, v = _resolve_control(control, problem, times)
-    A, B, C, D, Q, S, R = _on_grid(problem, times[:-1])
+    A, B, C, D, Q, S, R = problem.coefficients_at(times[:-1])
     Theta = np.zeros(B.shape[:2] + (problem.m, problem.n)) if gains is None else gains
     ThetaT = Theta.swapaxes(-1, -2)
     cross = ThetaT @ S
@@ -128,7 +127,7 @@ def _evolve(problem: ProblemSpec, table: _LoopTable, regimes, dW, states=None):
         raise NonFiniteState("state became non-finite during batch simulation")
     if states is not None:
         states[:, -1] = X
-    G = problem.terminal_weights()
+    G = problem.G
     terminal = np.einsum("pi,pij,pj->p", X, G[regimes[:, -1]], X)
     return running, terminal, X
 
@@ -161,5 +160,5 @@ def full_table_evolve(problem: ProblemSpec, table, regimes, dW, states=None):
     X_T = X.T
     if states is not None:
         states[-1] = X
-    terminal = np.einsum("pi,pij,pj->p", X_T, problem.terminal_weights()[regimes[:, -1]], X_T)
+    terminal = np.einsum("pi,pij,pj->p", X_T, problem.G[regimes[:, -1]], X_T)
     return running, terminal, X_T

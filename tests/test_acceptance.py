@@ -5,6 +5,7 @@ line per criterion.  Criteria 4 and 7-9 are Monte Carlo checks at
 100_000-path scale; the whole module runs in a few minutes.
 """
 
+import json
 import time
 from pathlib import Path
 
@@ -204,4 +205,22 @@ def test_criterion_10_verify_determinism(tmp_path):
         "criterion 10 (verify determinism)",
         identical,
         "byte-identical reports across repeated runs and workers in {1, 4}",
+    )
+
+
+def test_verify_passes_on_switching_diffusion(tmp_path):
+    # the bundled config with a breakpoint inside (0, T) and live C, D and S:
+    # every check reads the coefficients of both segments
+    config = CONFIGS / "switching_diffusion.json"
+    prob = rl.validate_problem(json.loads(config.read_text()))
+    assert prob.num_segments == 2 and 0.0 < prob.breakpoints[1] < prob.T
+    rc = cli_main([
+        "verify", "--config", str(config), "--grid", "100", "--paths", "5000",
+        "--seed", "42", "--workers", "1", "--out", str(tmp_path),
+    ])
+    checks = json.loads((tmp_path / "verify_report.json").read_text())["checks"]
+    _report(
+        "switching_diffusion verify",
+        rc == 0 and all(c["status"] == "pass" for c in checks),
+        ", ".join(f"{c['check']} {c['status']}" for c in checks),
     )

@@ -150,6 +150,21 @@ class TestExitCodes:
             ), [], "coefficients.1.A[0] must be a number, got '0.1'"),
             ("solve", lambda: _bundled("scalar.json", lambda c: c.update(regimes=True)), [],
              "regimes must be an integer, got True"),
+            ("bsde", lambda: _bundled(
+                "random_coeff.json", lambda c: c["driver"].update(y_range=[-3, 3, 5])
+            ), [], "driver.y_range must be a list [low, high], got [-3, 3, 5]"),
+            ("bsde", lambda: _bundled(
+                "random_coeff.json", lambda c: c["driver"].update(y_range=[-3])
+            ), [], "driver.y_range must be a list [low, high], got [-3]"),
+            ("bsde", lambda: _bundled(
+                "random_coeff.json", lambda c: c["coefficients"]["2"].update(B=0.1)
+            ), [], "coefficients.2.B must be a list [const, slope] or [const], got 0.1"),
+            ("bsde", lambda: _bundled(
+                "random_coeff.json", lambda c: c["coefficients"]["1"].update(R=[])
+            ), [], "coefficients.1.R must be a list [const, slope] or [const], got []"),
+            ("bsde", lambda: _bundled(
+                "random_coeff.json", lambda c: c["coefficients"]["1"].update(G=[1.0, 0.05, 0.1])
+            ), [], "coefficients.1.G must be a list [const, slope] or [const], got [1.0, 0.05, 0.1]"),
         ],
         ids=[
             "missing-fields", "not-an-object", "market-missing-generator",
@@ -163,7 +178,8 @@ class TestExitCodes:
             "infinite-theta_bar", "nan-y0", "infinite-y_range", "nan-T", "zero-T",
             "diverging-driver", "infinite-n", "fractional-n", "boolean-m", "boolean-i0",
             "boolean-T", "string-T", "boolean-nu", "boolean-R-entry", "string-x0-entry",
-            "string-A-map", "boolean-regimes",
+            "string-A-map", "boolean-regimes", "three-number-y_range", "one-number-y_range",
+            "bare-number-coefficient", "empty-coefficient", "three-number-coefficient",
         ],
     )
     def test_invalid_schema_exits_one(self, tmp_path, capsys, command, config, extra, says):
@@ -476,7 +492,7 @@ def test_cli_import_sets_one_blas_thread_unless_the_user_chose(user):
 PUBLIC_NAMES = {
     "chain": ["ChainPath", "GeneratorMatrix", "sample_chain_paths", "sample_regimes_on_grid",
               "validate_generator"],
-    "model": ["CoefficientSet", "ProblemSpec", "make_problem", "problem_from_config",
+    "model": ["Coefficients", "ProblemSpec", "make_problem", "problem_from_config",
               "validate_problem", "with_initial_state"],
     "riccati": ["FeedbackLaw", "RiccatiGrid", "rhat_certificate", "solve_riccati"],
     "simulate": ["ControlTable", "MCEstimate", "PathRecord", "PerturbedFeedback", "mc_cost",

@@ -1,7 +1,10 @@
 """Model module: validation, symmetrization, segment lookup, config round trip."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import regimelq as rl
 from regimelq.errors import (
@@ -54,16 +57,23 @@ class TestMakeProblem:
             )
 
     def test_shape_guard(self):
-        with pytest.raises(DimensionMismatch):
-            rl.make_problem(
-                n=2, m=2, T=1.0, generator=[[0.0]],
-                coefficients=[[{
-                    "A": np.zeros((2, 2)), "B": np.zeros((2, 3)), "C": np.zeros((2, 2)),
-                    "D": np.zeros((2, 2)), "Q": np.eye(2), "S": np.zeros((2, 2)),
-                    "R": np.eye(2),
-                }]],
-                G=[np.eye(2)], x0=[1.0, 0.0], i0=0,
-            )
+        # the malformed cell is named by its segment and regime
+        cell = lambda B: {
+            "A": np.zeros((2, 2)), "B": B, "C": np.zeros((2, 2)),
+            "D": np.zeros((2, 2)), "Q": np.eye(2), "S": np.zeros((2, 2)), "R": np.eye(2),
+        }
+        for segments, regimes, bad in ((1, 1, (0, 0)), (2, 2, (1, 1))):
+            coefficients = [
+                [cell(np.zeros((2, 3) if (j, k) == bad else (2, 2))) for k in range(regimes)]
+                for j in range(segments)
+            ]
+            where = f"B (segment {bad[0]}, regime {bad[1]})"
+            with pytest.raises(DimensionMismatch, match=re.escape(where)):
+                rl.make_problem(
+                    n=2, m=2, T=1.0, generator=np.zeros((regimes, regimes)),
+                    coefficients=coefficients, G=[np.eye(2)] * regimes, x0=[1.0, 0.0], i0=0,
+                    breakpoints=np.linspace(0.0, 1.0, segments + 1),
+                )
 
     def test_bad_breakpoints(self):
         with pytest.raises(BadSegments):
@@ -80,7 +90,7 @@ class TestCoeffAt:
         prob = scalar_analytic()
         a = coeff_at(prob, 0.0, 0)
         b = coeff_at(prob, 0.73, 0)
-        assert a is b
+        assert a.tobytes() == b.tobytes()
 
     def test_right_continuous_at_breakpoint(self):
         prob = rl.make_problem(
@@ -117,6 +127,58 @@ class TestCoeffAt:
         a = coeff_at(prob, 0.3, 0)
         b = coeff_at(prob, 0.3, 0)
         np.testing.assert_array_equal(a.A, b.A)
+
+
+@st.composite
+def indexed_problems(draw):
+    """A problem with n, m, D <= 3 and 1-3 segments, its input cells and times.
+
+    Entries are small integers, and Q, R, G are symmetric, so the table holds
+    the input exactly.  The times are random ones in [0, T] and every
+    breakpoint, T included.
+    """
+    n, m, d, segments = (draw(st.integers(min_value=1, max_value=3)) for _ in range(4))
+    T = draw(st.floats(min_value=0.25, max_value=4.0))
+    inner = draw(st.lists(st.floats(min_value=0.0, max_value=T, exclude_min=True,
+                                    exclude_max=True),
+                          min_size=segments - 1, max_size=segments - 1, unique=True))
+    breakpoints = [0.0, *sorted(inner), T]
+    mat = lambda rows, cols: np.array(draw(st.lists(
+        st.integers(min_value=-9, max_value=9), min_size=rows * cols, max_size=rows * cols
+    )), dtype=np.float64).reshape(rows, cols)
+
+    def sym(k):
+        M = mat(k, k)
+        return M + M.T
+
+    cells = [[{"A": mat(n, n), "B": mat(n, m), "C": mat(n, n), "D": mat(n, m),
+               "Q": sym(n), "S": mat(m, n), "R": sym(m)} for _ in range(d)]
+             for _ in range(segments)]
+    G = [sym(n) for _ in range(d)]
+    prob = rl.make_problem(n=n, m=m, T=T, generator=np.zeros((d, d)), coefficients=cells,
+                           G=G, x0=np.zeros(n), i0=0, breakpoints=breakpoints)
+    times = draw(st.lists(st.floats(min_value=0.0, max_value=T), max_size=8))
+    return prob, cells, G, np.array(times + breakpoints)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(indexed_problems())
+def test_property_coefficients_at_reads_the_input_cells(instance):
+    # right-continuous on [s_j, s_{j+1}), T read from the last segment, and
+    # a scalar time gives the same stacks as that time in an array
+    prob, cells, G, times = instance
+    bp = prob.breakpoints
+    at = prob.coefficients_at(times)
+    for i, t in enumerate(times):
+        j = max(j for j in range(prob.num_segments) if bp[j] <= t)
+        one = prob.coefficients_at(float(t))
+        for name in rl.Coefficients._fields:
+            want = np.stack([cell[name] for cell in cells[j]])
+            assert np.array_equal(getattr(at, name)[i], want)
+            assert np.array_equal(getattr(one, name), want)
+            assert np.array_equal(getattr(prob.coefficients, name)[j], want)
+    assert np.array_equal(prob.G, np.stack(G))
+    assert prob.segment_index(prob.T) == prob.num_segments - 1
 
 
 class TestConfigRoundTrip:

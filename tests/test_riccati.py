@@ -92,7 +92,7 @@ class TestSolveRiccati:
     def test_terminal_exact_bitwise(self):
         prob = two_regime_coupling()
         grid = rl.solve_riccati(prob, 50)
-        np.testing.assert_array_equal(grid.P[-1], prob.terminal_weights())
+        np.testing.assert_array_equal(grid.P[-1], prob.G)
 
     def test_symmetry_at_every_node(self):
         prob = rl.make_problem(
@@ -136,7 +136,7 @@ class TestSolveRiccati:
         prob = random_convex(124)
         coarse = rl.solve_riccati(prob, 2)
         fine = rl.solve_riccati(prob, 200)
-        np.testing.assert_array_equal(coarse.P[-1], prob.terminal_weights())
+        np.testing.assert_array_equal(coarse.P[-1], prob.G)
         np.testing.assert_allclose(
             coarse.P, fine.P[::100], rtol=0, atol=0.05 * np.max(np.abs(fine.P))
         )
@@ -391,7 +391,7 @@ def test_property_p_and_lyapunov_m_exactly_symmetric(instance):
     prob, N, _ = instance
     for X in (rl.solve_riccati(prob, N).P, rl.lyapunov_solve(prob, N).M):
         assert np.array_equal(X, X.swapaxes(-1, -2))
-        assert np.array_equal(X[-1], prob.terminal_weights())
+        assert np.array_equal(X[-1], prob.G)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -440,7 +440,7 @@ def _dop853_reference(prob, times) -> np.ndarray:
         return f
 
     P = np.empty((len(times), d, n, n))
-    y = prob.terminal_weights().ravel()
+    y = prob.G.ravel()
     bp = prob.breakpoints
     for j in range(prob.num_segments - 1, -1, -1):
         inside = (times >= bp[j]) & (times <= bp[j + 1])

@@ -13,7 +13,6 @@ import regimelq as rl
 from regimelq import chain, simulate
 from regimelq.chain import sample_regimes_on_grid
 from regimelq.errors import ValidationError
-from regimelq.riccati import _on_grid
 from regimelq.simulate import _kernel_pass, _loop_table, mc_run, paired_refinement_run
 from regimelq.streams import (
     CHUNK_SIZE, MAP_MIN_BYTES, derive_rng, derive_seed, mapped_zeros, run_chunks,
@@ -350,7 +349,7 @@ def test_loop_table_block_maps_a_regime_state_to_its_closed_loop_terms(kind):
     if kind == "feedback":
         # without v the affine column of every block and the last row are zero
         assert not M[:, :, n :: n + 1].any() and not M[:, 3 * n].any()
-    A, B, C, D, Q, S, R = _on_grid(prob, times[:-1])
+    A, B, C, D, Q, S, R = prob.coefficients_at(times[:-1])
     Theta = np.zeros((N, d, prob.m, n)) if kind == "table" else law.gains_at_times(times[:-1])
     v = np.zeros_like(v) if kind == "feedback" else v
     rng = derive_rng(27)

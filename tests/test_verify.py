@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import regimelq as rl
-from regimelq.riccati import _hat_terms, _on_grid, stationarity_defect
+from regimelq.riccati import _hat_terms, stationarity_defect
 from regimelq.verify import STATIONARITY_RTOL, stationarity_check
 
 from canonical import (
@@ -78,7 +78,7 @@ class TestLyapunovSolve:
     def test_terminal_condition_and_symmetry(self):
         prob = two_regime_coupling()
         lyap = rl.lyapunov_solve(prob, 60)
-        np.testing.assert_array_equal(lyap.M[-1], prob.terminal_weights())
+        np.testing.assert_array_equal(lyap.M[-1], prob.G)
         assert np.max(np.abs(lyap.M - lyap.M.swapaxes(-1, -2))) <= 1e-12
 
     def test_matches_riccati_when_shat_vanishes(self):
@@ -161,7 +161,7 @@ class TestStationarity:
                   for t in 0.5 * (grid.times[:-1] + grid.times[1:])]
         worst = 0.0
         for t, Theta in gains:
-            Shat, Rhat = _hat_terms(law.interpolated_P(t), _on_grid(prob, t))
+            Shat, Rhat = _hat_terms(law.interpolated_P(t), prob.coefficients_at(t))
             for k in regimes:
                 worst = max(worst, _relative_defect(Shat[k], Rhat[k], Theta[k]))
         assert stationarity_defect(prob, grid) == worst
@@ -185,7 +185,7 @@ class TestStationarity:
         broken = dataclasses.replace(grid, P=P)
         check = stationarity_check(prob, broken, 107)
         assert not check.passed
-        Shat, Rhat = _hat_terms(P[20], _on_grid(prob, grid.times[20]))
+        Shat, Rhat = _hat_terms(P[20], prob.coefficients_at(grid.times[20]))
         at_node = max(_relative_defect(*terms) for terms in zip(Shat, Rhat, grid.Theta[20]))
         assert check.statistic == pytest.approx(at_node, rel=1e-12)
 
