@@ -9,14 +9,12 @@ with k the current regime of an independent Markov chain, and cost
     J(u) = E[ <G(k_T) X_T, X_T> + int_0^T <Q X, X> + 2 <S X, u> + <R u, u> dt ].
 
 Coefficients are deterministic functions of (t, regime), piecewise constant
-in t over a fixed segment partition of [0, T].  They are stored once, as
-one (segments J, regimes D) table of records: ``problem.coefficients.A[j, k]``
-is A on segment j in regime k, ``problem.coefficients[j][k]`` that whole
-cell, and every record carries its regime's terminal weight, so
-``problem.G`` is the (D, n, n) stack G_k.  :meth:`ProblemSpec.coefficients_at`
-is the one indexer: it reads the table at any times into a
-:class:`Coefficients` of contiguous per-regime stacks.  Regimes are 0-based
-in the Python API; JSON configs label them 1..D (converted at ingestion).
+in t over a fixed segment partition of [0, T], stored once as a (segment,
+regime) record table: ``problem.coefficients.A[j, k]`` is one coefficient,
+``problem.coefficients[j][k]`` one cell, and ``problem.G`` the (D, n, n)
+terminal weights.  :meth:`ProblemSpec.coefficients_at` is its one indexer.
+Regimes are 0-based in the Python API; JSON configs label them 1..D
+(converted at ingestion).
 """
 
 from __future__ import annotations
@@ -49,13 +47,6 @@ class Coefficients(NamedTuple):
     Q: NDArray[np.float64]  # n x n state weight, symmetric
     S: NDArray[np.float64]  # m x n cross weight
     R: NDArray[np.float64]  # m x m control weight, symmetric
-
-
-def _cell_dtype(n: int, m: int) -> np.dtype:
-    """One (segment, regime) record: the seven coefficients and the terminal weight G."""
-    shapes = {"A": (n, n), "B": (n, m), "C": (n, n), "D": (n, m),
-              "Q": (n, n), "S": (m, n), "R": (m, m), "G": (n, n)}
-    return np.dtype([(name, np.float64, shape) for name, shape in shapes.items()])
 
 
 @dataclass(frozen=True)
@@ -178,24 +169,22 @@ def make_problem(
 
     g_mats = [_symmetrized(_as_matrix(G[k], n, n, f"G[regime {k}]"), "G") for k in range(d)]
 
-    table = np.recarray((num_segments, d), _cell_dtype(n, m))
+    # one record per (segment, regime): the seven coefficients and G_k
+    shapes = dict(A=(n, n), B=(n, m), C=(n, n), D=(n, m), Q=(n, n), S=(m, n), R=(m, m))
+    table = np.recarray(
+        (num_segments, d), [(name, np.float64, s) for name, s in {**shapes, "G": (n, n)}.items()]
+    )
+    table["G"] = g_mats  # every segment's record of regime k carries G_k
     for j, seg in enumerate(coefficients):
         if len(seg) != d:
             raise DimensionMismatch(
                 f"segment {j} has {len(seg)} regime entries, expected {d}"
             )
         for k, cs in enumerate(seg):
-            where = f"segment {j}, regime {k}"
-            table[j, k] = (
-                _as_matrix(cs["A"], n, n, f"A ({where})"),
-                _as_matrix(cs["B"], n, m, f"B ({where})"),
-                _as_matrix(cs["C"], n, n, f"C ({where})"),
-                _as_matrix(cs["D"], n, m, f"D ({where})"),
-                _symmetrized(_as_matrix(cs["Q"], n, n, f"Q ({where})"), f"Q ({where})"),
-                _as_matrix(cs["S"], m, n, f"S ({where})"),
-                _symmetrized(_as_matrix(cs["R"], m, m, f"R ({where})"), f"R ({where})"),
-                g_mats[k],
-            )
+            for name, (rows, cols) in shapes.items():
+                where = f"{name} (segment {j}, regime {k})"
+                M = _as_matrix(cs[name], rows, cols, where)
+                table[name][j, k] = _symmetrized(M, where) if name in ("Q", "R") else M
 
     x0_arr = np.array(x0, dtype=np.float64).reshape(-1)
     if x0_arr.shape != (n,):
