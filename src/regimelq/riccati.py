@@ -18,7 +18,9 @@ which preserves the identity exactly at the interpolated P.
 :func:`stationarity_defect` measures it at every node and step midpoint.
 
 Integration is classical fixed-step RK4.  Each derivative is symmetrized, so
-every stage value, and P, is exactly symmetric.
+every stage value, and P, is exactly symmetric.  The solve reads every
+step's coefficients with one ``problem.coefficients_at`` call at the step
+midpoints; gains and hat terms read theirs the same way at their times.
 Uniform positivity of Rhat is monitored throughout; losing it signals a
 problem that is not uniformly convex and raises :class:`SingularRhat`
 instead of regularizing.  A coarse step can lose it at a stage value or at

@@ -49,9 +49,10 @@ def problem_to_config(problem: rl.ProblemSpec) -> dict:
     for j in range(problem.num_segments):
         coeffs = {}
         for k in range(problem.num_regimes):
+            cs = problem.coefficients[j][k]
             coeffs[str(k + 1)] = {
-                name: getattr(problem.coefficients, name)[j, k].tolist()
-                for name in rl.Coefficients._fields
+                name: getattr(cs, name).tolist()
+                for name in ("A", "B", "C", "D", "Q", "S", "R")
             }
         segments.append({"t_start": float(problem.breakpoints[j]), "coefficients": coeffs})
     return {
