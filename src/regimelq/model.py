@@ -185,6 +185,7 @@ def make_problem(
                 where = f"{name} (segment {j}, regime {k})"
                 M = _as_matrix(cs[name], rows, cols, where)
                 table[name][j, k] = _symmetrized(M, where) if name in ("Q", "R") else M
+    table.flags.writeable = False  # problem.G and the cells are views of it
 
     x0_arr = np.array(x0, dtype=np.float64).reshape(-1)
     if x0_arr.shape != (n,):
