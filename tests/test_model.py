@@ -170,7 +170,7 @@ def test_property_coefficients_at_reads_the_input_cells(instance):
     bp = prob.breakpoints
     at = prob.coefficients_at(times)
     for i, t in enumerate(times):
-        j = max(j for j in range(prob.num_segments) if bp[j] <= t)
+        j = max(s for s in range(prob.num_segments) if bp[s] <= t)
         one = prob.coefficients_at(float(t))
         for name in rl.Coefficients._fields:
             want = np.stack([cell[name] for cell in cells[j]])
