@@ -65,6 +65,8 @@ def invocations(multidim: Path) -> list[tuple[str, list[str]]]:
           for name in ("scalar", "two_regime", "det_lqr", "market_one_regime",
                        "switching_diffusion")),
         ("solve-multidim", run("solve", str(multidim), "200")),
+        # the breakpoint t = 0.5 falls inside a step: that step is split there
+        ("solve-switching_diffusion-grid25", run("solve", cfg("switching_diffusion"), "25")),
         ("frontier-market_one_regime",
          run("frontier", cfg("market_one_regime"), "100", "--paths", "5000")),
         ("simulate-multidim",

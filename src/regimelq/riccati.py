@@ -20,16 +20,18 @@ which preserves the identity exactly at the interpolated P.
 Integration is classical fixed-step RK4.  Each derivative is symmetrized, so
 every stage value, and P, is exactly symmetric.  The solve reads every
 step's coefficients with one ``problem.coefficients_at`` call at the step
-midpoints; gains and hat terms read theirs the same way at their times.
+midpoints; gains and hat terms read theirs the same way at their times.  A
+step that straddles a breakpoint is taken as one RK4 sub-step per segment,
+each on its own segment's coefficients, so off-node breakpoints keep the
+solve fourth order; a breakpoint within ``ON_NODE_RTOL`` h of a node lies
+on that node.
 Uniform positivity of Rhat is monitored throughout; losing it signals a
 problem that is not uniformly convex and raises :class:`SingularRhat`
-instead of regularizing.  A coarse step can lose it at a stage value or at
-its end value although the solution keeps Rhat >= R, so such a step is
-redone as two half-steps, up to ``MAX_STEP_HALVINGS`` deep.  A step that
-still fails there may have been set up by an earlier step that passed the
-guard but left P far off, so the whole solve is then redone on the grids of
-2N, 4N, ..., 2^MAX_STEP_HALVINGS N steps and read off at the N-grid nodes;
-the solve raises when G fails, or when the finest of those grids fails.
+instead of regularizing.  A coarse grid can lose it at a stage value or a
+node although the solution keeps Rhat >= R, so a solve that fails the
+guard anywhere, node gains included, is redone on the grids of 2N, 4N, ...,
+2^MAX_REGRID_LEVELS N steps and read off at the N-grid nodes; the solve
+raises when G fails, or when the finest of those grids fails.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from numpy.typing import NDArray
 from .errors import RHAT_FLOOR, NonFiniteState, SingularRhat, ValidationError
 from .model import Coefficients, ProblemSpec
 
-MAX_STEP_HALVINGS = 4  # deepest halving of a failing RK4 step, then of the whole grid
+MAX_REGRID_LEVELS = 4  # a failing solve is redone on 2N, ..., 2^MAX_REGRID_LEVELS N steps
+ON_NODE_RTOL = 1e-9  # a breakpoint this close to a node, relative to the step, lies on it
 
 
 def _hat_terms(P: NDArray, st: Coefficients):
@@ -110,69 +113,52 @@ def _node_gain(P: NDArray, st: Coefficients, times):
 
 
 def _rk4_step(
-    P: NDArray, h: float, t1: float, st: Coefficients, rates, quadratic: bool, depth: int = 0
+    P: NDArray, h: float, t1: float, st: Coefficients, rates, quadratic: bool
 ) -> NDArray:
-    """One RK4 step of size h from P at t1 back to t1 - h.
-
-    When a stage value or the end value fails the Rhat guard, the step is
-    redone as two half-steps, at most ``MAX_STEP_HALVINGS`` times deep; at
-    that depth the failure raises :class:`SingularRhat`.  The derivative at
-    P itself is never retried: P is a node value already accepted, or G.
-    """
+    """One RK4 step of size h from P at t1 back to t1 - h on the coefficients ``st``."""
     k1 = _rhs(P, t1, st, rates, quadratic)
     tm = t1 - 0.5 * h
-    try:
-        k2 = _rhs(P - 0.5 * h * k1, tm, st, rates, quadratic)
-        k3 = _rhs(P - 0.5 * h * k2, tm, st, rates, quadratic)
-        k4 = _rhs(P - h * k3, t1 - h, st, rates, quadratic)
-        P_end = P - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if quadratic:
-            _guard_rhat(_hat_terms(P_end, st)[1][None], [t1 - h])
-    except SingularRhat:
-        if depth == MAX_STEP_HALVINGS:
-            raise
-        P = _rk4_step(P, 0.5 * h, t1, st, rates, quadratic, depth + 1)
-        return _rk4_step(P, 0.5 * h, tm, st, rates, quadratic, depth + 1)
-    return P_end
+    k2 = _rhs(P - 0.5 * h * k1, tm, st, rates, quadratic)
+    k3 = _rhs(P - 0.5 * h * k2, tm, st, rates, quadratic)
+    k4 = _rhs(P - h * k3, t1 - h, st, rates, quadratic)
+    return P - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate_backward(
-    problem: ProblemSpec, N: int, quadratic: bool = True
-) -> tuple[NDArray, NDArray]:
+def _integrate_on_grid(problem: ProblemSpec, N: int, quadratic: bool = True):
     """RK4 backward integration from P(T) = G on the uniform N-step grid.
 
-    When a step fails the Rhat guard at full halving depth, the integration
-    is redone on the 2^j N-step grid for j = 1, 2, ..., MAX_STEP_HALVINGS,
-    and the first that solves gives every 2^j-th node: the same values as
-    the solve at 2^j N.  Only the finest grid's failure raises.
+    Each step reads the coefficients at its midpoint.  A step with
+    breakpoints strictly inside it, farther than ``ON_NODE_RTOL`` h from
+    both its nodes, is taken as one sub-step per segment, each reading its
+    own segment at its own midpoint.  A failed Rhat guard raises
+    :class:`SingularRhat`; retrying is the caller's business.
     """
     if N < 2:
         raise ValidationError("need at least N=2 grid steps")
-    for level in range(MAX_STEP_HALVINGS + 1):
-        try:
-            times, P = _integrate_on_grid(problem, N * 2**level, quadratic)
-            return times[:: 2**level], P[:: 2**level]
-        except SingularRhat as exc:
-            failure = exc
-    raise failure
-
-
-def _integrate_on_grid(problem: ProblemSpec, N: int, quadratic: bool):
-    """RK4 backward integration on the uniform N-step grid, halving failed steps."""
     T = problem.T
     h = T / N
     times = np.linspace(0.0, T, N + 1)
-    # one segment owns the whole step when breakpoints sit on grid nodes;
-    # the midpoint lookup avoids grabbing the right-hand segment at a
-    # breakpoint node (segment_index is right-continuous)
+    # midpoints, because segment_index is right-continuous at a breakpoint node
     steps = problem.coefficients_at(times[1:] - 0.5 * h)
     rates = problem.generator.rates
+    cuts = problem.breakpoints[1:-1]
+    owner = np.searchsorted(times, cuts)  # step i runs from times[i - 1] to times[i]
+    inside = np.minimum(cuts - times[owner - 1], times[owner] - cuts) > ON_NODE_RTOL * h
+    split = {i: cuts[inside & (owner == i)] for i in owner[inside]}
 
     P = np.empty((N + 1, problem.num_regimes, problem.n, problem.n))
     P[N] = problem.G
     for i in range(N, 0, -1):
-        st = Coefficients(*(a[i - 1] for a in steps))
-        P[i - 1] = _rk4_step(P[i], h, times[i], st, rates, quadratic)
+        if i in split:
+            edges = [times[i], *split[i][::-1], times[i - 1]]
+            X = P[i]
+            for t1, t0 in zip(edges, edges[1:]):
+                st = problem.coefficients_at(0.5 * (t0 + t1))
+                X = _rk4_step(X, t1 - t0, t1, st, rates, quadratic)
+            P[i - 1] = X
+        else:
+            st = Coefficients(*(a[i - 1] for a in steps))
+            P[i - 1] = _rk4_step(P[i], h, times[i], st, rates, quadratic)
         if not np.isfinite(P[i - 1]).all():
             raise NonFiniteState(f"non-finite Riccati state at t={times[i - 1]:.6g}")
     return times, P
@@ -182,12 +168,23 @@ def solve_riccati(problem: ProblemSpec, N: int) -> RiccatiGrid:
     """Solve the coupled Riccati system backward from P(T, k) = G_k.
 
     Fixed-step RK4 with N steps; feedback gains and Rhat spectra recorded at
-    every node.  Raises :class:`SingularRhat` or :class:`NonFiniteState` on
-    failure, reporting the failing node and regime.
+    every node.  When a stage value or a node gain fails the Rhat guard, the
+    solve is redone on the 2^j N-step grid for j = 1, ..., MAX_REGRID_LEVELS,
+    and the first that solves gives every 2^j-th node: the same values as
+    the solve at 2^j N.  Raises :class:`SingularRhat` when the finest grid
+    fails too, or :class:`NonFiniteState`, reporting the failing node and
+    regime.
     """
-    times, P = _integrate_backward(problem, N)
-    Theta, rhat_min = _node_gain(P, problem.coefficients_at(times), times)
-    return RiccatiGrid(times=times, P=P, Theta=Theta, rhat_min_eig=rhat_min)
+    for level in range(MAX_REGRID_LEVELS + 1):
+        try:
+            times, P = _integrate_on_grid(problem, N * 2**level)
+            times, P = times[:: 2**level], P[:: 2**level]
+            Theta, rhat_min = _node_gain(P, problem.coefficients_at(times), times)
+        except SingularRhat as exc:
+            failure = exc
+        else:
+            return RiccatiGrid(times=times, P=P, Theta=Theta, rhat_min_eig=rhat_min)
+    raise failure
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .model import ProblemSpec, with_initial_state
 from .riccati import (
     FeedbackLaw,
     RiccatiGrid,
-    _integrate_backward,
+    _integrate_on_grid,
     rhat_certificate,
     solve_riccati,
     stationarity_defect,
@@ -119,9 +119,10 @@ def lyapunov_solve(problem: ProblemSpec, N: int) -> LyapunovGrid:
     """Solve the coupled linear (zero-control) backward system.
 
     Same integrator as the Riccati solve with the quadratic feedback term
-    removed, so x0' M(0, i0) x0 is the exact cost of the zero control.
+    removed, so x0' M(0, i0) x0 is the exact cost of the zero control.  It
+    has no Rhat guard, so it is never redone on a finer grid.
     """
-    times, M = _integrate_backward(problem, N, quadratic=False)
+    times, M = _integrate_on_grid(problem, N, quadratic=False)
     return LyapunovGrid(times=times, M=M)
 
 
