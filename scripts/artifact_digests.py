@@ -59,7 +59,7 @@ def invocations(multidim: Path) -> list[tuple[str, list[str]]]:
          run("bsde", cfg("random_coeff"), "40", "--paths", "2000", "--degree", "0")),
         ("bsde-random_coeff-degree5",
          run("bsde", cfg("random_coeff"), "40", "--paths", "20000", "--degree", "5")),
-        # N = 9 checkpoints the driver every 4 nodes: the last segment is one step
+        # N = 9 walks the driver backward in blocks of s = 4 nodes: the last block holds one
         ("bsde-random_coeff-grid9", run("bsde", cfg("random_coeff"), "9", "--paths", "2000")),
         *((f"solve-{name}", run("solve", cfg(name), "200"))
           for name in ("scalar", "two_regime", "det_lqr", "market_one_regime",

@@ -22,22 +22,18 @@ same Qhat - Shat^2 / Rhat algebra as the Riccati drift, evaluated at the
 regressed next-node values (explicit scheme).  This is the least-squares
 Monte Carlo scheme of Gobet, Lemor & Warin (Ann. Appl. Probab. 15(3), 2005).
 
-The training bundle stores no increments and keeps the driver only at
-checkpoint nodes, every s = isqrt(N) + 1 nodes plus node N
-(:func:`checkpoint_nodes`).  Node i's increments are one row of M normals
-from a stream of their own, keyed ``(seed, "bundle-dW", i)``, so any node's
-row can be drawn again alone.  Generation steps the driver on each row and
-keeps the checkpoints; walking backward, the sweep redraws each segment's
-rows and rebuilds the segment's driver from its checkpoint.  Generation,
-the sweep and :func:`full_driver` all step through the one function
-:func:`_euler_rows`, with the same operations in the same order, so every
-driver value the sweep reads is bit for bit the one a full-grid array would
-hold.  The bundle then takes about 3 sqrt(N) instead of 2N + 1 rows of M
-floats: the checkpoints, one (s + 1, M) driver segment and one (s, M)
-increment segment (Griewank & Walther, "Algorithm 799: revolve", ACM TOMS
-26(1), 2000, one level).  The per-node keys make the increments independent
-of the checkpoint spacing, and an M'-path bundle's increments are the
-first M' paths of any larger bundle's with the same seed.
+The training bundle stores the driver at node N only.  The Euler driver
+is a Gaussian AR(1) chain: with h = T/N and b = 1 - kappa h, node i has
+mean m_i and variance v_i from m_{i+1} = kappa theta_bar h + b m_i and
+v_{i+1} = b^2 v_i + nu^2 h, m_0 = y0, v_0 = 0.  So the path is drawn
+backward, y_N = m_N + sqrt(v_N) z_N and then each (y_i, dW_i) from its law
+given y_{i+1} (:func:`_driver_backward`), in exactly the order the sweep
+reads the nodes, and each normal is drawn once.  Node i's normals z_i are
+one row of M from a stream of their own, keyed ``(seed, "bundle-z", i)``,
+so an M'-path bundle is the first M' paths of any larger bundle with the
+same seed.  The rows satisfy y_{i+1} = y_i + kappa (theta_bar - y_i) h
++ nu dW_i to rounding, and the path has the joint law of the forward
+chain.
 
 Each node takes one thin SVD Phi = U S V' of the scaled (M, B) basis, by
 way of its QR factor R alone (Chan's R-SVD, ACM TOMS 8(1), 1982): a
@@ -247,49 +243,42 @@ def constant_problem(model: RandomCoefficientModel) -> ProblemSpec:
 
 @dataclass
 class PathBundle:
-    """Training data: driver checkpoints and the keys of the bundle's draws.
+    """Training data: the driver at node N and the keys of the bundle's draws.
 
-    The driver is stored only at the grid nodes ``checkpoints`` (see
-    :func:`checkpoint_nodes`), one contiguous row of ``y`` per node; every
-    other node is rebuilt from the checkpoint before it by
-    :func:`_euler_rows`, bit for bit.  No increments are stored: node i's
-    increments are one row of M normals from the stream
-    ``(seed, "bundle-dW", i)`` scaled by sqrt(h), redrawn by
-    :meth:`increments` wherever they are needed, so the bundle's bytes are
-    about sqrt(N) driver rows.  ``dW`` (path-major, (M, N)) and ``regimes``
-    (the exact chain paths on the grid, from the chunk streams
-    ``(seed, "bundle", c)``, with the dtype of
+    ``y`` is the driver at node N.  Every earlier node is drawn backward
+    from it by :func:`_driver_backward`, from node i's stream
+    ``(seed, "bundle-z", i)``, the node means ``mean`` and the per-step rows
+    ``bridge``; these small tables are all the walk needs of the model, so
+    :func:`full_driver` and ``dW`` come from the bundle alone.  ``dW``
+    (path-major, (M, N)) and ``regimes`` (the exact chain paths on the grid,
+    from the chunk streams ``(seed, "bundle", c)``, with the dtype of
     :func:`~regimelq.chain.sample_regimes_on_grid`) are drawn whole on first
     access; the sweep reads neither.
     """
 
     times: NDArray[np.float64]  # (N+1,)
-    y: NDArray[np.float64]  # (K, M): the driver at the nodes `checkpoints`
-    checkpoints: NDArray[np.intp]  # (K,) increasing node indices, first 0, last N
+    y: NDArray[np.float64]  # (M,): the driver at node N
+    mean: NDArray[np.float64]  # (N+1,) m_i, the driver's mean at node i
+    bridge: NDArray[np.float64]  # (N, 4) per step i: (a, p, c, q) of _driver_backward
     seed: int
     generator: GeneratorMatrix
     i0: int
 
     @property
     def num_paths(self) -> int:
-        return self.y.shape[1]
+        return len(self.y)
 
     @property
     def num_steps(self) -> int:
         return len(self.times) - 1
 
-    def increments(self, first: int, out: NDArray) -> NDArray:
-        """Fill row j of the (rows, M) ``out`` with node ``first + j``'s increments."""
-        scale = np.sqrt(self.times[-1] / self.num_steps)
-        for j, row in enumerate(out):
-            derive_rng(self.seed, "bundle-dW", first + j).standard_normal(out=row)
-            row *= scale
-        return out
-
     @cached_property
     def dW(self) -> NDArray[np.float64]:
-        """(M, N) increments, path-major: a view of the node-major draw."""
-        return self.increments(0, np.empty((self.num_steps, self.num_paths))).T
+        """(M, N) increments, path-major: a view of the node-major walk."""
+        dW = np.empty((self.num_steps, self.num_paths))
+        for i, _, dWi in _driver_backward(self):
+            dW[i] = dWi
+        return dW.T
 
     @cached_property
     def regimes(self) -> NDArray[np.signedinteger]:
@@ -300,69 +289,74 @@ class PathBundle:
         return run_chunks(self.num_paths, self.seed, "bundle", draw)[0]
 
 
-def checkpoint_nodes(N: int) -> NDArray[np.intp]:
-    """Nodes at which a bundle stores the driver: 0, s, 2s, ... and N.
+def _bridge(model: RandomCoefficientModel, N: int):
+    """The Euler driver's node means m_i, its sd at node N and the walk's rows.
 
-    With s = isqrt(N) + 1 > sqrt(N) there are at most isqrt(N) + 2 of them,
-    and no segment between two of them spans more than s steps.
+    Row i of the (N, 4) table is (a, p, c, q) = (b v_i / v_{i+1},
+    nu r_i, nu h / v_{i+1}, -b r_i) with r_i = sqrt(h v_i / v_{i+1}), the
+    coefficients of (y_i, dW_i) given y_{i+1} (see :func:`_driver_backward`).
+    Without noise (v = 0) a row is (0, 0, 0, sqrt(h)): y_i = m_i and
+    dW_i = sqrt(h) z_i.
     """
-    return np.append(np.arange(0, N, isqrt(N) + 1), N)
+    h = model.T / N
+    b = 1.0 - model.kappa * h
+    m, v = np.empty(N + 1), np.empty(N + 1)
+    m[0], v[0] = model.y0, 0.0
+    for i in range(N):
+        m[i + 1] = model.kappa * model.theta_bar * h + b * m[i]
+        v[i + 1] = b * b * v[i] + model.nu * model.nu * h
+    if v[-1] == 0.0:  # nu = 0, or nu^2 h below the float range
+        return m, 0.0, np.tile([0.0, 0.0, 0.0, np.sqrt(h)], (N, 1))
+    w = v[:-1] / v[1:]
+    r = np.sqrt(h * w)
+    return m, np.sqrt(v[-1]), np.column_stack([b * w, model.nu * r, model.nu * h / v[1:], -b * r])
 
 
-def _euler_rows(model: RandomCoefficientModel, h: float, dW: NDArray, out: NDArray):
-    """Fill ``out[1:]`` with the Euler driver nodes after ``out[0]``.
+def _driver_backward(bundle: PathBundle):
+    """Yield ``(i, y_i, dW_i)`` for i = N-1 down to 0, drawn backward from y_N.
 
-    Row j + 1 of ``out`` is stepped from row j on the increments ``dW[j]``,
-    as y + kappa (theta_bar - y) h + nu dW in place.
-    """
-    noise = np.empty_like(out[0])
-    for j, dw in enumerate(dW):
-        y, step = out[j], out[j + 1]
-        np.subtract(model.theta_bar, y, out=step)
-        step *= model.kappa
-        step *= h
-        step += y
-        step += np.multiply(model.nu, dw, out=noise)
-    return out
+    ``dW_i`` is node i's increments, the step from y_i to y_{i+1}.  Given
+    e_{i+1} = y_{i+1} - m_{i+1} and node i's normals z_i, the walk sets
+    dW_i = c e_{i+1} + q z_i and e_i = a e_{i+1} + p z_i from row i of
+    ``bundle.bridge``: the law of the forward Euler chain's (y_i, dW_i)
+    given y_{i+1}, whose covariance given y_{i+1} has rank one.
 
-
-def _segments(model: RandomCoefficientModel, bundle: PathBundle, order):
-    """Rebuild the driver segments ``order`` (indices into the checkpoints).
-
-    Yields ``(first, y, dW)`` per segment: its increments, nodes first to
-    last - 1, redrawn into one reused (s, M) buffer, and the driver at nodes
-    first to last, stepped on them from the checkpoint at ``first`` into
-    one reused (s + 1, M) buffer.  Both are valid until the next segment.
+    The normals of each block of s = isqrt(N) + 1 nodes are drawn into a
+    fresh (s, M) array, and y_i is written over z_i; the rows are valid
+    while the caller holds them.  Freeing a block this large raises glibc's
+    mmap threshold to its size (and its trim threshold to twice that),
+    which is what keeps the sweep's (d, M) temporaries on the heap.  One
+    reused row per node instead frees no such block, and glibc then trims
+    its heap at every node: ``bsde --grid 100 --paths 30000`` took 105 150
+    minor faults against 19 886 and ran about 0.17 s slower (2-core Intel
+    Xeon).
     """
     N, M = bundle.num_steps, bundle.num_paths
-    h = model.T / N
-    y_buf = np.empty((isqrt(N) + 2, M))
-    dW_buf = np.empty((isqrt(N) + 1, M))
-    nodes = bundle.checkpoints
-    for j in order:
-        first, last = int(nodes[j]), int(nodes[j + 1])
-        dW = bundle.increments(first, dW_buf[: last - first])
-        y = y_buf[: last - first + 1]
-        y[0] = bundle.y[j]
-        yield first, _euler_rows(model, h, dW, y), dW
+    s = isqrt(N) + 1
+    y = bundle.y
+    for last in range(N, 0, -s):
+        first = max(last - s, 0)
+        block = np.empty((last - first, M))
+        for j, row in enumerate(block):
+            derive_rng(bundle.seed, "bundle-z", first + j).standard_normal(out=row)
+        for i in range(last - 1, first - 1, -1):
+            a, p, c, q = bundle.bridge[i]
+            e = y - bundle.mean[i + 1]
+            y = block[i - first]  # z_i, overwritten by y_i
+            dW = q * y
+            dW += c * e
+            e *= a
+            y *= p
+            y += e
+            y += bundle.mean[i]
+            yield i, y, dW
 
 
-def _driver_backward(model: RandomCoefficientModel, bundle: PathBundle):
-    """Yield ``(i, y_i, dW_i)`` for i = N-1 down to 0, rebuilt from the checkpoints.
-
-    ``dW_i`` is node i's increments, the step from y_i to y_{i+1}.  The rows
-    are valid until the next segment is rebuilt.
-    """
-    for first, y, dW in _segments(model, bundle, range(len(bundle.checkpoints) - 2, -1, -1)):
-        for j in range(len(dW) - 1, -1, -1):
-            yield first + j, y[j], dW[j]
-
-
-def full_driver(model: RandomCoefficientModel, bundle: PathBundle) -> NDArray[np.float64]:
-    """The driver at every node, node-major (N+1, M), rebuilt from the bundle."""
+def full_driver(bundle: PathBundle) -> NDArray[np.float64]:
+    """The driver at every node, node-major (N+1, M), drawn from the bundle."""
     y = np.empty((bundle.num_steps + 1, bundle.num_paths))
-    y[-1] = bundle.y[-1]
-    for i, yi, _ in _driver_backward(model, bundle):
+    y[-1] = bundle.y
+    for i, yi, _ in _driver_backward(bundle):
         y[i] = yi
     return y
 
@@ -370,13 +364,13 @@ def full_driver(model: RandomCoefficientModel, bundle: PathBundle) -> NDArray[np
 def generate_training_paths(
     model: RandomCoefficientModel, M: int, N: int, seed: int
 ) -> PathBundle:
-    """Euler driver paths on the uniform N-step grid, kept at the checkpoints.
+    """Euler driver paths on the uniform N-step grid, drawn at node N.
 
     The explicit Euler step multiplies the driver's deviation from
-    ``theta_bar`` by 1 - kappa h, so the grid must have kappa h < 2.  The
-    driver is stepped on each node's increments in turn and kept at
-    :func:`checkpoint_nodes` only; the chain paths are drawn only if
-    ``regimes`` is read.
+    ``theta_bar`` by 1 - kappa h, so the grid must have kappa h < 2.  Only
+    the driver at node N is drawn here; the sweep draws the other nodes
+    backward (:func:`_driver_backward`), and the chain paths are drawn
+    only if ``regimes`` is read.
     """
     if M < 1 or N < 1:
         raise ValidationError("need M >= 1 paths and N >= 1 steps")
@@ -386,19 +380,19 @@ def generate_training_paths(
             f"driver step kappa*T/N = {model.kappa * h!r} >= 2: the explicit Euler factor "
             "|1 - kappa*T/N| >= 1 makes the driver diverge; need N > kappa*T/2"
         )
-    nodes = checkpoint_nodes(N)
-    bundle = PathBundle(
+    mean, sd, bridge = _bridge(model, N)
+    y = derive_rng(seed, "bundle-z", N).standard_normal(M)
+    y *= sd
+    y += mean[N]
+    return PathBundle(
         times=np.linspace(0.0, model.T, N + 1),
-        y=np.empty((len(nodes), M)),
-        checkpoints=nodes,
+        y=y,
+        mean=mean,
+        bridge=bridge,
         seed=seed,
         generator=model.generator,
         i0=model.i0,
     )
-    bundle.y[0] = model.y0
-    for j, (_, y, _) in enumerate(_segments(model, bundle, range(len(nodes) - 1))):
-        bundle.y[j + 1] = y[-1]
-    return bundle
 
 
 @dataclass
@@ -514,11 +508,14 @@ def backward_regression_solve(
     cond * eps, so below CONDITION_MAX the projection is as accurate as the
     basis allows.  Work arrays are regime-major (d, M).
 
-    Raises :class:`IllConditionedRegression` when the scaled basis is
+    Raises :class:`ValidationError` unless ``degree`` is an integer >= 0,
+    :class:`IllConditionedRegression` when the scaled basis is
     numerically rank-deficient and :class:`NegativeRhat` when the regressed
     Rhat falls below the positivity floor on more than 0.1% of one regime's
     samples.
     """
+    if not isinstance(degree, (int, np.integer)) or degree < 0:
+        raise ValidationError(f"basis degree must be an integer >= 0, got {degree!r}")
     M, N = bundle.num_paths, bundle.num_steps
     B = degree + 1
     if M < 10 * B:
@@ -539,9 +536,9 @@ def backward_regression_solve(
     # one stacked right-hand side: next-node values over the same times dW/h;
     # once projected, the lower rows hold the regressed Brownian coefficient
     rhs = np.empty((2 * d, M))
-    rhs[:d] = model.coeff_rows(bundle.y[-1])("G")
+    rhs[:d] = model.coeff_rows(bundle.y)("G")
     basis = np.empty((B, M))  # each node's Phi', then its U'
-    for i, yi, dWi in _driver_backward(model, bundle):
+    for i, yi, dWi in _driver_backward(bundle):
         t = float(bundle.times[i])
         Ut, sv, Vt, centers[i], scales[i] = _basis_svd(yi, degree, basis)
         b = len(sv)
@@ -597,7 +594,7 @@ def bsde_residual(
     h = model.T / N
     mean = np.zeros(N)
     stderr = np.zeros(N)
-    y = full_driver(model, bundle)
+    y = full_driver(bundle)
     for i in range(N):
         yi = y[i]
         ki = bundle.regimes[:, i]

@@ -283,8 +283,6 @@ def _cmd_bsde(args, cfg, meta, out: Path) -> int:
     from .bsde import backward_regression_solve, generate_training_paths, model_from_config
 
     seed = meta["seed"]
-    if args.degree < 0:
-        raise ValidationError("need --degree >= 0")
     model = _parse(model_from_config, cfg)
     bundle = generate_training_paths(model, args.paths, args.grid, seed)
     solution = backward_regression_solve(model, bundle, degree=args.degree)

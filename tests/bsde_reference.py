@@ -79,7 +79,7 @@ def reference_regression_solve(model, bundle, degree=3):
     resid = np.zeros(N)
     conds = np.ones(N)
 
-    y = full_driver(model, bundle)  # (N+1, M)
+    y = full_driver(bundle)  # (N+1, M)
     Vnext = model.coeff_rows(y[N])("G").T  # (M, d)
     for i in range(N - 1, -1, -1):
         t = float(bundle.times[i])

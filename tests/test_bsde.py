@@ -3,7 +3,7 @@
 import dataclasses
 import inspect
 import json
-from math import fsum, isqrt
+from math import fsum
 from pathlib import Path
 
 import numpy as np
@@ -12,17 +12,15 @@ import pytest
 import regimelq as rl
 from regimelq import bsde
 from regimelq.bsde import (
-    PathBundle,
     _driver,
     _driver_backward,
-    checkpoint_nodes,
     constant_problem,
     full_driver,
     model_from_config,
 )
 from regimelq.chain import sample_regimes_on_grid
 from regimelq.errors import IllConditionedRegression, NegativeRhat, ValidationError
-from regimelq.streams import CHUNK_SIZE, run_chunks
+from regimelq.streams import CHUNK_SIZE, derive_rng, run_chunks
 
 from bsde_reference import reference_regression_solve
 
@@ -107,17 +105,34 @@ class TestModelValidation:
         assert far == edge
 
 
+def _forward_moments(model, N):
+    """Mean and variance of the forward Euler driver at each node."""
+    h = model.T / N
+    b = 1.0 - model.kappa * h
+    m, v = [model.y0], [0.0]
+    for _ in range(N):
+        m.append(m[-1] + model.kappa * (model.theta_bar - m[-1]) * h)
+        v.append(b * b * v[-1] + model.nu ** 2 * h)
+    return np.array(m), np.array(v)
+
+
 class TestGenerateTrainingPaths:
     def test_zero_volatility_driver_deterministic(self):
         model = two_regime_model(nu=0.0, kappa=2.0, theta_bar=1.0, y0=0.2)
-        y = full_driver(model, rl.generate_training_paths(model, 50, 20, 1))
+        bundle = rl.generate_training_paths(model, 50, 20, 1)
+        y = full_driver(bundle)
         assert np.all(y == y[:, :1])
         assert y[-1, 0] > y[0, 0]  # mean reversion toward 1
+        np.testing.assert_allclose(y[:, 0], _forward_moments(model, 20)[0], rtol=1e-14)
+        # the increments are node i's own normals, scaled by sqrt(h)
+        for i in (0, 7, 19):
+            z = derive_rng(1, "bundle-z", i).standard_normal(50)
+            np.testing.assert_array_equal(bundle.dW[:, i], np.sqrt(1.0 / 20) * z)
 
     def test_frozen_driver(self):
         model = two_regime_model(nu=0.0, kappa=0.0, y0=0.3)
         bundle = rl.generate_training_paths(model, 30, 10, 2)
-        np.testing.assert_array_equal(full_driver(model, bundle), np.full((11, 30), 0.3))
+        np.testing.assert_array_equal(full_driver(bundle), np.full((11, 30), 0.3))
 
     def test_diverging_euler_step_rejected(self):
         # the Euler factor 1 - kappa*T/N must stay inside (-1, 1)
@@ -125,13 +140,13 @@ class TestGenerateTrainingPaths:
             rl.generate_training_paths(two_regime_model(kappa=20.0), 30, 10, 2)
         model = two_regime_model(kappa=20.0)
         bundle = rl.generate_training_paths(model, 30, 11, 2)
-        assert np.all(np.abs(full_driver(model, bundle)) < 3.0)
+        assert np.all(np.abs(full_driver(bundle)) < 3.0)
 
     def test_shape_and_reproducibility(self):
         model = y_dependent_model()
         a = rl.generate_training_paths(model, 10_000, 50, 3)
-        assert a.y.shape == (len(a.checkpoints), 10_000)
-        assert full_driver(model, a).shape == (51, 10_000)
+        assert a.y.shape == (10_000,)  # the driver at node N only
+        assert full_driver(a).shape == (51, 10_000)
         assert a.dW.shape == (10_000, 50)
         assert a.regimes.shape == (10_000, 51)
         b = rl.generate_training_paths(model, 10_000, 50, 3)
@@ -157,61 +172,67 @@ class TestGenerateTrainingPaths:
 
     @pytest.mark.parametrize("M", [1, 37])
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 9, 10, 11, 100])
-    def test_checkpointed_driver_equals_full_recursion(self, N, M):
+    def test_rows_satisfy_the_euler_recursion(self, N, M):
         model = y_dependent_model()
         bundle = rl.generate_training_paths(model, M, N, 40 + N)
         h = model.T / N
-        dW = bundle.dW  # the materialized increments
-        full = np.empty((N + 1, M))
-        full[0] = model.y0
-        for i in range(N):
-            full[i + 1] = (full[i] + model.kappa * (model.theta_bar - full[i]) * h
-                           + model.nu * dW[:, i])
-        s = isqrt(N) + 1
-        np.testing.assert_array_equal(
-            bundle.checkpoints, sorted(set(range(0, N, s)) | {N})
-        )
-        np.testing.assert_array_equal(bundle.y, full[bundle.checkpoints])
-        assert bundle.y.nbytes <= (2 * isqrt(N) + 3) * M * 8
-        # the rows the sweep reads, last node first (each valid until the
-        # next segment is rebuilt into the same buffers), and the materializer
+        y = full_driver(bundle)
+        dW = bundle.dW
+        assert np.all(y[0] == model.y0)
+        np.testing.assert_array_equal(y[-1], bundle.y)
+        euler = y[:-1] + model.kappa * (model.theta_bar - y[:-1]) * h + model.nu * dW.T
+        assert np.max(np.abs(y[1:] - euler)) <= 4 * np.finfo(float).eps * (1 + np.max(np.abs(y)))
+        # the rows the walk yields, last node first, are those materialized
         nodes = []
-        for i, yi, dWi in _driver_backward(model, bundle):
-            np.testing.assert_array_equal(yi, full[i])
+        for i, yi, dWi in _driver_backward(bundle):
+            np.testing.assert_array_equal(yi, y[i])
             np.testing.assert_array_equal(dWi, dW[:, i])
             nodes.append(i)
         assert nodes == list(range(N - 1, -1, -1))
-        np.testing.assert_array_equal(full_driver(model, bundle), full)
 
-    @pytest.mark.parametrize("N", [1, 9, 100])
-    def test_sweep_redraws_the_rows_generation_stepped_on(self, N, monkeypatch):
-        model = y_dependent_model()
-        seen = []
-        euler_rows = bsde._euler_rows
-
-        def record(model, h, dW, out):
-            seen.append(dW.copy())
-            return euler_rows(model, h, dW, out)
-
-        monkeypatch.setattr(bsde, "_euler_rows", record)
-        bundle = rl.generate_training_paths(model, 50, N, 7)
-        generated = seen.copy()
-        seen.clear()
-        rl.backward_regression_solve(model, bundle, degree=1)
-        assert len(seen) == len(generated) == len(bundle.checkpoints) - 1
-        # generation walks the segments forward, the sweep backward
-        np.testing.assert_array_equal(np.concatenate(generated), np.concatenate(seen[::-1]))
-        np.testing.assert_array_equal(np.concatenate(generated), bundle.dW.T)
+    @pytest.mark.parametrize("kappa", [0.0, 1.5, 30.0])
+    def test_walk_has_the_law_of_the_forward_chain(self, kappa):
+        # kappa h = 1.5 at kappa = 30 (N = 20): the Euler factor is negative
+        model = dataclasses.replace(three_regime_model(), kappa=kappa, y0=1.0)
+        M, N = 20_000, 20
+        h = model.T / N
+        bundle = rl.generate_training_paths(model, M, N, 31)
+        y, dW = full_driver(bundle), bundle.dW.T
+        m, v = _forward_moments(model, N)
+        within = lambda got, want, se: abs(got - want) <= 5 * se
+        assert np.all(y[0] == model.y0)
+        for i in range(1, N + 1):
+            assert within(y[i].mean(), m[i], np.sqrt(v[i] / M)), i
+            assert within(y[i].var(ddof=1), v[i], v[i] * np.sqrt(2 / (M - 1))), i
+        for i in range(N):
+            assert within(dW[i].mean(), 0.0, np.sqrt(h / M)), i
+            assert within(dW[i].var(ddof=1), h, h * np.sqrt(2 / (M - 1))), i
+            if i > 0:
+                assert within(np.corrcoef(y[i], dW[i])[0, 1], 0.0, 1 / np.sqrt(M)), i
 
     def test_increments_of_fewer_paths_are_a_prefix(self):
         model = y_dependent_model()
         small = rl.generate_training_paths(model, 37, 10, 5)
         large = rl.generate_training_paths(model, 5000, 10, 5)
+        np.testing.assert_array_equal(small.y, large.y[:37])
         np.testing.assert_array_equal(small.dW, large.dW[:37])
-        np.testing.assert_array_equal(small.y, large.y[:, :37])
-        # each node has its own stream, so a row is the same drawn alone
-        row = small.increments(6, np.empty((1, 37)))[0]
-        np.testing.assert_array_equal(row, small.dW[:, 6])
+        np.testing.assert_array_equal(full_driver(small), full_driver(large)[:, :37])
+
+    @pytest.mark.parametrize("N", [1, 9, 100])
+    def test_sweep_reads_each_node_once_last_first(self, N, monkeypatch):
+        model = y_dependent_model()
+        bundle = rl.generate_training_paths(model, 50, N, 7)
+        seen = []
+        walk = bsde._driver_backward
+
+        def record(bundle):
+            for i, yi, dWi in walk(bundle):
+                seen.append(i)
+                yield i, yi, dWi
+
+        monkeypatch.setattr(bsde, "_driver_backward", record)
+        rl.backward_regression_solve(model, bundle, degree=1)
+        assert seen == list(range(N - 1, -1, -1))
 
     def test_regimes_come_from_the_chain_chunk_streams(self):
         model = three_regime_model()
@@ -224,12 +245,22 @@ class TestGenerateTrainingPaths:
         assert bundle.regimes.dtype == want.dtype
 
 
+def _inject_driver(monkeypatch, model, y, M, N):
+    """A bundle whose driver is ``y`` at every node, on a real bundle's increments."""
+    bundle = rl.generate_training_paths(model, M, N, 0)
+    dW = bundle.dW.T
+    monkeypatch.setattr(
+        bsde, "_driver_backward", lambda bundle: ((i, y, dW[i]) for i in range(N - 1, -1, -1))
+    )
+    return dataclasses.replace(bundle, y=y)
+
+
 class TestBackwardRegression:
     def test_terminal_exact_on_sample_points(self):
         model = y_dependent_model()
         bundle = rl.generate_training_paths(model, 2000, 20, 4)
         sol = rl.backward_regression_solve(model, bundle, degree=3)
-        yN = bundle.y[-1]
+        yN = bundle.y
         kN = bundle.regimes[:, -1]
         np.testing.assert_array_equal(
             sol.value_at(20, kN, yN), model.coeff_rows(yN, kN)("G")
@@ -303,32 +334,27 @@ class TestBackwardRegression:
             errs.append(np.mean(per_seed))
         assert errs[0] >= errs[1] >= errs[2]
 
+    @pytest.mark.parametrize("degree", [-1, 2.5, "3", None])
+    def test_degree_must_be_a_nonnegative_integer(self, degree):
+        model = y_dependent_model()
+        bundle = rl.generate_training_paths(model, 100, 10, 9)
+        with pytest.raises(ValidationError, match="degree"):
+            rl.backward_regression_solve(model, bundle, degree=degree)
+
     def test_too_few_paths_rejected(self):
         model = y_dependent_model()
         bundle = rl.generate_training_paths(model, 30, 10, 9)
         with pytest.raises(ValidationError):
             rl.backward_regression_solve(model, bundle, degree=3)
 
-    def test_ill_conditioned_basis_detected(self):
-        # two distinct driver values cannot support a cubic basis
+    def test_ill_conditioned_basis_detected(self, monkeypatch):
+        # two distinct driver values at every node: z^2 and z^3 duplicate
+        # the lower columns, so they cannot support a cubic basis
         model = y_dependent_model()
         M, N = 400, 4
-        times = np.linspace(0.0, 1.0, N + 1)
-        # two distinct driver values: z^2 and z^3 duplicate the lower columns,
-        # at the checkpoints and, with nu = 0 (so nu * dW = 0), at every node
-        # rebuilt from them
-        model = dataclasses.replace(model, nu=0.0)
-        nodes = checkpoint_nodes(N)
-        y = np.tile(np.where(np.arange(M) % 2 == 0, 0.0, 1e-6), (len(nodes), 1))
-        bundle = PathBundle(
-            times=times,
-            y=y + 0.5,
-            checkpoints=nodes,
-            seed=0,
-            generator=model.generator,
-            i0=model.i0,
-        )
-        assert np.unique(full_driver(model, bundle), axis=1).shape[1] == 2
+        y = 0.5 + np.where(np.arange(M) % 2 == 0, 0.0, 1e-6)
+        bundle = _inject_driver(monkeypatch, model, y, M, N)
+        assert np.unique(full_driver(bundle), axis=1).shape[1] == 2
         with pytest.raises(IllConditionedRegression):
             rl.backward_regression_solve(model, bundle, degree=3)
 
@@ -442,22 +468,14 @@ class TestBasisFactorization:
         np.testing.assert_allclose(sv, np.sqrt(len(y)), rtol=4 * self.EPS)
         np.testing.assert_allclose(Ut * Vt[0, 0], 1.0 / np.sqrt(len(y)), rtol=4 * self.EPS)
 
-    def test_four_distinct_values_cannot_carry_a_quintic(self):
-        # the driver takes 4 values at every node (nu = 0), so the degree 5
-        # basis has rank 4; under the CLI's floating-point traps the sweep
-        # still reports the condition number, not a floating-point error
-        model = dataclasses.replace(y_dependent_model(), nu=0.0)
+    def test_four_distinct_values_cannot_carry_a_quintic(self, monkeypatch):
+        # the driver takes 4 values at every node, so the degree 5 basis has
+        # rank 4; under the CLI's floating-point traps the sweep still
+        # reports the condition number, not a floating-point error
+        model = y_dependent_model()
         M, N = 400, 4
-        nodes = checkpoint_nodes(N)
-        bundle = PathBundle(
-            times=np.linspace(0.0, 1.0, N + 1),
-            y=np.tile(0.1 * (np.arange(M) % 4), (len(nodes), 1)),
-            checkpoints=nodes,
-            seed=0,
-            generator=model.generator,
-            i0=model.i0,
-        )
-        assert np.unique(full_driver(model, bundle), axis=1).shape[1] == 4
+        bundle = _inject_driver(monkeypatch, model, 0.1 * (np.arange(M) % 4), M, N)
+        assert np.unique(full_driver(bundle), axis=1).shape[1] == 4
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             with pytest.raises(IllConditionedRegression):
                 rl.backward_regression_solve(model, bundle, degree=5)
@@ -504,7 +522,7 @@ class TestSweepAgainstReference:
         model = three_regime_model()
         bundle = rl.generate_training_paths(model, 3000, 10, 23)
         sol = rl.backward_regression_solve(model, bundle, degree=3)
-        y = full_driver(model, bundle)
+        y = full_driver(bundle)
         for i in range(bundle.num_steps):
             z = (y[i] - sol.y_center[i]) / sol.y_scale[i]
             Phi = np.vander(z, 4, increasing=True) if np.std(z) > 0.0 else np.ones((len(z), 1))

@@ -429,7 +429,7 @@ class TestBsdeCommand:
         assert len(data) - 1 == 20 * 2  # nodes x regimes
 
     def test_draws_neither_the_chain_nor_the_full_increments(self, tmp_path, capsys, monkeypatch):
-        # the sweep redraws each segment's increments and reads no regime path
+        # the sweep draws each node's increments in its walk and reads no regime path
         def fail(name):
             def raise_on_use(*args):
                 raise AssertionError(f"bsde drew {name}")
