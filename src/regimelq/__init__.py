@@ -14,9 +14,7 @@ __version__ = "0.1.0"
 
 _SOURCES = {
     "chain": (
-        "ChainPath",
         "GeneratorMatrix",
-        "sample_chain_paths",
         "sample_regimes_on_grid",
         "validate_generator",
     ),
@@ -58,7 +56,6 @@ _SOURCES = {
         "PathBundle",
         "RandomCoefficientModel",
         "backward_regression_solve",
-        "bsde_residual",
         "generate_training_paths",
         "make_model",
     ),

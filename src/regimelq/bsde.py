@@ -249,7 +249,7 @@ class PathBundle:
     from it by :func:`_driver_backward`, from node i's stream
     ``(seed, "bundle-z", i)``, the node means ``mean`` and the per-step rows
     ``bridge``; these small tables are all the walk needs of the model, so
-    :func:`full_driver` and ``dW`` come from the bundle alone.  ``dW``
+    the driver at every node and ``dW`` come from the bundle alone.  ``dW``
     (path-major, (M, N)) and ``regimes`` (the exact chain paths on the grid,
     from the chunk streams ``(seed, "bundle", c)``, with the dtype of
     :func:`~regimelq.chain.sample_regimes_on_grid`) are drawn whole on first
@@ -350,15 +350,6 @@ def _driver_backward(bundle: PathBundle):
             y += e
             y += bundle.mean[i]
             yield i, y, dW
-
-
-def full_driver(bundle: PathBundle) -> NDArray[np.float64]:
-    """The driver at every node, node-major (N+1, M), drawn from the bundle."""
-    y = np.empty((bundle.num_steps + 1, bundle.num_paths))
-    y[-1] = bundle.y
-    for i, yi, _ in _driver_backward(bundle):
-        y[i] = yi
-    return y
 
 
 def generate_training_paths(
@@ -469,11 +460,11 @@ def _driver(coef, Pbar, Lbar, t):
     """Qhat - Shat^2 / Rhat with the regressed (Pbar, Lbar) plugged in.
 
     ``coef(name)`` returns a coefficient map evaluated on the samples in the
-    shape of ``Pbar``: (d, M) rows, one per regime, in the sweep and (M,)
-    per-sample values in :func:`bsde_residual`.  Maps are fetched where they
-    are used and each of C, D is dropped after its last use, so few
-    sample-sized arrays are alive at once.  The Rhat floor is checked per
-    row, that is per regime in the sweep.
+    shape of ``Pbar``: (d, M) rows, one per regime, as the sweep passes
+    them, or (M,) per-sample values.  Maps are fetched where they are used
+    and each of C, D is dropped after its last use, so few sample-sized
+    arrays are alive at once.  The Rhat floor is checked per row, that is
+    per regime in the sweep.
     """
     c, d = coef("C"), coef("D")
     Rhat = coef("R") + d * d * Pbar
@@ -570,39 +561,3 @@ def backward_regression_solve(
         regression_residuals=resid,
         basis_condition=conds,
     )
-
-
-@dataclass(frozen=True)
-class ResidualStats:
-    """Out-of-sample one-step recursion residuals per node."""
-
-    times: NDArray[np.float64]  # (N,) left endpoints
-    mean: NDArray[np.float64]
-    stderr: NDArray[np.float64]
-
-
-def bsde_residual(
-    solution: BsdeSolution, model: RandomCoefficientModel, bundle: PathBundle
-) -> ResidualStats:
-    """One-step residuals V_i - V_{i+1} - h * driver along fresh paths.
-
-    The fresh bundle must be independent of the training bundle; residual
-    means near zero indicate the backward recursion is consistent out of
-    sample.
-    """
-    M, N = bundle.num_paths, bundle.num_steps
-    h = model.T / N
-    mean = np.zeros(N)
-    stderr = np.zeros(N)
-    y = full_driver(bundle)
-    for i in range(N):
-        yi = y[i]
-        ki = bundle.regimes[:, i]
-        Vi = solution.value_at(i, ki, yi)
-        Vn = solution.value_at(i + 1, bundle.regimes[:, i + 1], y[i + 1])
-        Li = solution.lambda_at(i, ki, yi)
-        F = _driver(model.coeff_rows(yi, ki), Vi, Li, float(bundle.times[i]))
-        r = Vi - Vn - h * F
-        mean[i] = float(r.mean())
-        stderr[i] = float(r.std(ddof=1) / np.sqrt(M)) if M >= 2 else float("nan")
-    return ResidualStats(times=bundle.times[:-1], mean=mean, stderr=stderr)

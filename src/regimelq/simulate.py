@@ -249,7 +249,7 @@ class _Lane(NamedTuple):
     """One variant's plan for one kernel pass (see :func:`_kernel_pass`).
 
     The buffer fields are views into the pass's shared one-hot buffer ``Z``,
-    its float mask, or product buffer ``Y``, set up once per pass; every
+    its regime mask, or product buffer ``Y``, set up once per pass; every
     row field is None when its block is dead, and ``M`` is None when every
     block is.
     """
@@ -259,7 +259,7 @@ class _Lane(NamedTuple):
     M: NDArray | None  # the live table, (nodes, rows, cols)
     X: NDArray  # (n, paths) view of the state
     X1: NDArray | None  # the rows of [X; 1] that the live columns read; None for [1]
-    Z: NDArray  # (D, kept columns, paths): the one-hot state; the float mask for [1]
+    Z: NDArray  # (D, kept columns, paths): the one-hot state; the mask for [1]
     Z2: NDArray  # Z as (D x kept columns, paths), the product's operand
     Y: NDArray  # (rows, paths): the product
     drift: NDArray | None  # rows of Y
@@ -300,16 +300,20 @@ def _kernel_pass(
     product accumulates each entry over its terms in order.  A one-path
     pass cuts the whole table instead, because its product is a
     matrix-vector product, which BLAS sums in blocks of columns, so a
-    dropped zero column would regroup the other terms.
+    dropped zero column would regroup the other terms: a feedback law at
+    n = 3 with one regime has 3 live columns of 4, and its compact
+    one-path pass moved the last bit of X_T (OpenBLAS 0.3.31, Haswell
+    kernels, one and four threads); products over two or more paths kept
+    their bytes.
 
     Each variant's plan (:class:`_Lane`) is set up once per pass: its
     buffer and row views, and its dead flag.  A step forms the mask
-    ``regimes == k`` of a node into one reused bool buffer, once for the
-    lanes in a row that step from that node, and multiplies it by each
-    lane's rows of [X; 1].  A lane whose only live column is the constant 1
-    (a control table on ``two_regime.json``) reads instead a float copy of
-    the mask, which holds the values of ``mask * 1.0``, made once per node
-    when such a lane exists.
+    ``regimes == k`` of a node into one reused float64 buffer, once for the
+    lanes in a row that step from that node; the cast of a comparison to
+    float64 gives exactly 1.0 or 0.0.  Each lane multiplies the mask by its
+    rows of [X; 1], and a lane whose only live column is the constant 1 (a
+    control table on ``two_regime.json``) reads the mask itself as its
+    one-hot state.
     The cost and the state are updated in place through one scratch row,
     by the operations and in the order of
     ``running += h * (X'Y_cost + Y_affine)``, ``X += Y_drift * h`` and
@@ -336,13 +340,13 @@ def _kernel_pass(
     # one buffer each for the one-hot state and the product, sized for the widest lane
     Z = np.empty(max((live.M.shape[2] for live in cuts), default=0) * paths)
     Y = np.empty(max((live.M.shape[1] for live in cuts), default=0) * paths)
-    ones_only = [live.cols == slice(n, n + 1) for live in cuts]
-    mask_1 = np.empty((num_regimes, 1, paths)) if any(ones_only) else None  # mask * 1.0
+    mask = np.empty((num_regimes, 1, paths))  # regimes == k at one node, as 1.0 or 0.0
     lanes = []
-    for (table, stride), live, ones in zip(variants, cuts, ones_only):
+    for (table, stride), live in zip(variants, cuts):
+        ones = live.cols == slice(n, n + 1)  # the constant is the only live column
         X1 = np.ones((n + 1, paths))  # [X; 1]
         X1[:n] = problem.x0[:, None]
-        Zj = mask_1 if ones else Z[: live.M.shape[2] * paths].reshape(num_regimes, -1, paths)
+        Zj = mask if ones else Z[: live.M.shape[2] * paths].reshape(num_regimes, -1, paths)
         Yj = Y[: live.M.shape[1] * paths].reshape(-1, paths)
         rows = lambda block: None if block is None else Yj[block]
         lanes.append(_Lane(
@@ -354,7 +358,6 @@ def _kernel_pass(
         ))
     noisy = dW is not None or any(lane.diffusion is not None for lane in lanes)
     labels = np.arange(num_regimes, dtype=regimes.dtype)[:, None, None]
-    mask = np.empty((num_regimes, 1, paths), dtype=bool)
     mask_node = -1  # the node whose regimes == labels the mask holds
     row = np.empty(paths)
     scratch = np.empty(paths)
@@ -384,8 +387,6 @@ def _kernel_pass(
             left = i + 1 - stride
             if left != mask_node:
                 np.equal(regimes[:, left], labels, out=mask)
-                if mask_1 is not None:
-                    np.copyto(mask_1, mask)
                 mask_node = left
             if X1 is not None:
                 np.multiply(mask, X1, out=Zj)

@@ -1,20 +1,84 @@
-"""Reference backward sweep: three ``lstsq`` solves per node, path-major data.
+"""Reference BSDE code for the tests: the three-``lstsq`` sweep, the full
+driver and the out-of-sample one-step residual.
 
-This is the regression sweep that ``bsde.backward_regression_solve``
-replaced, kept as the oracle that the package's sweep, one factorization of
-the basis per node, is tested against.
+:func:`reference_regression_solve` is the regression sweep that
+``bsde.backward_regression_solve`` replaced, kept as the oracle that the
+package's sweep, one factorization of the basis per node, is tested against.
 Each node builds the Vandermonde basis of the scaled driver, solves the
 value targets, the dW-weighted targets and the refit with separate
 ``np.linalg.lstsq`` calls, evaluates the coefficient maps once per regime
 and works on (M, d) arrays.  The recorded condition number is the one
 lstsq's singular values give.
+
+:func:`full_driver` materializes the driver at every node of a bundle from
+the package's backward walk, and :func:`bsde_residual` checks a solution's
+one-step recursion along a fresh bundle with the package's driver.
 """
 
-import numpy as np
+from dataclasses import dataclass
 
-from regimelq.bsde import CONDITION_MAX, DEGENERATE_STD, BsdeSolution, full_driver
+import numpy as np
+from numpy.typing import NDArray
+
+from regimelq import bsde
+from regimelq.bsde import (
+    CONDITION_MAX,
+    DEGENERATE_STD,
+    BsdeSolution,
+    PathBundle,
+    RandomCoefficientModel,
+)
 from regimelq.errors import IllConditionedRegression, NegativeRhat, ValidationError
 from regimelq.riccati import RHAT_FLOOR
+
+
+def full_driver(bundle: PathBundle) -> NDArray[np.float64]:
+    """The driver at every node, node-major (N+1, M), from the package's walk.
+
+    The walk is looked up on the module at each call, so a test that
+    replaces ``bsde._driver_backward`` replaces it here too.
+    """
+    y = np.empty((bundle.num_steps + 1, bundle.num_paths))
+    y[-1] = bundle.y
+    for i, yi, _ in bsde._driver_backward(bundle):
+        y[i] = yi
+    return y
+
+
+@dataclass(frozen=True)
+class ResidualStats:
+    """Out-of-sample one-step recursion residuals per node."""
+
+    times: NDArray[np.float64]  # (N,) left endpoints
+    mean: NDArray[np.float64]
+    stderr: NDArray[np.float64]
+
+
+def bsde_residual(
+    solution: BsdeSolution, model: RandomCoefficientModel, bundle: PathBundle
+) -> ResidualStats:
+    """One-step residuals V_i - V_{i+1} - h * driver along fresh paths.
+
+    The fresh bundle must be independent of the training bundle; residual
+    means near zero indicate the backward recursion is consistent out of
+    sample.
+    """
+    M, N = bundle.num_paths, bundle.num_steps
+    h = model.T / N
+    mean = np.zeros(N)
+    stderr = np.zeros(N)
+    y = full_driver(bundle)
+    for i in range(N):
+        yi = y[i]
+        ki = bundle.regimes[:, i]
+        Vi = solution.value_at(i, ki, yi)
+        Vn = solution.value_at(i + 1, bundle.regimes[:, i + 1], y[i + 1])
+        Li = solution.lambda_at(i, ki, yi)
+        F = bsde._driver(model.coeff_rows(yi, ki), Vi, Li, float(bundle.times[i]))
+        r = Vi - Vn - h * F
+        mean[i] = float(r.mean())
+        stderr[i] = float(r.std(ddof=1) / np.sqrt(M)) if M >= 2 else float("nan")
+    return ResidualStats(times=bundle.times[:-1], mean=mean, stderr=stderr)
 
 
 def _basis(y, degree):

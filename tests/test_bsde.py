@@ -15,14 +15,13 @@ from regimelq.bsde import (
     _driver,
     _driver_backward,
     constant_problem,
-    full_driver,
     model_from_config,
 )
 from regimelq.chain import sample_regimes_on_grid
 from regimelq.errors import IllConditionedRegression, NegativeRhat, ValidationError
 from regimelq.streams import CHUNK_SIZE, derive_rng, run_chunks
 
-from bsde_reference import reference_regression_solve
+from bsde_reference import bsde_residual, full_driver, reference_regression_solve
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -389,7 +388,7 @@ class TestBsdeResidual:
         train = rl.generate_training_paths(model, 1000, 25, 11)
         sol = rl.backward_regression_solve(model, train, degree=3)
         fresh = rl.generate_training_paths(model, 500, 25, 12)
-        res = rl.bsde_residual(sol, model, fresh)
+        res = bsde_residual(sol, model, fresh)
         np.testing.assert_array_equal(res.mean, 0.0)
 
     def test_unbiased_on_constant_coefficients(self):
@@ -397,7 +396,7 @@ class TestBsdeResidual:
         train = rl.generate_training_paths(model, 50_000, 50, 13)
         sol = rl.backward_regression_solve(model, train, degree=3)
         fresh = rl.generate_training_paths(model, 20_000, 50, 24)
-        res = rl.bsde_residual(sol, model, fresh)
+        res = bsde_residual(sol, model, fresh)
         z = np.abs(res.mean) / res.stderr
         assert np.max(z) <= 3.0
 
@@ -415,7 +414,7 @@ class TestBsdeResidual:
             train = rl.generate_training_paths(model, 5000, N, 15)
             sol = rl.backward_regression_solve(model, train, degree=3)
             fresh = rl.generate_training_paths(model, 2000, N, 16)
-            res = rl.bsde_residual(sol, model, fresh)
+            res = bsde_residual(sol, model, fresh)
             maxima.append(np.max(np.abs(res.mean)))
         assert maxima[0] > maxima[1] > maxima[2]
 

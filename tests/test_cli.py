@@ -490,8 +490,7 @@ def test_cli_import_sets_one_blas_thread_unless_the_user_chose(user):
 
 # every public name of the package, by the submodule that defines it
 PUBLIC_NAMES = {
-    "chain": ["ChainPath", "GeneratorMatrix", "sample_chain_paths", "sample_regimes_on_grid",
-              "validate_generator"],
+    "chain": ["GeneratorMatrix", "sample_regimes_on_grid", "validate_generator"],
     "model": ["Coefficients", "ProblemSpec", "make_problem", "problem_from_config",
               "validate_problem", "with_initial_state"],
     "riccati": ["FeedbackLaw", "RiccatiGrid", "rhat_certificate", "solve_riccati"],
@@ -501,8 +500,7 @@ PUBLIC_NAMES = {
                "lyapunov_solve", "perturbation_test", "run_standard_checks",
                "value_identity_check"],
     "bsde": ["BsdeSolution", "PathBundle", "RandomCoefficientModel",
-             "backward_regression_solve", "bsde_residual", "generate_training_paths",
-             "make_model"],
+             "backward_regression_solve", "generate_training_paths", "make_model"],
     "meanvar": ["FrontierPoint", "MarketSpec", "efficient_frontier", "lagrange_solve",
                 "make_market", "market_from_config", "market_to_problem", "mv_moment_odes",
                 "mv_riccati", "mv_simulate_check"],

@@ -2,12 +2,16 @@
 
 import json
 import mmap
+import os
 import runpy
+import subprocess
+import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import regimelq as rl
 from regimelq import chain, simulate
@@ -24,6 +28,8 @@ from canonical import (
     det_lqr,
     det_lqr_oracle,
     multidim_two_segment,
+    pointwise_gain,
+    random_convex,
     scalar_analytic,
     stochastic_scalar,
     switching_scalar,
@@ -310,7 +316,7 @@ class TestKernelMatchesReference:
         costs, x_T = mc_run(prob, control, n_paths, seed, self.N)
         regimes, dW = ref.replay_chunk_noise(prob, times, derive_rng(seed, "chunk", 0), n_paths)
         ref_costs, ref_x_T = _reference_paths(
-            prob, None if kind == "table" else law.gain,
+            prob, None if kind == "table" else partial(pointwise_gain, law),
             None if kind == "feedback" else v, times, regimes, dW,
         )
         _assert_close(costs, ref_costs)
@@ -321,11 +327,13 @@ class TestKernelMatchesReference:
         law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, self.N))
         path = rl.simulate_closed_loop(prob, law, self.N, 22)
         costs, x_T = _reference_paths(
-            prob, law.gain, None, path.times, path.regimes[None], path.dW[None]
+            prob, partial(pointwise_gain, law), None, path.times, path.regimes[None],
+            path.dW[None],
         )
         _assert_close(path.cost, costs[0])
         _assert_close(path.X[-1], x_T[0])
-        U = np.array([law.gain(t, k) @ x for t, k, x in zip(path.times, path.regimes, path.X[:-1])])
+        U = np.array([pointwise_gain(law, t, k) @ x
+                      for t, k, x in zip(path.times, path.regimes, path.X[:-1])])
         _assert_close(path.U, U)
 
 
@@ -746,17 +754,59 @@ def test_each_table_is_cut_once_per_run(monkeypatch):
     assert [keep_all for keep_all, *_ in calls] == [False, False]
 
 
-def test_one_path_pass_steps_the_full_table(monkeypatch):
-    # BLAS sums a matrix-vector product in blocks of columns, so a one-path
-    # pass cuts the whole table again, although the feedback law's affine
-    # column is dead and its compact cut is narrower
-    prob = multidim_two_segment()
-    law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 6))
-    calls = _record_cuts(monkeypatch)
-    rl.simulate_closed_loop(prob, law, 6, 7)
-    (keep_compact, M, compact), (keep_full, M_full, full) = calls
-    assert (keep_compact, keep_full) == (False, True) and M_full is M
-    assert full.M is M and compact.M.shape[2] < M.shape[2]
+def _whole_table(table, n: int):
+    """``table`` with its whole matrix as the cut: every column, every row,
+    and its live row blocks named where they sit in the matrix."""
+    at = (slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n), 3 * n)
+    blocks = [None if live is None else where for live, where in zip(table.live[2:], at)]
+    return table._replace(live=simulate._LiveBlocks(table.M, slice(0, n + 1), *blocks))
+
+
+# (seed, N, open-loop part): random_convex(2) is n = 3, m = 1 with one regime,
+# where the compact cut of a feedback law drops 1 of 4 columns; stepped at one
+# path on that cut, its X_T moved in the last bit
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**16), st.integers(min_value=2, max_value=5),
+       st.booleans())
+@example(2, 2, False)
+def test_property_pass_gives_the_whole_table_bytes(seed, N, affine):
+    # on a random convex problem (n, m, D <= 3), with and without a live
+    # affine column: one recorded path, a 4096-path chunk and a one-path last
+    # chunk step to the bytes of the same pass on the whole table
+    prob = random_convex(seed)
+    times = np.linspace(0.0, prob.T, N + 1)
+    control = rl.FeedbackLaw(prob, rl.solve_riccati(prob, N))
+    if affine:
+        control = rl.PerturbedFeedback(
+            control, rl.ControlTable(derive_rng(40, N).standard_normal((N, prob.m)))
+        )
+    table = _loop_table(prob, control, times)
+    whole = _whole_table(table, prob.n)
+    got = []
+    for variant in (table, whole):
+        rng = derive_rng(41)
+        regimes = sample_regimes_on_grid(prob.generator, prob.i0, times, rng, 1)
+        states, dW = np.empty((N + 1, prob.n, 1)), np.empty((N, 1))
+        out = _kernel_pass(prob, times, regimes, rng, [(variant, 1)], states=states, dW=dW)
+        got.append([a.tobytes() for a in (*out[0], states, dW)])
+    assert got[0] == got[1]
+    got = []
+    for variant in (table, whole):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_loop_table", lambda *args: variant)
+            got.append([a.tobytes() for a in mc_run(prob, control, CHUNK_SIZE + 1, 42, N)])
+    assert got[0] == got[1]
+
+
+def test_whole_table_bytes_at_four_blas_threads():
+    # OpenBLAS splits a product across its threads by the thread count
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="4")
+    test = f"{Path(__file__).resolve()}::test_property_pass_gives_the_whole_table_bytes"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+        cwd=CONFIGS.parent, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("workers", [1, 2])
