@@ -14,7 +14,9 @@ __version__ = "0.1.0"
 
 _SOURCES = {
     "chain": (
+        "ChainPath",
         "GeneratorMatrix",
+        "sample_chain_paths",
         "sample_regimes_on_grid",
         "validate_generator",
     ),

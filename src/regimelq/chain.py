@@ -68,8 +68,50 @@ def validate_generator(raw) -> GeneratorMatrix:
     return GeneratorMatrix(rates=rates)
 
 
+@dataclass(frozen=True)
+class ChainPath:
+    """One exact chain trajectory on [t0, T].
+
+    ``jump_times`` is strictly increasing in (t0, T]; ``states[i]`` is the
+    regime entered at ``jump_times[i]``.  The path is right-continuous and
+    constant between jumps.
+    """
+
+    initial_regime: int
+    jump_times: NDArray[np.float64]
+    states: NDArray[np.int64]
+    t0: float
+    T: float
+
+    def regime_at(self, t: float) -> int:
+        """Right-continuous regime value at time t."""
+        idx = int(np.searchsorted(self.jump_times, t, side="right"))
+        return self.initial_regime if idx == 0 else int(self.states[idx - 1])
+
+    def regimes_on_grid(self, times: NDArray[np.float64]) -> NDArray[np.int64]:
+        """Right-continuous regime at each grid time."""
+        idx = np.searchsorted(self.jump_times, times, side="right")
+        seq = np.concatenate(([self.initial_regime], self.states)).astype(np.int64)
+        return seq[idx]
+
+    def occupation_times(self, num_regimes: int) -> NDArray[np.float64]:
+        """Total time spent in each regime over [t0, T]."""
+        bounds = np.concatenate(([self.t0], self.jump_times, [self.T]))
+        seq = np.concatenate(([self.initial_regime], self.states)).astype(np.int64)
+        occ = np.zeros(num_regimes)
+        np.add.at(occ, seq, np.diff(bounds))
+        return occ
+
+    def jump_counts(self, num_regimes: int) -> NDArray[np.float64]:
+        """Matrix of jump counts N_kl over (t0, T]."""
+        counts = np.zeros((num_regimes, num_regimes))
+        seq = np.concatenate(([self.initial_regime], self.states)).astype(np.int64)
+        np.add.at(counts, (seq[:-1], seq[1:]), 1.0)
+        return counts
+
+
 def _check_sampler_args(gen: GeneratorMatrix, i0: int, t0: float, T: float, n_paths: int):
-    """Reject what the sampler cannot draw (checked before any draw)."""
+    """Reject what the samplers cannot draw (checked before any draw)."""
     gen.initial_regime(i0)
     if not t0 < T:
         raise ValidationError(f"require t0 < T, got t0={t0}, T={T}")
@@ -118,6 +160,40 @@ def _jump_rounds(
         active = still[hold_rates[k[still]] > 0.0]
 
 
+def sample_chain_paths(
+    gen: GeneratorMatrix,
+    i0: int,
+    t0: float,
+    T: float,
+    rng: np.random.Generator,
+    n_paths: int,
+) -> list[ChainPath]:
+    """Sample ``n_paths`` exact chain paths on [t0, T].
+
+    Raises :class:`ValidationError` unless ``0 <= i0 < d``, ``t0 < T`` and
+    ``n_paths >= 1``.
+    """
+    _check_sampler_args(gen, i0, t0, T, n_paths)
+    jump_lists: list[list[tuple[float, int]]] = [[] for _ in range(n_paths)]
+    for still, t_jump, _, nxt in _jump_rounds(gen, i0, t0, T, rng, n_paths):
+        for j, tj, kj in zip(still, t_jump, nxt):
+            jump_lists[j].append((float(tj), int(kj)))
+
+    out = []
+    for jumps in jump_lists:
+        times, states = zip(*jumps) if jumps else ((), ())
+        out.append(
+            ChainPath(
+                initial_regime=int(i0),
+                jump_times=np.asarray(times, dtype=np.float64),
+                states=np.asarray(states, dtype=np.int64),
+                t0=float(t0),
+                T=float(T),
+            )
+        )
+    return out
+
+
 def sample_regimes_on_grid(
     gen: GeneratorMatrix,
     i0: int,
@@ -127,11 +203,11 @@ def sample_regimes_on_grid(
 ) -> NDArray[np.signedinteger]:
     """Right-continuous regimes of ``n_paths`` exact chains at each grid time.
 
-    Draws the exact event rounds of :func:`_jump_rounds` on
-    [times[0], times[-1]] and returns the ``(n_paths, len(times))`` regimes
-    at the grid times; raises :class:`ValidationError` unless the grid has
-    at least two times, ``0 <= i0 < d``, ``times[0] < times[-1]`` and
-    ``n_paths >= 1``.  A jump at t changes the regime from the first node at or after t onward;
+    Draws exactly what :func:`sample_chain_paths` draws on
+    [times[0], times[-1]], in the same order, and returns the
+    ``(n_paths, len(times))`` array that ``ChainPath.regimes_on_grid`` gives
+    for each of those paths; validates like :func:`sample_chain_paths`.  A
+    jump at t changes the regime from the first node at or after t onward;
     per-node changes are summed, so several jumps between two nodes
     telescope to the last regime entered, and the prefix sum over nodes is
     formed in place, one node row at a time.  The array is node-major in

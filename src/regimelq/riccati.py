@@ -216,6 +216,11 @@ class FeedbackLaw:
         """Shat (K, D, m, n) and Rhat (K, D, m, m) at the interpolated P of K times."""
         return _hat_terms(self.interpolated_P(times), self.problem.coefficients_at(times))
 
+    def gain(self, t: float, k: int) -> NDArray:
+        """Feedback gain Theta(t, k), recomputed from the interpolated P."""
+        Theta, _ = _node_gain(self.interpolated_P([t]), self.problem.coefficients_at([t]), [t])
+        return Theta[0, k]
+
     def gains_at_times(self, times) -> NDArray:
         """Stacked gains (len(times), D, m, n) for all regimes, one batched solve."""
         P = self.interpolated_P(times)

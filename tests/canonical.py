@@ -10,17 +10,16 @@ non-convex instance:
 
 It also holds instances without oracles: a switching scalar problem and a
 multidimensional one for the simulation engine, and seeded random convex
-problems for the Riccati solve.  ``coeff_at``, ``riccati_rhs`` and
-``pointwise_gain`` read a problem's coefficients, its Riccati derivative
-and a feedback law's gain at one time, for the tests, and
-``problem_to_config`` writes a problem as its JSON config.
+problems for the Riccati solve.  ``coeff_at`` and ``riccati_rhs`` read a
+problem's coefficients and Riccati derivative at one time, for the tests,
+and ``problem_to_config`` writes a problem as its JSON config.
 """
 
 import numpy as np
 
 import regimelq as rl
 from regimelq.errors import OutOfHorizon, ValidationError
-from regimelq.riccati import _node_gain, _rhs
+from regimelq.riccati import _rhs
 
 
 def coeff_at(problem: rl.ProblemSpec, t: float, k: int) -> np.record:
@@ -42,16 +41,6 @@ def riccati_rhs(P_all, t: float, problem: rl.ProblemSpec) -> np.ndarray:
             f"P_all must have shape ({problem.num_regimes}, {problem.n}, {problem.n})"
         )
     return _rhs(P, t, problem.coefficients_at(t), problem.generator.rates)
-
-
-def pointwise_gain(law: rl.FeedbackLaw, t: float, k: int) -> np.ndarray:
-    """Theta(t, k) of ``law``, re-solved from its interpolated P at the one time t.
-
-    The pointwise oracle of ``FeedbackLaw.gains_at_times``, which stacks
-    every time into one batched solve.
-    """
-    Theta, _ = _node_gain(law.interpolated_P([t]), law.problem.coefficients_at([t]), [t])
-    return Theta[0, k]
 
 
 def problem_to_config(problem: rl.ProblemSpec) -> dict:

@@ -1,16 +1,12 @@
-"""Exact chain paths and their compensated counting-process statistics, for the tests.
-
-:func:`sample_chain_paths` keeps each path's jump times and regimes
-(:class:`ChainPath`).  It is built on ``regimelq.chain._jump_rounds``, the
-event rounds that ``regimelq.chain.sample_regimes_on_grid`` projects onto a
-grid, so on the same stream it draws exactly the chains the engine draws.
+"""Compensated counting-process statistics of sampled chain paths, for the tests.
 
 For each ordered pair (k, l) the compensated count
 
     N_kl(T) - rate_kl * (occupation time of k on [t0, T])
 
 is a martingale evaluated at T; :func:`martingale_residual` estimates its
-mean across sampled paths, which the chain tests compare against zero.
+mean across ``regimelq.chain.sample_chain_paths`` paths, which the chain
+tests compare against zero.
 """
 
 from dataclasses import dataclass
@@ -18,84 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from regimelq.chain import GeneratorMatrix, _check_sampler_args, _jump_rounds
+from regimelq.chain import ChainPath, GeneratorMatrix
 from regimelq.errors import EmptySample
-
-
-@dataclass(frozen=True)
-class ChainPath:
-    """One exact chain trajectory on [t0, T].
-
-    ``jump_times`` is strictly increasing in (t0, T]; ``states[i]`` is the
-    regime entered at ``jump_times[i]``.  The path is right-continuous and
-    constant between jumps.
-    """
-
-    initial_regime: int
-    jump_times: NDArray[np.float64]
-    states: NDArray[np.int64]
-    t0: float
-    T: float
-
-    def regime_at(self, t: float) -> int:
-        """Right-continuous regime value at time t."""
-        idx = int(np.searchsorted(self.jump_times, t, side="right"))
-        return self.initial_regime if idx == 0 else int(self.states[idx - 1])
-
-    def regimes_on_grid(self, times: NDArray[np.float64]) -> NDArray[np.int64]:
-        """Right-continuous regime at each grid time."""
-        idx = np.searchsorted(self.jump_times, times, side="right")
-        seq = np.concatenate(([self.initial_regime], self.states)).astype(np.int64)
-        return seq[idx]
-
-    def occupation_times(self, num_regimes: int) -> NDArray[np.float64]:
-        """Total time spent in each regime over [t0, T]."""
-        bounds = np.concatenate(([self.t0], self.jump_times, [self.T]))
-        seq = np.concatenate(([self.initial_regime], self.states)).astype(np.int64)
-        occ = np.zeros(num_regimes)
-        np.add.at(occ, seq, np.diff(bounds))
-        return occ
-
-    def jump_counts(self, num_regimes: int) -> NDArray[np.float64]:
-        """Matrix of jump counts N_kl over (t0, T]."""
-        counts = np.zeros((num_regimes, num_regimes))
-        seq = np.concatenate(([self.initial_regime], self.states)).astype(np.int64)
-        np.add.at(counts, (seq[:-1], seq[1:]), 1.0)
-        return counts
-
-
-def sample_chain_paths(
-    gen: GeneratorMatrix,
-    i0: int,
-    t0: float,
-    T: float,
-    rng: np.random.Generator,
-    n_paths: int,
-) -> list[ChainPath]:
-    """Sample ``n_paths`` exact chain paths on [t0, T].
-
-    Raises :class:`ValidationError` unless ``0 <= i0 < d``, ``t0 < T`` and
-    ``n_paths >= 1``.
-    """
-    _check_sampler_args(gen, i0, t0, T, n_paths)
-    jump_lists: list[list[tuple[float, int]]] = [[] for _ in range(n_paths)]
-    for still, t_jump, _, nxt in _jump_rounds(gen, i0, t0, T, rng, n_paths):
-        for j, tj, kj in zip(still, t_jump, nxt):
-            jump_lists[j].append((float(tj), int(kj)))
-
-    out = []
-    for jumps in jump_lists:
-        times, states = zip(*jumps) if jumps else ((), ())
-        out.append(
-            ChainPath(
-                initial_regime=int(i0),
-                jump_times=np.asarray(times, dtype=np.float64),
-                states=np.asarray(states, dtype=np.int64),
-                t0=float(t0),
-                T=float(T),
-            )
-        )
-    return out
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import regimelq as rl
 from regimelq.errors import DimensionMismatch, EmptySample, NegativeOffDiagonal, ValidationError
 from regimelq.streams import derive_rng, derive_seed
 
-from chain_reference import ChainPath, martingale_residual, sample_chain_paths
+from chain_reference import martingale_residual
 
 
 class TestValidateGenerator:
@@ -39,18 +39,18 @@ class TestValidateGenerator:
 class TestSampleChainPath:
     def test_zero_generator_never_jumps(self):
         gen = rl.validate_generator([[0.0]])
-        paths = sample_chain_paths(gen, 0, 0.0, 5.0, derive_rng(1), 20)
+        paths = rl.sample_chain_paths(gen, 0, 0.0, 5.0, derive_rng(1), 20)
         assert all(len(p.jump_times) == 0 for p in paths)
         assert all(p.regime_at(3.0) == 0 for p in paths)
 
     def test_absorbing_state_stops(self):
         gen = rl.validate_generator([[-3.0, 3.0], [0.0, 0.0]])
-        paths = sample_chain_paths(gen, 0, 0.0, 100.0, derive_rng(2), 200)
+        paths = rl.sample_chain_paths(gen, 0, 0.0, 100.0, derive_rng(2), 200)
         assert all(len(p.jump_times) == 1 and p.states[0] == 1 for p in paths)
 
     def test_path_invariants(self):
         gen = rl.validate_generator([[-2.0, 2.0], [2.0, -2.0]])
-        for path in sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(3), 200):
+        for path in rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(3), 200):
             assert np.all(np.diff(path.jump_times) > 0)
             assert np.all(path.jump_times > 0.0) and np.all(path.jump_times <= 1.0)
             seq = np.concatenate(([path.initial_regime], path.states))
@@ -60,14 +60,14 @@ class TestSampleChainPath:
         # first holding time in state 0 is Exponential(2): mean 0.5
         gen = rl.validate_generator([[-2.0, 2.0], [2.0, -2.0]])
         n = 20_000
-        paths = sample_chain_paths(gen, 0, 0.0, 10.0, derive_rng(4), n)
+        paths = rl.sample_chain_paths(gen, 0, 0.0, 10.0, derive_rng(4), n)
         first = np.array([p.jump_times[0] for p in paths])
         assert abs(first.mean() - 0.5) <= 3.0 * 0.5 / np.sqrt(n)
 
     def test_deterministic_given_seed(self):
         gen = rl.validate_generator([[-2.0, 2.0], [1.0, -1.0]])
-        (a,) = sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(5), 1)
-        (b,) = sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(5), 1)
+        (a,) = rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(5), 1)
+        (b,) = rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(5), 1)
         np.testing.assert_array_equal(a.jump_times, b.jump_times)
         np.testing.assert_array_equal(a.states, b.states)
 
@@ -76,7 +76,7 @@ class TestBatchSampler:
     def test_occupation_mean_matches_exact(self):
         # occupation fraction of state 0 for the symmetric rate-2 chain is 1/2
         gen = rl.validate_generator([[-2.0, 2.0], [2.0, -2.0]])
-        paths = sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(6), 40_000)
+        paths = rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(6), 40_000)
         occ0 = np.array([p.occupation_times(2)[0] for p in paths])
         # exact mean occupation: 1/2 + (1 - e^{-4}) / 8 for the start-at-0 chain
         exact = 0.5 + (1.0 - np.exp(-4.0)) / 8.0
@@ -84,8 +84,8 @@ class TestBatchSampler:
 
     def test_deterministic_given_seed(self):
         gen = rl.validate_generator([[-2.0, 2.0], [1.0, -1.0]])
-        a = sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(7), 50)
-        b = sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(7), 50)
+        a = rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(7), 50)
+        b = rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(7), 50)
         for pa, pb in zip(a, b):
             np.testing.assert_array_equal(pa.jump_times, pb.jump_times)
             np.testing.assert_array_equal(pa.states, pb.states)
@@ -97,14 +97,14 @@ class TestBatchSampler:
     def test_bad_arguments_rejected(self, i0, t0, T, n_paths):
         gen = rl.validate_generator([[-2.0, 2.0], [1.0, -1.0]])
         with pytest.raises(ValidationError):
-            sample_chain_paths(gen, i0, t0, T, derive_rng(8), n_paths)
+            rl.sample_chain_paths(gen, i0, t0, T, derive_rng(8), n_paths)
         with pytest.raises(ValidationError):
             rl.sample_regimes_on_grid(gen, i0, np.array([t0, T]), derive_rng(8), n_paths)
 
 
 class TestCountingProcess:
     def test_regimes_on_grid_right_continuous(self):
-        path = ChainPath(
+        path = rl.ChainPath(
             initial_regime=0,
             jump_times=np.array([0.25, 0.5]),
             states=np.array([1, 0]),
@@ -115,7 +115,7 @@ class TestCountingProcess:
         np.testing.assert_array_equal(path.regimes_on_grid(times), [0, 1, 1, 0, 0])
 
     def test_occupation_and_counts(self):
-        path = ChainPath(
+        path = rl.ChainPath(
             initial_regime=0,
             jump_times=np.array([0.25, 0.5]),
             states=np.array([1, 0]),
@@ -130,20 +130,20 @@ class TestCountingProcess:
 class TestMartingaleResidual:
     def test_zero_generator_exact(self):
         gen = rl.validate_generator([[0.0, 0.0], [0.0, 0.0]])
-        paths = sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(8), 50)
+        paths = rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(8), 50)
         res = martingale_residual(paths, gen, 1.0)
         np.testing.assert_array_equal(res.mean, np.zeros((2, 2)))
 
     def test_symmetric_chain_within_three_stderr(self):
         gen = rl.validate_generator([[-1.0, 1.0], [1.0, -1.0]])
-        paths = sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(9), 100_000)
+        paths = rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(9), 100_000)
         res = martingale_residual(paths, gen, 1.0)
         assert res.max_zscore() <= 3.0
 
     def test_compensator_identity(self):
         # E[N_01(1)] equals E[rate_01 * occupation of state 0]
         gen = rl.validate_generator([[-2.0, 2.0], [2.0, -2.0]])
-        paths = sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(10), 100_000)
+        paths = rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(10), 100_000)
         counts = np.array([p.jump_counts(2)[0, 1] for p in paths])
         comp = np.array([2.0 * p.occupation_times(2)[0] for p in paths])
         diff = counts - comp
@@ -152,7 +152,7 @@ class TestMartingaleResidual:
     def test_single_path_stderr_flagged(self):
         gen = rl.validate_generator([[-1.0, 1.0], [1.0, -1.0]])
         res = martingale_residual(
-            sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(11), 1), gen, 1.0
+            rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(11), 1), gen, 1.0
         )
         assert res.n == 1
         assert np.all(np.isfinite(res.mean))
@@ -185,7 +185,7 @@ def generators(draw, max_states=4, max_rate=5.0):
 def test_property_compensated_counts_mean_zero(raw):
     gen = rl.validate_generator(raw)
     seed = derive_seed(12, raw.tobytes().hex())
-    paths = sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(seed), 4000)
+    paths = rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(seed), 4000)
     for p in paths[:50]:
         assert np.all(np.diff(p.jump_times) > 0)
         assert np.all((p.jump_times > 0.0) & (p.jump_times <= 1.0))
@@ -205,7 +205,7 @@ def test_property_grid_sampler_matches_projected_paths(raw):
     seed = derive_seed(13, raw.tobytes().hex())
     times = np.linspace(0.0, 1.0, 17)
     grid = rl.sample_regimes_on_grid(gen, 0, times, derive_rng(seed), 300)
-    paths = sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(seed), 300)
+    paths = rl.sample_chain_paths(gen, 0, 0.0, 1.0, derive_rng(seed), 300)
     np.testing.assert_array_equal(grid, [p.regimes_on_grid(times) for p in paths])
 
 
@@ -218,7 +218,7 @@ def test_grid_regimes_take_the_smallest_signed_type(d, dtype):
     gen = rl.validate_generator(rates)
     times = np.linspace(0.0, 1.0, 5)
     grid = rl.sample_regimes_on_grid(gen, d - 1, times, derive_rng(d), 40)
-    paths = sample_chain_paths(gen, d - 1, 0.0, 1.0, derive_rng(d), 40)
+    paths = rl.sample_chain_paths(gen, d - 1, 0.0, 1.0, derive_rng(d), 40)
     assert grid.dtype == dtype
     assert grid.min() == 0 and grid.max() == d - 1
     np.testing.assert_array_equal(grid, [p.regimes_on_grid(times) for p in paths])

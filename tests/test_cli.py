@@ -490,7 +490,8 @@ def test_cli_import_sets_one_blas_thread_unless_the_user_chose(user):
 
 # every public name of the package, by the submodule that defines it
 PUBLIC_NAMES = {
-    "chain": ["GeneratorMatrix", "sample_regimes_on_grid", "validate_generator"],
+    "chain": ["ChainPath", "GeneratorMatrix", "sample_chain_paths", "sample_regimes_on_grid",
+              "validate_generator"],
     "model": ["Coefficients", "ProblemSpec", "make_problem", "problem_from_config",
               "validate_problem", "with_initial_state"],
     "riccati": ["FeedbackLaw", "RiccatiGrid", "rhat_certificate", "solve_riccati"],

@@ -17,7 +17,6 @@ from canonical import (
     det_lqr_oracle,
     multidim_two_segment,
     nonconvex,
-    pointwise_gain,
     random_convex,
     riccati_rhs,
     scalar_analytic,
@@ -241,7 +240,7 @@ class TestFeedbackGain:
         for i in (0, 37, 100):
             for k in range(2):
                 np.testing.assert_allclose(
-                    pointwise_gain(law, grid.times[i], k), grid.Theta[i, k], atol=1e-13
+                    law.gain(grid.times[i], k), grid.Theta[i, k], atol=1e-13
                 )
 
     @pytest.mark.parametrize(
@@ -259,7 +258,7 @@ class TestFeedbackGain:
         assert gains[::2].tobytes() == grid.Theta[:-1].tobytes()
         for j in range(1, 2 * N, 2):
             for k in range(prob.num_regimes):
-                np.testing.assert_array_equal(gains[j, k], pointwise_gain(law, fine[j], k))
+                np.testing.assert_array_equal(gains[j, k], law.gain(fine[j], k))
 
     def test_zero_gain_when_shat_vanishes(self):
         # B = 0, S = 0, C = 0 make Shat identically zero
@@ -271,14 +270,14 @@ class TestFeedbackGain:
         grid = rl.solve_riccati(prob, 50)
         law = rl.FeedbackLaw(prob, grid)
         for t in (0.0, 0.21, 0.77, 1.0):
-            assert abs(pointwise_gain(law, t, 0)[0, 0]) <= 1e-14
+            assert abs(law.gain(t, 0)[0, 0]) <= 1e-14
 
     def test_scalar_midpoint_value(self):
         # analytic Theta(0.5) = -P(0.5) = -1/1.5
         prob = scalar_analytic()
         grid = rl.solve_riccati(prob, 200)
         law = rl.FeedbackLaw(prob, grid)
-        assert pointwise_gain(law, 0.5, 0)[0, 0] == pytest.approx(-1.0 / 1.5, abs=1e-5)
+        assert law.gain(0.5, 0)[0, 0] == pytest.approx(-1.0 / 1.5, abs=1e-5)
 
     def test_interpolated_p_rejects_times_off_the_grid(self):
         prob = det_lqr()
@@ -287,7 +286,7 @@ class TestFeedbackGain:
             with pytest.raises(ValidationError):
                 law.interpolated_P(t)
         with pytest.raises(ValidationError):
-            pointwise_gain(law, float("nan"), 0)
+            law.gain(float("nan"), 0)
 
     def test_interpolated_gain_keeps_identity(self):
         prob = det_lqr()
@@ -298,7 +297,7 @@ class TestFeedbackGain:
             cs = coeff_at(prob, t, 0)
             Shat = cs.B.T @ P[0] + cs.D.T @ P[0] @ cs.C + cs.S
             Rhat = cs.R + cs.D.T @ P[0] @ cs.D
-            defect = Shat + Rhat @ pointwise_gain(law, t, 0)
+            defect = Shat + Rhat @ law.gain(t, 0)
             assert np.max(np.abs(defect)) <= 1e-12
 
 
@@ -451,14 +450,14 @@ def test_property_solved_grid_is_stationary(instance):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(gain_instances())
 def test_property_gain_table_equals_pointwise_gain(instance):
-    # the batched table reads every time exactly as the one-time pointwise gain does
+    # the batched table reads every time exactly as the one-time law.gain does
     prob, N, times = instance
     law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, N))
     gains = law.gains_at_times(times)
     assert gains.shape == (len(times), prob.num_regimes, prob.m, prob.n)
     for t, row in zip(times, gains):
         for k in range(prob.num_regimes):
-            assert row[k].tobytes() == pointwise_gain(law, t, k).tobytes()
+            assert row[k].tobytes() == law.gain(t, k).tobytes()
 
 
 def _dop853_reference(prob, times) -> np.ndarray:

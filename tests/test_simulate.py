@@ -6,7 +6,6 @@ import os
 import runpy
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,6 @@ from canonical import (
     det_lqr,
     det_lqr_oracle,
     multidim_two_segment,
-    pointwise_gain,
     random_convex,
     scalar_analytic,
     stochastic_scalar,
@@ -316,7 +314,7 @@ class TestKernelMatchesReference:
         costs, x_T = mc_run(prob, control, n_paths, seed, self.N)
         regimes, dW = ref.replay_chunk_noise(prob, times, derive_rng(seed, "chunk", 0), n_paths)
         ref_costs, ref_x_T = _reference_paths(
-            prob, None if kind == "table" else partial(pointwise_gain, law),
+            prob, None if kind == "table" else law.gain,
             None if kind == "feedback" else v, times, regimes, dW,
         )
         _assert_close(costs, ref_costs)
@@ -327,13 +325,11 @@ class TestKernelMatchesReference:
         law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, self.N))
         path = rl.simulate_closed_loop(prob, law, self.N, 22)
         costs, x_T = _reference_paths(
-            prob, partial(pointwise_gain, law), None, path.times, path.regimes[None],
-            path.dW[None],
+            prob, law.gain, None, path.times, path.regimes[None], path.dW[None]
         )
         _assert_close(path.cost, costs[0])
         _assert_close(path.X[-1], x_T[0])
-        U = np.array([pointwise_gain(law, t, k) @ x
-                      for t, k, x in zip(path.times, path.regimes, path.X[:-1])])
+        U = np.array([law.gain(t, k) @ x for t, k, x in zip(path.times, path.regimes, path.X[:-1])])
         _assert_close(path.U, U)
 
 
@@ -752,6 +748,25 @@ def test_each_table_is_cut_once_per_run(monkeypatch):
     calls.clear()
     paired_refinement_run(prob, lambda _: law, n_paths, 3, N)
     assert [keep_all for keep_all, *_ in calls] == [False, False]
+
+
+def test_one_path_pass_steps_the_full_table(monkeypatch):
+    # BLAS sums a matrix-vector product in blocks of columns, so a one-path
+    # pass cuts the whole table again, although the feedback law's affine
+    # column is dead and its compact cut is narrower; the property below
+    # checks the bytes this keeps
+    prob = multidim_two_segment()
+    law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 6))
+    calls = _record_cuts(monkeypatch)
+    rl.simulate_closed_loop(prob, law, 6, 7)
+    (keep_compact, M, compact), (keep_full, M_full, full) = calls
+    assert (keep_compact, keep_full) == (False, True) and M_full is M
+    assert full.M is M and compact.M.shape[2] < M.shape[2]
+    # so does a last chunk of one path, on the run's own table
+    calls.clear()
+    mc_run(prob, law, CHUNK_SIZE + 1, 8, 6)
+    (keep_compact, M, _), (keep_full, M_full, full) = calls
+    assert (keep_compact, keep_full) == (False, True) and M_full is M and full.M is M
 
 
 def _whole_table(table, n: int):

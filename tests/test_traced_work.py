@@ -7,10 +7,7 @@ Monte Carlo work out of those entry points would change the throughput
 without changing the work; this test pins the count to ``verify``'s
 constants instead.  The tracer also lists every entry point it could not
 find, and the benchmark then leaves that entry point's metrics out of its
-result line, so a rename must not go unnoticed.  Three are gone on
-purpose: the jump-level chain sampler with its per-path projection and the
-pointwise feedback gain are test oracles now (``tests/chain_reference.py``
-and ``tests/canonical.py``), which no command ran.
+result line, so a rename must not go unnoticed.
 """
 
 import json
@@ -46,10 +43,6 @@ def _traced(tmp_path, *args) -> dict:
     return json.loads(spans.read_text())
 
 
-# the spans whose entry points left the package; each read 0 before it left
-GONE = ["chain.sample", "chain.project", "riccati.pointwise_gain"]
-
-
 @pytest.mark.parametrize("args, layers", [
     (["solve", "--config", "scalar.json", "--grid", "4"], ["riccati.solve"]),
     (["simulate", "--config", "two_regime.json", "--grid", "4", "--paths", "200",
@@ -64,7 +57,7 @@ def test_tracer_finds_every_entry_point(tmp_path, args, layers):
     # its layer then records no span although nothing is listed as missing
     args[2] = str(ROOT / "configs" / args[2])
     trace = _traced(tmp_path, *args, "--workers", "1")
-    assert trace["missing"] == GONE
+    assert trace["missing"] == []
     recorded = {span[1] for span in trace["spans"]}
     assert {"model.ingest", *layers} <= recorded
 

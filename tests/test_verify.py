@@ -14,7 +14,6 @@ from canonical import (
     multidim_two_segment,
     nonconvex,
     one_regime_market,
-    pointwise_gain,
     problem_to_config,
     random_convex,
     scalar_analytic,
@@ -158,7 +157,7 @@ class TestStationarity:
         law = rl.FeedbackLaw(prob, grid)
         regimes = range(prob.num_regimes)
         gains = [(t, grid.Theta[i]) for i, t in enumerate(grid.times)]
-        gains += [(t, [pointwise_gain(law, t, k) for k in regimes])
+        gains += [(t, [law.gain(t, k) for k in regimes])
                   for t in 0.5 * (grid.times[:-1] + grid.times[1:])]
         worst = 0.0
         for t, Theta in gains:
