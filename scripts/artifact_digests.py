@@ -76,14 +76,16 @@ def invocations(multidim: Path) -> list[tuple[str, list[str]]]:
     ]
 
 
-def run_measured(argv: list[str]) -> tuple[int, str, float]:
-    """Run ``argv``; return its exit code, its stderr and its peak RSS in MiB."""
+def run_measured(argv: list[str]) -> tuple[int, str, float, int]:
+    """Run ``argv``; return its exit code, its stderr, its peak RSS in MiB and
+    its minor page faults."""
     with subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                           text=True) as proc:
         err = proc.stderr.read()
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, err, usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
+    # ru_maxrss is in KiB on Linux
+    return proc.returncode, err, usage.ru_maxrss / 1024.0, usage.ru_minflt
 
 
 def main() -> int:
@@ -98,7 +100,7 @@ def main() -> int:
         workers = [] if "--workers" in args else ["--workers", "1"]
         argv = [sys.executable, "-m", "regimelq.cli", *args, *workers,
                 "--seed", SEED, "--out", str(out / name)]
-        rc, err, peak_mb = run_measured(argv)
+        rc, err, peak_mb, _ = run_measured(argv)
         if rc != 0:  # 3 is a failed verify or frontier check
             print(f"{name} exited {rc}: {err.strip()}", file=sys.stderr)
             return 1

@@ -13,9 +13,11 @@ fitted backward one step at a time:
     P(t_i, k, y) = E[ P(t_{i+1}, a(t_{i+1}), y(t_{i+1})) | k, y ]
                    + h * driver(t_i, k, y, Pbar, Lbar),
 
-where the conditional expectation over the regime jump uses the one-step
-transition probabilities I + h * rates (first order, so the compensated
-jump term needs no separate estimator), the expectation over y is a
+where the conditional expectation over the regime jump is exact: it
+weights the next-node values by the one-step law exp(h * rates) of the
+chain (``GeneratorMatrix.transition``), so no grid is too coarse for the
+generator and the compensated jump term needs no separate estimator (the
+driver does not read it); the expectation over y is a
 least-squares polynomial regression, and the Brownian coefficient Lbar is
 estimated by regressing dW-weighted next-node values.  The driver uses the
 same Qhat - Shat^2 / Rhat algebra as the Riccati drift, evaluated at the
@@ -513,9 +515,7 @@ def backward_regression_solve(
         raise ValidationError(f"need at least {10 * B} paths for degree {degree}")
     d = model.num_regimes
     h = model.T / N
-    trans = np.eye(d) + h * model.generator.rates  # first-order step probabilities
-    if np.any(np.diag(trans) < 0.0):
-        raise ValidationError("grid too coarse for the generator: negative stay probability")
+    trans = model.generator.transition(h)  # exact: exp(h Q)
 
     value_weights = np.zeros((N, d, B))
     lambda_weights = np.zeros((N, d, B))

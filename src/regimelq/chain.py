@@ -1,7 +1,9 @@
-"""Continuous-time Markov chains: exact simulation.
+"""Continuous-time Markov chains: exact simulation and the exact step law.
 
 The chain is simulated exactly (exponential holding times plus the embedded
-jump chain), so jump counts carry no discretization bias.
+jump chain), so jump counts carry no discretization bias.  Its law over a
+step of length h is exp(h Q) (:meth:`GeneratorMatrix.transition`), from
+this module's :func:`expm`.
 
 Regimes are 0-based throughout the Python API (JSON configs use 1-based
 labels, converted at ingestion).
@@ -18,6 +20,33 @@ from .errors import DimensionMismatch, NegativeOffDiagonal, ValidationError
 from .streams import mapped_zeros
 
 DIAGONAL_REPAIR_TOL = 1e-12
+
+
+def expm(A) -> NDArray[np.float64]:
+    """exp(A) of a square matrix with nonnegative off-diagonal entries.
+
+    Shifting the diagonal by c = max(0, -min diag A) leaves X = A + c I
+    nonnegative, so no Taylor term of exp(X) cancels another.  X is halved
+    s times, until its 1-norm is at most 1/2, where 18 Taylor terms leave a
+    remainder below 1e-21; then exp(A) = (exp(-c / 2^s) exp(X / 2^s))^(2^s),
+    squared back s times.  The result is nonnegative.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    c = max(0.0, -float(np.diag(A).min()))
+    X = A + c * np.eye(len(A))
+    s = 0
+    norm = float(np.abs(X).sum(axis=0).max())
+    while norm > 0.5:
+        norm, s = norm / 2.0, s + 1
+    X /= 2.0**s
+    E = term = np.eye(len(A))
+    for j in range(1, 18):
+        term = term @ X / j
+        E += term
+    E *= np.exp(-c / 2.0**s)
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 @dataclass(frozen=True)
@@ -37,6 +66,11 @@ class GeneratorMatrix:
                 f"initial regime label {int(i0) + 1} outside the labels 1..{self.size}"
             )
         return int(i0)
+
+    def transition(self, h: float) -> NDArray[np.float64]:
+        """P(a(t + h) = l | a(t) = k) = [exp(h Q)]_kl, each row renormalized to sum 1."""
+        E = expm(h * self.rates)
+        return E / E.sum(axis=1, keepdims=True)
 
 
 def validate_generator(raw) -> GeneratorMatrix:

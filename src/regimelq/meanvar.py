@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .chain import GeneratorMatrix, validate_generator
+from .chain import GeneratorMatrix, expm, validate_generator
 from .errors import (
     DegenerateConstraint,
     NonPositiveP,
@@ -219,10 +219,6 @@ def mv_moment_odes(market: MarketSpec, grid: RiccatiGrid | None = None) -> Momen
     against that identity at every node.  Segment propagation uses matrix exponentials of
     diag(growth) + rates', exact for piecewise-constant coefficients.
     """
-    # imported on use: scipy is slow and large to import, and this is the
-    # package's only use of it
-    from scipy.linalg import expm
-
     theta = market.theta()  # (J, D)
     if grid is not None:
         # closed-form gains in force at every node, by the grid's own segment rule

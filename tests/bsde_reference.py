@@ -8,7 +8,8 @@ Each node builds the Vandermonde basis of the scaled driver, solves the
 value targets, the dW-weighted targets and the refit with separate
 ``np.linalg.lstsq`` calls, evaluates the coefficient maps once per regime
 and works on (M, d) arrays.  The recorded condition number is the one
-lstsq's singular values give.
+lstsq's singular values give.  Its regime step is scipy's ``expm``, so the
+comparison checks the package's ``chain.expm`` too.
 
 :func:`full_driver` materializes the driver at every node of a bundle from
 the package's backward walk, and :func:`bsde_residual` checks a solution's
@@ -18,6 +19,7 @@ one-step recursion along a fresh bundle with the package's driver.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from numpy.typing import NDArray
 
 from regimelq import bsde
@@ -132,9 +134,7 @@ def reference_regression_solve(model, bundle, degree=3):
         raise ValidationError(f"need at least {10 * B} paths for degree {degree}")
     d = model.num_regimes
     h = model.T / N
-    trans = np.eye(d) + h * model.generator.rates
-    if np.any(np.diag(trans) < 0.0):
-        raise ValidationError("grid too coarse for the generator: negative stay probability")
+    trans = scipy.linalg.expm(h * model.generator.rates)  # not the package's expm
 
     value_weights = np.zeros((N, d, B))
     lambda_weights = np.zeros((N, d, B))

@@ -289,6 +289,19 @@ class TestBackwardRegression:
             want = float(oracle.P[0, k, 0, 0])
             assert abs(got - want) / abs(want) <= 5e-3
 
+    def test_grid_coarser_than_the_switching_solves(self):
+        # h * rate = 2: the first-order step I + h Q would have stay
+        # probability -1; the exact step exp(h Q) takes any grid
+        model = dataclasses.replace(
+            two_regime_model(), generator=rl.validate_generator([[-30.0, 30.0], [40.0, -40.0]])
+        )
+        oracle = rl.solve_riccati(constant_problem(model), 1000)
+        bundle = rl.generate_training_paths(model, 20_000, 20, 6)
+        sol = rl.backward_regression_solve(model, bundle, degree=3)
+        for k in range(2):
+            want = float(oracle.P[0, k, 0, 0])
+            assert abs(sol.value_single(0, k, model.y0) - want) / abs(want) <= 5e-3
+
     def test_linear_driver_case(self):
         # Q = S = 0, B = C = D = 0: the recursion is the linear equation
         # dP/dt = -2 A P with regime coupling, matching the Lyapunov solve

@@ -461,10 +461,38 @@ def _fresh_python(code: str, **env) -> str:
     return result.stdout
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported on use by the frontier's moment propagation only
-    code = "import sys, regimelq.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    assert _fresh_python(code).strip() == "[]"
+def _run_in_fresh_python(argv, out, seed="1"):
+    """Exit code and loaded module names of ``import regimelq.cli`` and then,
+    unless ``argv`` is None, ``main(argv)``, in a fresh interpreter; the
+    config is named relative to ``configs/``."""
+    if argv is not None:
+        argv = [*argv, "--seed", seed, "--out", str(out)]
+        argv[2] = str(CONFIGS / argv[2])
+    code = (
+        "import contextlib, json, sys, regimelq.cli\n"
+        f"argv = {argv!r}\n"
+        "with contextlib.redirect_stdout(sys.stderr):\n"
+        "    rc = 0 if argv is None else regimelq.cli.main(argv)\n"
+        "print(json.dumps([rc, sorted(sys.modules)]))\n"
+    )
+    return json.loads(_fresh_python(code))
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["solve", "--config", "two_regime.json", "--grid", "10"],
+    ["solve", "--config", "market_one_regime.json", "--grid", "10"],
+    ["simulate", "--config", "two_regime.json", "--grid", "10", "--paths", "200",
+     "--dump-paths", "1"],
+    ["verify", "--config", "two_regime.json", "--grid", "20", "--paths", "500"],
+    ["frontier", "--config", "market_one_regime.json", "--grid", "10", "--paths", "1000"],
+    ["bsde", "--config", "random_coeff.json", "--grid", "4", "--paths", "200"],
+], ids=["import", "solve-slq", "solve-market", "simulate", "verify", "frontier", "bsde"])
+def test_cli_leaves_scipy_unloaded(tmp_path, argv):
+    # numpy is the only runtime dependency: no command imports scipy
+    rc, loaded = _run_in_fresh_python(argv, tmp_path)
+    assert rc == 0
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
 
 def test_package_import_loads_no_numpy():
@@ -560,17 +588,7 @@ def test_thread_pool_is_imported_only_for_two_lanes():
 def test_each_command_loads_only_the_engine_modules_it_runs(tmp_path, argv, absent):
     # the CLI imports a command's engine modules in that command's body, so
     # no invocation pays to compile and run the modules of another command
-    if argv is not None:
-        argv = [*argv, "--seed", "5", "--out", str(tmp_path)]
-        argv[2] = str(CONFIGS / argv[2])
-    code = (
-        "import contextlib, json, sys, regimelq.cli\n"
-        f"argv = {argv!r}\n"
-        "with contextlib.redirect_stdout(sys.stderr):\n"
-        "    rc = 0 if argv is None else regimelq.cli.main(argv)\n"
-        "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('regimelq.'))]))\n"
-    )
-    rc, loaded = json.loads(_fresh_python(code))
+    rc, loaded = _run_in_fresh_python(argv, tmp_path, seed="5")
     assert rc == 0
     assert "regimelq.errors" in loaded
     assert not set(loaded) & {f"regimelq.{name}" for name in absent}
