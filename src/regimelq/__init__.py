@@ -45,7 +45,6 @@ _SOURCES = {
     ),
     "verify": (
         "CheckResult",
-        "LyapunovGrid",
         "convexity_probe",
         "lyapunov_identity_check",
         "lyapunov_solve",

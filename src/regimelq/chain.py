@@ -87,7 +87,7 @@ def validate_generator(raw) -> GeneratorMatrix:
     if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
         raise DimensionMismatch(f"generator must be square, got shape {rates.shape}")
     if not np.all(np.isfinite(rates)):
-        raise NegativeOffDiagonal("generator has non-finite entries")
+        raise ValidationError("generator has non-finite entries")
     d = rates.shape[0]
     off = rates.copy()
     np.fill_diagonal(off, 0.0)

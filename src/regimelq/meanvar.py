@@ -363,7 +363,7 @@ def mv_simulate_check(
         problem, law, n_paths, derive_seed(seed, "mv-mc"), N, point.gamma, workers
     )
     _, _, xt_n, xt_2n = paired_refinement_run(
-        problem, lambda n: law, calibration_paths(n_paths),
+        problem, law, calibration_paths(n_paths),
         derive_seed(seed, "mv-cal"), N, workers,
     )
     x_n, x_2n = xt_n[:, 0], xt_2n[:, 0]

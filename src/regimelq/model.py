@@ -214,6 +214,19 @@ def with_initial_state(problem: ProblemSpec, x0) -> ProblemSpec:
     return replace(problem, x0=x0_arr)
 
 
+def without_control(problem: ProblemSpec) -> ProblemSpec:
+    """Copy of the problem with B, D and S zero and R the identity.
+
+    Its Shat is exactly zero, so its Riccati system is the coupled Lyapunov
+    system of the zero control and its gains are exactly zero.
+    """
+    table = problem.coefficients.copy()
+    table["B"] = table["D"] = table["S"] = 0.0
+    table["R"] = np.eye(problem.m)
+    table.flags.writeable = False
+    return replace(problem, coefficients=table)
+
+
 # --- JSON config adapter -------------------------------------------------
 
 def _non_number_leaf(cfg: dict):

@@ -16,6 +16,10 @@ the stationarity identity Shat + Rhat Theta = 0 holds to solver precision at
 every node, and off nodes P is interpolated linearly and Theta recomputed,
 which preserves the identity exactly at the interpolated P.
 :func:`stationarity_defect` measures it at every node and step midpoint.
+The coupled Lyapunov system of the zero control is the Riccati system of
+:func:`regimelq.model.without_control`: with B = D = S = 0 and R = I, Shat
+is exactly zero, so the feedback term subtracts an exact zero, Rhat = I
+and every gain is 0.
 
 Integration is classical fixed-step RK4.  Each derivative is symmetrized, so
 every stage value, and P, is exactly symmetric.  The solve reads every
@@ -72,20 +76,13 @@ def _guard_rhat(Rhat: NDArray, times) -> NDArray:
     return min_eigs
 
 
-def _rhs(
-    P: NDArray, t: float, st: Coefficients, rates: NDArray, quadratic: bool = True
-) -> NDArray:
-    """Forward-time derivative dP/dt of the stacked system; symmetrized.
-
-    Without the quadratic feedback term it is the linear (zero-control)
-    Lyapunov system.
-    """
+def _rhs(P: NDArray, t: float, st: Coefficients, rates: NDArray) -> NDArray:
+    """Forward-time derivative dP/dt of the stacked system; symmetrized."""
     PA = P @ st.A
     drift = PA + PA.swapaxes(-1, -2) + st.C.swapaxes(-1, -2) @ P @ st.C + st.Q
-    if quadratic:
-        Shat, Rhat = _hat_terms(P, st)
-        _guard_rhat(Rhat[None], [t])
-        drift = drift - Shat.swapaxes(-1, -2) @ np.linalg.solve(Rhat, Shat)
+    Shat, Rhat = _hat_terms(P, st)
+    _guard_rhat(Rhat[None], [t])
+    drift = drift - Shat.swapaxes(-1, -2) @ np.linalg.solve(Rhat, Shat)
     dP = -(drift + np.einsum("kl,lij->kij", rates, P))
     return 0.5 * (dP + dP.swapaxes(-1, -2))
 
@@ -112,19 +109,17 @@ def _node_gain(P: NDArray, st: Coefficients, times):
     return np.linalg.solve(Rhat, -Shat), min_eigs
 
 
-def _rk4_step(
-    P: NDArray, h: float, t1: float, st: Coefficients, rates, quadratic: bool
-) -> NDArray:
+def _rk4_step(P: NDArray, h: float, t1: float, st: Coefficients, rates) -> NDArray:
     """One RK4 step of size h from P at t1 back to t1 - h on the coefficients ``st``."""
-    k1 = _rhs(P, t1, st, rates, quadratic)
+    k1 = _rhs(P, t1, st, rates)
     tm = t1 - 0.5 * h
-    k2 = _rhs(P - 0.5 * h * k1, tm, st, rates, quadratic)
-    k3 = _rhs(P - 0.5 * h * k2, tm, st, rates, quadratic)
-    k4 = _rhs(P - h * k3, t1 - h, st, rates, quadratic)
+    k2 = _rhs(P - 0.5 * h * k1, tm, st, rates)
+    k3 = _rhs(P - 0.5 * h * k2, tm, st, rates)
+    k4 = _rhs(P - h * k3, t1 - h, st, rates)
     return P - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate_on_grid(problem: ProblemSpec, N: int, quadratic: bool = True):
+def _integrate_on_grid(problem: ProblemSpec, N: int):
     """RK4 backward integration from P(T) = G on the uniform N-step grid.
 
     Each step reads the coefficients at its midpoint.  A step with
@@ -154,11 +149,11 @@ def _integrate_on_grid(problem: ProblemSpec, N: int, quadratic: bool = True):
             X = P[i]
             for t1, t0 in zip(edges, edges[1:]):
                 st = problem.coefficients_at(0.5 * (t0 + t1))
-                X = _rk4_step(X, t1 - t0, t1, st, rates, quadratic)
+                X = _rk4_step(X, t1 - t0, t1, st, rates)
             P[i - 1] = X
         else:
             st = Coefficients(*(a[i - 1] for a in steps))
-            P[i - 1] = _rk4_step(P[i], h, times[i], st, rates, quadratic)
+            P[i - 1] = _rk4_step(P[i], h, times[i], st, rates)
         if not np.isfinite(P[i - 1]).all():
             raise NonFiniteState(f"non-finite Riccati state at t={times[i - 1]:.6g}")
     return times, P

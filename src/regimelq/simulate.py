@@ -448,7 +448,7 @@ def mc_run(
 
 def paired_refinement_run(
     problem: ProblemSpec,
-    control_for,
+    control: FeedbackLaw,
     n_paths: int,
     seed: int,
     N: int,
@@ -458,13 +458,13 @@ def paired_refinement_run(
 
     The 2N Brownian increments sum pairwise to the N increments and both
     grids share the exact chain path, so per-path differences isolate the
-    discretization effect; used to calibrate bias allowances.
-    ``control_for(N)`` must return the control source for an N-step grid.
-    Returns (costs_N, costs_2N, X_T_N, X_T_2N).
+    discretization effect; used to calibrate bias allowances.  ``control``
+    is read on both grids, so it is a feedback law: a ``ControlTable``
+    fits one grid only.  Returns (costs_N, costs_2N, X_T_N, X_T_2N).
     """
     times2 = np.linspace(0.0, problem.T, 2 * N + 1)
-    table1 = _loop_table(problem, control_for(N), times2[::2])
-    table2 = _loop_table(problem, control_for(2 * N), times2)
+    table1 = _loop_table(problem, control, times2[::2])
+    table2 = _loop_table(problem, control, times2)
 
     def chunk(rng, n):
         regimes = sample_regimes_on_grid(problem.generator, problem.i0, times2, rng, n)

@@ -16,6 +16,10 @@ the stationarity functional B'Y + D'Z + S X + R u collapses to
 relative to the size of its two terms, at every node and step midpoint of
 the solved grid (:func:`regimelq.riccati.stationarity_defect`), as pure
 algebra with zero statistical tolerance and no simulated path.
+
+The zero-control layer has no solver of its own either: the Lyapunov system
+is the Riccati system of :func:`~regimelq.model.without_control`, and the
+Lyapunov identity is that problem's value identity.
 """
 
 from __future__ import annotations
@@ -23,14 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import NumericalError, ValidationError
-from .model import ProblemSpec, with_initial_state
+from .model import ProblemSpec, with_initial_state, without_control
 from .riccati import (
     FeedbackLaw,
     RiccatiGrid,
-    _integrate_on_grid,
     rhat_certificate,
     solve_riccati,
     stationarity_defect,
@@ -107,23 +109,15 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class LyapunovGrid:
-    """Zero-control value matrices M(t, k) on the uniform grid; M(T, k) = G_k."""
-
-    times: NDArray[np.float64]
-    M: NDArray[np.float64]  # (N+1, D, n, n)
-
-
-def lyapunov_solve(problem: ProblemSpec, N: int) -> LyapunovGrid:
+def lyapunov_solve(problem: ProblemSpec, N: int) -> RiccatiGrid:
     """Solve the coupled linear (zero-control) backward system.
 
-    Same integrator as the Riccati solve with the quadratic feedback term
-    removed, so x0' M(0, i0) x0 is the exact cost of the zero control.  It
-    has no Rhat guard, so it is never redone on a finer grid.
+    It is the Riccati solve of ``without_control(problem)``, whose feedback
+    term is exactly zero, so x0' P(0, i0) x0 is the exact cost of the zero
+    control and every gain is 0.  Its Rhat is I, so it is never redone on a
+    finer grid.
     """
-    times, M = _integrate_on_grid(problem, N, quadratic=False)
-    return LyapunovGrid(times=times, M=M)
+    return solve_riccati(without_control(problem), N)
 
 
 def random_control_table(
@@ -156,7 +150,7 @@ def paired_allowance(delta, influence) -> tuple[float, float]:
 
 def richardson_allowance(
     problem: ProblemSpec,
-    control_for,
+    control: FeedbackLaw,
     N: int,
     n_paths: int,
     seed: int,
@@ -164,13 +158,13 @@ def richardson_allowance(
 ) -> tuple[float, dict]:
     """Discretization-bias allowance from a paired N vs 2N comparison.
 
-    ``control_for(N)`` must return the control source for an N-step grid.
-    Both runs share refined common noise, so the per-path cost differences
-    estimate the weak-error step directly; :func:`paired_allowance` bounds
-    the O(h) bias of the N-step estimate with margin for calibration noise.
+    Both runs of ``control`` share refined common noise, so the per-path
+    cost differences estimate the weak-error step directly;
+    :func:`paired_allowance` bounds the O(h) bias of the N-step estimate
+    with margin for calibration noise.
     """
     costs_n, costs_2n, _, _ = paired_refinement_run(
-        problem, control_for, n_paths, seed, N, workers
+        problem, control, n_paths, seed, N, workers
     )
     diff = costs_2n - costs_n
     delta = float(diff.mean())
@@ -183,20 +177,21 @@ def richardson_allowance(
 
 
 def _identity_check(
-    name: str, tag: str, problem: ProblemSpec, control_for, target: float,
-    n_paths: int, seed: int, N: int, workers: int,
+    name: str, tag: str, problem: ProblemSpec, grid: RiccatiGrid,
+    n_paths: int, seed: int, workers: int,
 ) -> CheckResult:
-    """MC cost of ``control_for(N)`` vs a quadratic-form target.
+    """MC cost of the feedback law of ``grid`` vs its value x0' P(0, i0) x0.
 
     Streams ``{tag}-mc`` (estimate) and ``{tag}-cal`` (Richardson
     calibration on ``calibration_paths(n_paths)``); the allowance never
     falls below the solver's resolution of the target.
     """
-    est = mc_cost(
-        problem, control_for(N), n_paths, derive_seed(seed, f"{tag}-mc"), N, workers
-    )
+    N = len(grid.times) - 1
+    law = FeedbackLaw(problem, grid)
+    target = float(problem.x0 @ grid.P[0, problem.i0] @ problem.x0)
+    est = mc_cost(problem, law, n_paths, derive_seed(seed, f"{tag}-mc"), N, workers)
     allowance, cal = richardson_allowance(
-        problem, control_for, N, calibration_paths(n_paths),
+        problem, law, N, calibration_paths(n_paths),
         derive_seed(seed, f"{tag}-cal"), workers,
     )
     allowance = max(allowance, SOLVER_RESOLUTION * (1.0 + abs(target)))
@@ -214,12 +209,8 @@ def value_identity_check(
     workers: int = 1,
 ) -> CheckResult:
     """MC cost under the feedback law vs the quadratic value x0' P(0, i0) x0."""
-    law = FeedbackLaw(problem, grid)
-    target = float(problem.x0 @ grid.P[0, problem.i0] @ problem.x0)
-    return _identity_check(
-        "value_identity", "value", problem, lambda n: law, target,
-        n_paths, seed, len(grid.times) - 1, workers,
-    )
+    return _identity_check("value_identity", "value", problem, grid, n_paths, seed, workers)
+
 
 def stationarity_check(
     problem: ProblemSpec,
@@ -290,17 +281,18 @@ def perturbation_test(
 
 def lyapunov_identity_check(
     problem: ProblemSpec,
-    lyap: LyapunovGrid,
+    lyap: RiccatiGrid,
     n_paths: int,
     seed: int,
     workers: int = 1,
 ) -> CheckResult:
-    """Zero-control MC cost vs the quadratic form x0' M(0, i0) x0."""
-    target = float(problem.x0 @ lyap.M[0, problem.i0] @ problem.x0)
+    """Zero-control MC cost vs x0' P(0, i0) x0 of :func:`lyapunov_solve`.
+
+    The value identity of ``without_control(problem)``, whose feedback law
+    is the zero control.
+    """
     return _identity_check(
-        "lyapunov_identity", "lyap", problem,
-        lambda n: ControlTable(values=np.zeros((n, problem.m))), target,
-        n_paths, seed, len(lyap.times) - 1, workers,
+        "lyapunov_identity", "lyap", without_control(problem), lyap, n_paths, seed, workers
     )
 
 

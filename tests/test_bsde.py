@@ -320,7 +320,7 @@ class TestBackwardRegression:
         sol = rl.backward_regression_solve(model, bundle, degree=3)
         for k in range(2):
             got = sol.value_single(0, k, model.y0)
-            want = float(lyap.M[0, k, 0, 0])
+            want = float(lyap.P[0, k, 0, 0])
             assert abs(got - want) / abs(want) <= 5e-3
 
     def test_y_dependent_solution_varies_in_y(self):

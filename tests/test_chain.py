@@ -35,6 +35,12 @@ class TestValidateGenerator:
         with pytest.raises(NegativeOffDiagonal):
             rl.validate_generator([[-1.0, -0.5], [1.0, -1.0]])
 
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan")])
+    def test_non_finite_rate_is_not_a_negative_rate(self, rate):
+        with pytest.raises(ValidationError, match="non-finite") as caught:
+            rl.validate_generator([[-1.0, rate], [1.0, -1.0]])
+        assert type(caught.value) is ValidationError
+
     def test_not_square(self):
         with pytest.raises(DimensionMismatch):
             rl.validate_generator([[0.0, 0.0]])

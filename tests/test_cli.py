@@ -197,6 +197,31 @@ class TestExitCodes:
         assert says in payload["message"]
 
     @pytest.mark.parametrize(
+        "command, config, error",
+        [
+            ("solve", lambda: _bundled(
+                "two_regime.json", lambda c: c.update(generator=[[-1.0, INF], [1.0, -1.0]])
+            ), "ValidationError"),
+            ("bsde", lambda: _bundled(
+                "random_coeff.json", lambda c: c.update(generator=[[-0.3, 0.3], [NAN, -0.4]])
+            ), "ValidationError"),
+            ("solve", lambda: _bundled(
+                "two_regime.json", lambda c: c.update(generator=[[-1.0, -1.0], [1.0, -1.0]])
+            ), "NegativeOffDiagonal"),
+        ],
+        ids=["infinite-rate", "random-coefficients-nan-rate", "negative-rate"],
+    )
+    def test_invalid_generator_names_its_error(self, tmp_path, capsys, command, config, error):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config()))
+        rc = main([
+            command, "--config", str(bad), "--seed", "1", "--grid", "10",
+            "--paths", "2000", "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == error
+
+    @pytest.mark.parametrize(
         "config", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem
     )
     def test_bundled_config_runs(self, tmp_path, capsys, config):
@@ -525,9 +550,8 @@ PUBLIC_NAMES = {
     "riccati": ["FeedbackLaw", "RiccatiGrid", "rhat_certificate", "solve_riccati"],
     "simulate": ["ControlTable", "MCEstimate", "PathRecord", "PerturbedFeedback", "mc_cost",
                  "mc_cost_diff", "simulate_closed_loop"],
-    "verify": ["CheckResult", "LyapunovGrid", "convexity_probe", "lyapunov_identity_check",
-               "lyapunov_solve", "perturbation_test", "run_standard_checks",
-               "value_identity_check"],
+    "verify": ["CheckResult", "convexity_probe", "lyapunov_identity_check", "lyapunov_solve",
+               "perturbation_test", "run_standard_checks", "value_identity_check"],
     "bsde": ["BsdeSolution", "PathBundle", "RandomCoefficientModel",
              "backward_regression_solve", "generate_training_paths", "make_model"],
     "meanvar": ["FrontierPoint", "MarketSpec", "efficient_frontier", "lagrange_solve",

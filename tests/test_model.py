@@ -1,5 +1,6 @@
 """Model module: validation, symmetrization, segment lookup, config round trip."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -14,7 +15,16 @@ from regimelq.errors import (
     OutOfHorizon,
 )
 
-from canonical import coeff_at, problem_to_config, scalar_analytic
+from regimelq.model import without_control
+
+from canonical import (
+    coeff_at,
+    multidim_two_segment,
+    problem_to_config,
+    random_convex,
+    scalar_analytic,
+    two_regime_coupling,
+)
 
 
 def _scalar_coeffs(**kw):
@@ -179,6 +189,29 @@ def test_property_coefficients_at_reads_the_input_cells(instance):
             assert np.array_equal(getattr(prob.coefficients, name)[j], want)
     assert np.array_equal(prob.G, np.stack(G))
     assert prob.segment_index(prob.T) == prob.num_segments - 1
+
+
+@pytest.mark.parametrize("make", [
+    scalar_analytic, two_regime_coupling, multidim_two_segment, lambda: random_convex(3),
+], ids=["scalar", "two_regime", "multidim_two_segment", "random_convex_3"])
+def test_without_control_zeroes_only_the_control(make):
+    prob = make()
+    before = prob.coefficients.tobytes()
+    free = without_control(prob)
+    assert prob.coefficients.tobytes() == before
+    assert not free.coefficients.flags.writeable
+    with pytest.raises(ValueError):
+        free.coefficients["B"] = 1.0
+    for name in ("B", "D", "S"):
+        assert not free.coefficients[name].any()
+    np.testing.assert_array_equal(
+        free.coefficients.R, np.broadcast_to(np.eye(prob.m), free.coefficients.R.shape)
+    )
+    for name in ("A", "C", "Q", "G"):
+        np.testing.assert_array_equal(free.coefficients[name], prob.coefficients[name])
+    for field in dataclasses.fields(prob):
+        if field.name != "coefficients":
+            assert getattr(free, field.name) is getattr(prob, field.name)
 
 
 class TestConfigRoundTrip:

@@ -433,7 +433,7 @@ def gain_instances(draw):
 def test_property_p_and_lyapunov_m_exactly_symmetric(instance):
     # each RK4 derivative is symmetrized, so every stage value and node is too
     prob, N, _ = instance
-    for X in (rl.solve_riccati(prob, N).P, rl.lyapunov_solve(prob, N).M):
+    for X in (rl.solve_riccati(prob, N).P, rl.lyapunov_solve(prob, N).P):
         assert np.array_equal(X, X.swapaxes(-1, -2))
         assert np.array_equal(X[-1], prob.G)
 

@@ -16,6 +16,7 @@ import regimelq as rl
 from regimelq import chain, simulate
 from regimelq.chain import sample_regimes_on_grid
 from regimelq.errors import ValidationError
+from regimelq.model import without_control
 from regimelq.simulate import _kernel_pass, _loop_table, mc_run, paired_refinement_run
 from regimelq.streams import (
     CHUNK_SIZE, MAP_MIN_BYTES, derive_rng, derive_seed, mapped_zeros, run_chunks,
@@ -199,7 +200,7 @@ class TestMcCost:
         target = float(prob.x0 @ grid.P[0, prob.i0] @ prob.x0)
         biases = []
         for N in (50, 100, 200):
-            c_n, c_2n, _, _ = paired_refinement_run(prob, lambda n: law, 20_000, 15, N)
+            c_n, c_2n, _, _ = paired_refinement_run(prob, law, 20_000, 15, N)
             # paired refinement estimates the bias step with tiny variance
             biases.append(abs(float(np.mean(c_2n - c_n))))
         assert biases[0] > biases[1] > biases[2]
@@ -243,7 +244,7 @@ class TestMcCost:
         with pytest.raises(ValidationError):
             mc_run(prob, law, 0, 19, 20)
         with pytest.raises(ValidationError):
-            paired_refinement_run(prob, lambda n: law, 0, 19, 20)
+            paired_refinement_run(prob, law, 0, 19, 20)
 
     def test_estimators_need_one_hundred_paths(self):
         prob = stochastic_scalar()
@@ -463,7 +464,7 @@ def test_refined_run_matches_reference_on_pairwise_summed_increments(make_proble
     N, n_paths, seed = 10, 40, 28
     times2 = np.linspace(0.0, prob.T, 2 * N + 1)
     law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 2 * N))
-    costs1, costs2, x_T1, x_T2 = paired_refinement_run(prob, lambda _: law, n_paths, seed, N)
+    costs1, costs2, x_T1, x_T2 = paired_refinement_run(prob, law, n_paths, seed, N)
     regimes2, dW2 = ref.replay_chunk_noise(prob, times2, derive_rng(seed, "refine", 0), n_paths)
     for costs, x_T, times, regimes, dW in [
         (costs1, x_T1, times2[::2], regimes2[:, ::2], dW2[:, 0::2] + dW2[:, 1::2]),
@@ -746,7 +747,7 @@ def test_each_table_is_cut_once_per_run(monkeypatch):
     mc_run(prob, law, n_paths, 3, N, control_b=perturbed)
     assert [keep_all for keep_all, *_ in calls] == [False, False]
     calls.clear()
-    paired_refinement_run(prob, lambda _: law, n_paths, 3, N)
+    paired_refinement_run(prob, law, n_paths, 3, N)
     assert [keep_all for keep_all, *_ in calls] == [False, False]
 
 
@@ -855,6 +856,33 @@ def _multidim_workload_problem() -> rl.ProblemSpec:
     return rl.validate_problem(workloads["multidim_config"](42))
 
 
+SLQ_CONFIGS = [
+    path for path in sorted(CONFIGS.glob("*.json"))
+    if json.loads(path.read_text())["kind"] == "slq"
+]
+
+
+@pytest.mark.parametrize("load", [
+    *(lambda path=path: rl.validate_problem(json.loads(path.read_text())) for path in SLQ_CONFIGS),
+    _multidim_workload_problem,
+], ids=[path.stem for path in SLQ_CONFIGS] + ["multidim"])
+def test_lyapunov_law_steps_the_zero_tables_bytes(load):
+    # without its control a problem's gains are exact zeros, so the Lyapunov
+    # law's closed-loop table is the zero control's, live-block cut included,
+    # on the estimate's N grid and on the calibration's 2N grid
+    prob, N = load(), 20
+    free = without_control(prob)
+    law = rl.FeedbackLaw(free, rl.lyapunov_solve(prob, N))
+    times2 = np.linspace(0.0, prob.T, 2 * N + 1)
+    for times in (times2[::2], times2):
+        zero = _loop_table(prob, rl.ControlTable(np.zeros((len(times) - 1, prob.m))), times)
+        lyap = _loop_table(free, law, times)
+        assert not lyap.gains.any()
+        assert lyap.M.tobytes() == zero.M.tobytes()
+        assert lyap.live[1:] == zero.live[1:]
+        assert lyap.live.M.tobytes() == zero.live.M.tobytes()
+
+
 @pytest.mark.parametrize("load", [
     lambda: rl.validate_problem(json.loads((CONFIGS / "two_regime.json").read_text())),
     _multidim_workload_problem,
@@ -914,7 +942,7 @@ def test_full_chunk_holds_no_per_node_array_but_its_regime_grid(monkeypatch):
     law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 100))
     table = rl.ControlTable(np.zeros((100, prob.m)))
     mc_run(prob, law, CHUNK_SIZE, 3, 100, control_b=table)
-    paired_refinement_run(prob, lambda _: law, CHUNK_SIZE, 3, 50)
+    paired_refinement_run(prob, law, CHUNK_SIZE, 3, 50)
     node_counts = {50, 51, 100, 101}  # N or N+1 of either grid
     per_node = [
         request for request in log.requests

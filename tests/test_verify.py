@@ -53,7 +53,7 @@ class TestLyapunovSolve:
             G=[[[1.0]], [[1.0]]], x0=[1.0], i0=0,
         )
         lyap = rl.lyapunov_solve(prob, 50)
-        np.testing.assert_allclose(lyap.M, np.ones_like(lyap.M), atol=1e-13)
+        np.testing.assert_allclose(lyap.P, np.ones_like(lyap.P), atol=1e-13)
 
     def test_scalar_exponential(self):
         # A = 1, C = Q = 0, G = 1: dM/dt = -2M backward gives M(0) = e^2
@@ -63,7 +63,7 @@ class TestLyapunovSolve:
             G=[[[1.0]]], x0=[1.0], i0=0,
         )
         lyap = rl.lyapunov_solve(prob, 200)
-        assert lyap.M[0, 0, 0, 0] == pytest.approx(np.exp(2.0), abs=5e-9)
+        assert lyap.P[0, 0, 0, 0] == pytest.approx(np.exp(2.0), abs=5e-9)
 
     def test_pure_running_weight(self):
         # Q = 1, A = C = 0, G = 0: M(0) = T = 1
@@ -73,17 +73,17 @@ class TestLyapunovSolve:
             G=[[[0.0]]], x0=[1.0], i0=0,
         )
         lyap = rl.lyapunov_solve(prob, 100)
-        assert lyap.M[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert lyap.P[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_terminal_condition_and_symmetry(self):
         prob = two_regime_coupling()
         lyap = rl.lyapunov_solve(prob, 60)
-        np.testing.assert_array_equal(lyap.M[-1], prob.G)
-        assert np.max(np.abs(lyap.M - lyap.M.swapaxes(-1, -2))) <= 1e-12
+        np.testing.assert_array_equal(lyap.P[-1], prob.G)
+        assert np.max(np.abs(lyap.P - lyap.P.swapaxes(-1, -2))) <= 1e-12
 
     def test_matches_riccati_when_shat_vanishes(self):
-        # B = 0, S = 0, C = 0 (D free): the quadratic term is identically
-        # zero, so the Riccati and Lyapunov solves coincide
+        # B = 0, S = 0, C = 0 (D free): Shat is exactly zero, so the Riccati
+        # and Lyapunov solves subtract the same exact zero and coincide
         prob = rl.make_problem(
             n=1, m=1, T=1.0, generator=[[-0.5, 0.5], [0.5, -0.5]],
             coefficients=[[
@@ -94,7 +94,41 @@ class TestLyapunovSolve:
         )
         grid = rl.solve_riccati(prob, 80)
         lyap = rl.lyapunov_solve(prob, 80)
-        np.testing.assert_allclose(grid.P, lyap.M, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(grid.P, lyap.P)
+
+    def test_two_regime_scalar_matches_exact_exponential(self):
+        # constant coefficients: in tau = T - t the backward system is
+        # d/dtau [M; 1] = [[diag(2A + C^2) + rates, Q], [0, 0]] [M; 1], so
+        # [M(t); 1] = expm((T - t) L) [G; 1] exactly.  B, D and S are
+        # nonzero, so the solve must drop the control to match
+        from scipy.linalg import expm
+
+        A, C, Q, G = (np.array(v) for v in ([0.3, -0.5], [0.4, 0.2], [1.0, 0.5], [2.0, 1.0]))
+        rates = np.array([[-1.5, 1.5], [0.8, -0.8]])
+        prob = rl.make_problem(
+            n=1, m=1, T=1.0, generator=rates,
+            coefficients=[[
+                {"A": A[k], "B": 0.7, "C": C[k], "D": 0.3, "Q": Q[k], "S": 0.1, "R": 1.0}
+                for k in range(2)
+            ]],
+            G=[[[g]] for g in G], x0=[1.0], i0=0,
+        )
+        L = np.zeros((3, 3))
+        L[:2, :2] = np.diag(2.0 * A + C**2) + rates
+        L[:2, 2] = Q
+        lyap = rl.lyapunov_solve(prob, 200)
+        exact = np.array([(expm((prob.T - t) * L) @ [*G, 1.0])[:2] for t in lyap.times])
+        # largest node error measured 4.5e-11, 2.8e-12 and 1.7e-13 at
+        # N = 100, 200 and 400: fourth order
+        np.testing.assert_allclose(lyap.P[..., 0, 0], exact, rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("make", [
+        two_regime_coupling, multidim_two_segment, lambda: random_convex(3),
+    ], ids=["two_regime", "multidim_two_segment", "random_convex_3"])
+    def test_gains_are_exactly_zero_and_rhat_exactly_one(self, make):
+        lyap = rl.lyapunov_solve(make(), 40)
+        assert not lyap.Theta.any()
+        assert np.all(lyap.rhat_min_eig == 1.0)
 
 
 class TestValueIdentity:
