@@ -110,7 +110,7 @@ def _require_seed(args) -> int:
     return int(args.seed)
 
 
-def _meta(args, config_hash: str, seed: int) -> dict:
+def _meta(config_hash: str, seed: int) -> dict:
     return {
         "tool": "regimelq",
         "version": __version__,
@@ -339,7 +339,7 @@ def main(argv=None) -> int:
                 raise ValidationError(f"need at least {MIN_PATHS} paths")
         seed = _require_seed(args)
         cfg, config_hash = _load_config(args.config)
-        meta = _meta(args, config_hash, seed)
+        meta = _meta(config_hash, seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with np.errstate(over="raise", divide="raise", invalid="raise"):

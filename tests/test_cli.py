@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ import pytest
 
 import regimelq as rl
 from regimelq import bsde
-from regimelq.cli import main
+from regimelq.cli import build_parser, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 NAN, INF = float("nan"), float("inf")
@@ -67,6 +68,13 @@ class TestExitCodes:
         ])
         assert rc == 0
 
+    def test_solve_reads_no_targets(self, tmp_path, capsys):
+        # targets are frontier input; a market without them still solves
+        cfg = tmp_path / "no-targets.json"
+        cfg.write_text(json.dumps(_bundled("market_one_regime.json", lambda c: c.pop("targets"))))
+        rc = main(["solve", "--config", str(cfg), "--grid", "10", "--out", str(tmp_path)])
+        assert rc == 0
+
     def test_unreadable_config_exits_one(self, tmp_path, capsys):
         rc = main([
             "solve", "--config", str(tmp_path / "missing.json"),
@@ -101,6 +109,8 @@ class TestExitCodes:
             ("frontier", lambda: _bundled(
                 "market_one_regime.json", lambda c: c.update(generator=[[-1, 1], [1, -1]])
             ), [], "['1', '2']"),
+            ("frontier", lambda: _bundled("market_one_regime.json", lambda c: c.pop("targets")),
+             [], "no targets"),
             ("bsde", lambda: _bundled("random_coeff.json", lambda c: c["coefficients"].pop("2")),
              [], "['1', '2']"),
             ("bsde", lambda: _bundled(
@@ -173,6 +183,7 @@ class TestExitCodes:
             "negative-workers",
             "random-coefficients-regimes-mismatch", "slq-i0-zero", "market-i0-zero",
             "random-coefficients-i0-zero", "fractional-i0", "market-missing-label",
+            "market-missing-targets",
             "random-coefficients-missing-label", "random-coefficients-nan-const",
             "random-coefficients-infinite-slope", "nan-kappa", "infinite-nu",
             "infinite-theta_bar", "nan-y0", "infinite-y_range", "nan-T", "zero-T",
@@ -616,3 +627,16 @@ def test_each_command_loads_only_the_engine_modules_it_runs(tmp_path, argv, abse
     assert rc == 0
     assert "regimelq.errors" in loaded
     assert not set(loaded) & {f"regimelq.{name}" for name in absent}
+
+
+def test_readme_cli_lines_parse_and_name_bundled_configs():
+    # the README's sh blocks are the documented way to run every experiment
+    commands, in_sh = set(), False
+    for line in (CONFIGS.parent / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("regimelq "):
+            args = build_parser().parse_args(shlex.split(line, comments=True)[1:])
+            assert (CONFIGS.parent / args.config).is_file(), line
+            commands.add(args.command)
+    assert commands == {"solve", "simulate", "verify", "frontier", "bsde"}
