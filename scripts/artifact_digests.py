@@ -69,6 +69,10 @@ def invocations(multidim: Path) -> list[tuple[str, list[str]]]:
         ("solve-switching_diffusion-grid25", run("solve", cfg("switching_diffusion"), "25")),
         ("frontier-market_one_regime",
          run("frontier", cfg("market_one_regime"), "100", "--paths", "5000")),
+        # two regimes and two segments split at t = 0.5, which falls inside a step
+        ("solve-market_two_regime-grid25", run("solve", cfg("market_two_regime"), "25")),
+        ("frontier-market_two_regime",
+         run("frontier", cfg("market_two_regime"), "25", "--paths", "5000")),
         ("simulate-multidim",
          run("simulate", str(multidim), "50", "--paths", "5000", "--dump-paths", "2")),
         ("simulate-two_regime",

@@ -62,12 +62,10 @@ _SOURCES = {
     ),
     "meanvar": (
         "FrontierPoint",
-        "MarketSpec",
         "efficient_frontier",
         "lagrange_solve",
         "make_market",
         "market_from_config",
-        "market_to_problem",
         "mv_moment_odes",
         "mv_riccati",
         "mv_simulate_check",

@@ -24,9 +24,10 @@ artifacts do not depend on the BLAS thread count.
 Start-up: importing this module loads numpy and the package's ``errors``
 only; each command imports the engine modules it runs when it runs.  So
 ``bsde`` loads ``bsde``, ``chain``, ``model`` and ``streams``, ``solve`` on
-a problem config adds ``riccati`` instead of ``bsde``, ``simulate`` adds
-``simulate`` to that, ``verify`` adds ``verify``, and ``frontier`` (or
-``solve`` on a market config) loads everything but ``bsde``.
+a problem config adds ``riccati`` instead of ``bsde``, ``solve`` on a market
+config adds ``meanvar`` to that, ``simulate`` adds ``simulate`` to ``solve``
+on a problem config, ``verify`` adds ``verify``, and ``frontier`` loads
+everything but ``bsde``.
 """
 
 from __future__ import annotations
@@ -156,16 +157,15 @@ def _cmd_solve(args, cfg, meta, out: Path) -> int:
     if cfg.get("kind") == "market":
         from .meanvar import market_from_config, mv_riccati
 
-        market, _ = _parse(market_from_config, cfg)
-        grid = mv_riccati(market, args.grid)
-        n = m = 1
+        problem, _ = _parse(market_from_config, cfg)
+        grid = mv_riccati(problem, args.grid)
     else:
         from .model import problem_from_config
         from .riccati import solve_riccati
 
         problem = _parse(problem_from_config, cfg)
         grid = solve_riccati(problem, args.grid)
-        n, m = problem.n, problem.m
+    n, m = problem.n, problem.m
     columns = (
         ["t", "regime"]
         + [f"P_{i}{j}" for i in range(n) for j in range(n)]
@@ -254,10 +254,10 @@ def _cmd_frontier(args, cfg, meta, out: Path) -> int:
     from .streams import derive_seed
 
     seed = meta["seed"]
-    market, targets = _parse(market_from_config, cfg)
+    problem, targets = _parse(market_from_config, cfg)
     if not targets:
         raise ValidationError("market config has no targets")
-    points, grid = efficient_frontier(market, targets, N=args.grid)
+    points, grid = efficient_frontier(problem, targets, N=args.grid)
     columns = [
         "d", "mu", "gamma", "variance", "riccati_value_check",
         "mc_mean", "mc_mean_stderr", "mc_var", "mc_var_stderr",
@@ -266,7 +266,7 @@ def _cmd_frontier(args, cfg, meta, out: Path) -> int:
     failed = False
     for idx, point in enumerate(points):
         mean_check, var_check = mv_simulate_check(
-            market, point, args.paths, derive_seed(seed, "point", idx),
+            problem, point, args.paths, derive_seed(seed, "point", idx),
             grid, workers=args.workers,
         )
         failed = failed or not (mean_check.passed and var_check.passed)

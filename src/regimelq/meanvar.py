@@ -9,7 +9,11 @@ Minimizing Var(X_T) subject to E[X_T] = d is handled by a Lagrange
 multiplier mu: with gamma = d + mu and the shifted wealth
 Xt(s) = X(s) - gamma exp(-int_s^T r), the constrained problem becomes the
 LQ problem min E[Xt(T)^2], a special case of the general solver with
-A = r, B = b - r, C = 0, D = sigma, Q = S = R = 0, G = 1.
+A = r, B = b - r, C = 0, D = sigma, Q = S = R = 0, G = 1.  A market is
+that problem: :func:`make_market` checks the market rules and returns its
+:class:`~regimelq.model.ProblemSpec`, with the initial wealth as x0, and
+every function here takes it and reads r, theta = (b - r) / sigma and
+sigma back from its coefficient table.
 
 Moments of the closed-loop wealth are propagated by forward ODEs.  The
 generator enters transposed: for m_k(t) = E[Xt(t) 1{a(t)=k}] the forward
@@ -28,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .chain import GeneratorMatrix, expm, validate_generator
+from .chain import expm, validate_generator
 from .errors import (
     DegenerateConstraint,
+    DimensionMismatch,
     NonPositiveP,
     NumericalError,
     ValidationError,
@@ -43,72 +48,39 @@ from .model import (
     with_initial_state,
 )
 from .riccati import FeedbackLaw, RiccatiGrid, solve_riccati
-from .simulate import mc_run, paired_refinement_run
-from .streams import derive_seed
-from .verify import CheckResult, calibration_paths, paired_allowance
 
 P_FLOOR = 1e-12
 DEGENERATE_TOL = 1e-12
 DUALITY_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class MarketSpec:
-    """Validated market data, piecewise constant in time."""
-
-    T: float
-    generator: GeneratorMatrix
-    breakpoints: NDArray[np.float64]  # (J+1,)
-    r: NDArray[np.float64]  # (J,)
-    b: NDArray[np.float64]  # (J, D)
-    sigma: NDArray[np.float64]  # (J, D)
-    delta: float
-    x0: float
-    i0: int
-
-    @property
-    def num_regimes(self) -> int:
-        return self.generator.size
-
-    @property
-    def num_segments(self) -> int:
-        return len(self.breakpoints) - 1
-
-    def rate_integral(self) -> float:
-        """Exact int_0^T r(s) ds of the piecewise-constant rate."""
-        return float(np.sum(self.r * np.diff(self.breakpoints)))
-
-    def theta(self) -> NDArray[np.float64]:
-        """Market price of risk (b - r) / sigma per (segment, regime)."""
-        return (self.b - self.r[:, None]) / self.sigma
+def _broadcast(value, shape: tuple, name: str) -> NDArray[np.float64]:
+    arr = np.asarray(value, dtype=np.float64)
+    try:
+        return np.broadcast_to(arr, shape)
+    except ValueError:
+        raise DimensionMismatch(
+            f"{name} must broadcast to shape {shape}, got {arr.shape}"
+        ) from None
 
 
-def make_market(
-    *,
-    T: float,
-    generator,
-    r,
-    b,
-    sigma,
-    delta: float,
-    x0: float,
-    i0: int,
-    breakpoints=None,
-) -> MarketSpec:
-    """Validate raw market data.
+def make_market(*, T: float, generator, r, b, sigma, delta: float, x0: float, i0: int,
+                breakpoints=None) -> ProblemSpec:
+    """Validate raw market data; returns its shifted-wealth problem.
 
     ``r`` has one value per segment; ``b`` and ``sigma`` one value per
     (segment, regime).  Scalars are broadcast to a single segment.  The
     volatility must satisfy sigma^2 >= delta > 0 everywhere and the rate
-    must be positive.
+    must be positive.  The problem has n = m = 1, A = r, B = b - r,
+    D = sigma, C = Q = S = R = 0, G = 1 and the wealth x0 as its state.
     """
     gen = validate_generator(generator)
     d = gen.size
     bp = validate_breakpoints(T, breakpoints)
     J = len(bp) - 1
-    r_arr = np.broadcast_to(np.asarray(r, dtype=np.float64), (J,)).copy()
-    b_arr = np.broadcast_to(np.asarray(b, dtype=np.float64), (J, d)).copy()
-    s_arr = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (J, d)).copy()
+    r_arr = _broadcast(r, (J,), "r")
+    b_arr = _broadcast(b, (J, d), "b")
+    s_arr = _broadcast(sigma, (J, d), "sigma")
     if not (np.all(np.isfinite(r_arr)) and np.all(np.isfinite(b_arr)) and np.all(np.isfinite(s_arr))):
         raise ValidationError("market coefficients must be finite")
     if not float(delta) > 0.0:
@@ -119,27 +91,28 @@ def make_market(
         raise ValidationError("interest rate must be positive")
     if not 0.0 < float(x0) < np.inf:
         raise ValidationError("initial wealth must be finite and positive")
-    return MarketSpec(
+    return make_problem(
+        n=1,
+        m=1,
         T=float(T),
         generator=gen,
+        coefficients=[[dict(A=r_arr[j], B=b_arr[j, k] - r_arr[j], C=0.0, D=s_arr[j, k],
+                            Q=0.0, S=0.0, R=0.0) for k in range(d)] for j in range(J)],
+        G=[1.0] * d,
+        x0=[float(x0)],
+        i0=i0,
         breakpoints=bp,
-        r=r_arr,
-        b=b_arr,
-        sigma=s_arr,
-        delta=float(delta),
-        x0=float(x0),
-        i0=gen.initial_regime(i0),
     )
 
 
-def market_from_config(cfg: dict) -> tuple[MarketSpec, list[float]]:
-    """Parse the ``kind: "market"`` JSON config; returns (market, targets)."""
+def market_from_config(cfg: dict) -> tuple[ProblemSpec, list[float]]:
+    """Parse the ``kind: "market"`` JSON config; returns (problem, targets)."""
     read = ConfigReader(cfg, "market", ("delta", "x0"))
     bp, segs = read.segments(flat=("r", "per_regime"))
     per_regime = [
         read.by_regime(s["per_regime"], f"segment {j} per_regime") for j, s in enumerate(segs)
     ]
-    market = make_market(
+    problem = make_market(
         T=read.T,
         generator=read.generator,
         r=[float(s["r"]) for s in segs],
@@ -153,48 +126,33 @@ def market_from_config(cfg: dict) -> tuple[MarketSpec, list[float]]:
     targets = [float(v) for v in cfg.get("targets", [])]
     if not np.all(np.isfinite(targets)):
         raise ValidationError("targets must be finite")
-    return market, targets
+    return problem, targets
 
 
-def market_to_problem(market: MarketSpec) -> ProblemSpec:
-    """Embed the shifted-wealth problem in the general solver's format."""
-    d = market.num_regimes
-    coefficients = []
-    for j in range(market.num_segments):
-        per_regime = []
-        for k in range(d):
-            per_regime.append(
-                {
-                    "A": [[market.r[j]]],
-                    "B": [[market.b[j, k] - market.r[j]]],
-                    "C": [[0.0]],
-                    "D": [[market.sigma[j, k]]],
-                    "Q": [[0.0]],
-                    "S": [[0.0]],
-                    "R": [[0.0]],
-                }
-            )
-        coefficients.append(per_regime)
-    return make_problem(
-        n=1,
-        m=1,
-        T=market.T,
-        generator=market.generator,
-        coefficients=coefficients,
-        G=[[[1.0]] for _ in range(d)],
-        x0=[market.x0],
-        i0=market.i0,
-        breakpoints=market.breakpoints,
-    )
+def _market(problem: ProblemSpec):
+    """(r, theta, sigma) of a market's problem: the rate per segment (J,),
+    and theta = (b - r) / sigma and sigma per (segment, regime) (J, D)."""
+    c = problem.coefficients
+    if not (problem.n == problem.m == 1
+            and not any(np.any(c[name]) for name in "CQSR")
+            and np.all(c.G == 1.0) and np.all(c.D != 0.0)
+            and np.all(c.A == c.A[:, :1])):
+        raise ValidationError(
+            "not a market's problem: need n = m = 1, C = Q = S = R = 0, G = 1, "
+            "sigma != 0 and one rate A in every regime"
+        )
+    A, B, D = (c[name][:, :, 0, 0] for name in "ABD")
+    return A[:, 0], B / D, D
 
 
-def mv_riccati(market: MarketSpec, N: int) -> RiccatiGrid:
+def mv_riccati(problem: ProblemSpec, N: int) -> RiccatiGrid:
     """Scalar Riccati grid of the shifted-wealth problem.
 
     R = 0 is admissible because Rhat = sigma^2 P stays positive while P
     does; a P node at or below the floor raises :class:`NonPositiveP`.
     """
-    grid = solve_riccati(market_to_problem(market), N)
+    _market(problem)  # refuses a problem that is not a market's
+    grid = solve_riccati(problem, N)
     if grid.P.min() <= P_FLOOR:
         i, k = np.unravel_index(int(grid.P[:, :, 0, 0].argmin()), grid.P.shape[:2])
         raise NonPositiveP(
@@ -211,7 +169,7 @@ class MomentFactors:
     rho: NDArray[np.float64]  # (D,) E[Xt(T)^2] / xt0^2
 
 
-def mv_moment_odes(market: MarketSpec, grid: RiccatiGrid | None = None) -> MomentFactors:
+def mv_moment_odes(problem: ProblemSpec, grid: RiccatiGrid | None = None) -> MomentFactors:
     """Propagate E[Xt] and E[Xt^2] forward under the optimal feedback.
 
     In the deterministic-coefficient case Theta = -(b - r) / sigma^2 in
@@ -219,23 +177,22 @@ def mv_moment_odes(market: MarketSpec, grid: RiccatiGrid | None = None) -> Momen
     against that identity at every node.  Segment propagation uses matrix exponentials of
     diag(growth) + rates', exact for piecewise-constant coefficients.
     """
-    theta = market.theta()  # (J, D)
+    r, theta, sigma = _market(problem)
     if grid is not None:
         # closed-form gains in force at every node, by the grid's own segment rule
-        seg = market_to_problem(market).segment_index(grid.times)
-        expected = (-theta / market.sigma)[seg]
+        expected = (-theta / sigma)[problem.segment_index(grid.times)]
         if np.max(np.abs(grid.Theta[:, :, 0, 0] - expected)) > 1e-8:
             raise NumericalError(
                 "solved feedback gains deviate from the closed-form market gains"
             )
-    rates_t = market.generator.rates.T
-    d = market.num_regimes
+    rates_t = problem.generator.rates.T
+    d = problem.num_regimes
     E_mean = np.eye(d)
     E_second = np.eye(d)
-    for j in range(market.num_segments):
-        dt = market.breakpoints[j + 1] - market.breakpoints[j]
-        growth_mean = market.r[j] - theta[j] ** 2
-        growth_second = 2.0 * market.r[j] - theta[j] ** 2
+    for j in range(problem.num_segments):
+        dt = problem.breakpoints[j + 1] - problem.breakpoints[j]
+        growth_mean = r[j] - theta[j] ** 2
+        growth_second = 2.0 * r[j] - theta[j] ** 2
         E_mean = expm((np.diag(growth_mean) + rates_t) * dt) @ E_mean
         E_second = expm((np.diag(growth_second) + rates_t) * dt) @ E_second
     ones = np.ones(d)
@@ -243,7 +200,7 @@ def mv_moment_odes(market: MarketSpec, grid: RiccatiGrid | None = None) -> Momen
 
 
 def lagrange_solve(
-    market: MarketSpec, d: float, factors: MomentFactors | None = None
+    problem: ProblemSpec, d: float, factors: MomentFactors | None = None
 ) -> tuple[float, float, float]:
     """Multiplier solve for target mean d; returns (mu, gamma, xt0).
 
@@ -251,21 +208,26 @@ def lagrange_solve(
     E[Xt_T] = kappa (x0 - gamma disc) gives
     gamma = (d - x0 kappa) / (1 - kappa disc), disc = exp(-int r).
     A vanishing denominator means the mean cannot be steered (no risky
-    incentive anywhere) and raises :class:`DegenerateConstraint`.
+    incentive anywhere) and raises :class:`DegenerateConstraint`; a
+    non-finite target raises :class:`ValidationError`.
     """
+    if not np.isfinite(d):
+        raise ValidationError(f"target mean must be finite, got {d!r}")
+    r, _, _ = _market(problem)
     if factors is None:
-        factors = mv_moment_odes(market)
-    kappa = float(factors.kappa[market.i0])
-    disc = float(np.exp(-market.rate_integral()))
+        factors = mv_moment_odes(problem)
+    kappa = float(factors.kappa[problem.i0])
+    disc = float(np.exp(-np.sum(r * np.diff(problem.breakpoints))))
     denom = 1.0 - kappa * disc
     if abs(denom) < DEGENERATE_TOL:
         raise DegenerateConstraint(
             "terminal mean cannot be steered: 1 - kappa exp(-int r) vanishes"
         )
-    gamma = (float(d) - market.x0 * kappa) / denom
+    x0 = float(problem.x0[0])
+    gamma = (float(d) - x0 * kappa) / denom
     mu = gamma - float(d)
     gamma = float(d) + mu  # re-derive so gamma = d + mu holds bitwise
-    xt0 = market.x0 - gamma * disc
+    xt0 = x0 - gamma * disc
     return mu, gamma, xt0
 
 
@@ -284,7 +246,7 @@ class FrontierPoint:
 
 
 def efficient_frontier(
-    market: MarketSpec, targets, N: int = 200
+    problem: ProblemSpec, targets, N: int = 200
 ) -> tuple[list[FrontierPoint], RiccatiGrid]:
     """Frontier sweep over the target means.
 
@@ -292,11 +254,11 @@ def efficient_frontier(
     the moment ODEs, cross-checked against the duality form
     P(0, i0) xt0^2 - mu^2; disagreement beyond 1e-8 relative aborts.
     """
-    grid = mv_riccati(market, N)
-    factors = mv_moment_odes(market, grid)
-    kappa = float(factors.kappa[market.i0])
-    rho = float(factors.rho[market.i0])
-    p0 = float(grid.P[0, market.i0, 0, 0])
+    grid = mv_riccati(problem, N)
+    factors = mv_moment_odes(problem, grid)
+    kappa = float(factors.kappa[problem.i0])
+    rho = float(factors.rho[problem.i0])
+    p0 = float(grid.P[0, problem.i0, 0, 0])
     scale = max(abs(rho), abs(p0))
     if abs(rho - p0) > DUALITY_RTOL * scale:
         raise NumericalError(
@@ -304,7 +266,7 @@ def efficient_frontier(
         )
     points = []
     for d in targets:
-        mu, gamma, xt0 = lagrange_solve(market, d, factors)
+        mu, gamma, xt0 = lagrange_solve(problem, d, factors)
         variance = rho * xt0**2 - (kappa * xt0) ** 2
         points.append(
             FrontierPoint(
@@ -330,40 +292,35 @@ def _variance_stderr(x: NDArray) -> float:
     return float(np.sqrt(max(m4 - s2**2 * (n - 3) / (n - 1), 0.0) / n))
 
 
-def _terminal_wealth_stats(problem, law, n_paths, seed, N, gamma, workers):
-    _, x_tilde_T = mc_run(problem, law, n_paths, seed, N, workers)
-    xT = x_tilde_T[:, 0] + gamma
-    n = len(xT)
-    return {
-        "mean": float(xT.mean()),
-        "mean_stderr": float(xT.std(ddof=1) / np.sqrt(n)),
-        "var": float(np.var(xT, ddof=1)),
-        "var_stderr": _variance_stderr(xT),
-    }
-
-
 def mv_simulate_check(
-    market: MarketSpec,
+    problem: ProblemSpec,
     point: FrontierPoint,
     n_paths: int,
     seed: int,
     grid: RiccatiGrid,
     workers: int = 1,
-) -> list[CheckResult]:
+) -> list:
     """Monte Carlo check of one frontier point under the optimal strategy.
 
     Simulates the closed-loop shifted wealth, undoes the shift at T, and
     compares the sample mean against d and the sample variance against the
     ODE variance, each within 3 stderr plus a Richardson bias allowance.
+    Returns the two :class:`~regimelq.verify.CheckResult`s, mean first.
     """
+    # only the frontier simulates, so `solve` on a market loads none of these
+    from .simulate import mc_run, paired_refinement_run
+    from .streams import derive_seed
+    from .verify import CheckResult, calibration_paths, paired_allowance
+
+    _market(problem)  # refuses a problem that is not a market's
     N = len(grid.times) - 1
-    problem = with_initial_state(market_to_problem(market), [point.xtilde0])
-    law = FeedbackLaw(problem, grid)
-    stats = _terminal_wealth_stats(
-        problem, law, n_paths, derive_seed(seed, "mv-mc"), N, point.gamma, workers
-    )
+    shifted = with_initial_state(problem, [point.xtilde0])
+    law = FeedbackLaw(shifted, grid)
+    _, x_tilde_T = mc_run(shifted, law, n_paths, derive_seed(seed, "mv-mc"), N, workers)
+    xT = x_tilde_T[:, 0] + point.gamma
+    mc_mean, mc_var = float(xT.mean()), float(np.var(xT, ddof=1))
     _, _, xt_n, xt_2n = paired_refinement_run(
-        problem, law, calibration_paths(n_paths),
+        shifted, law, calibration_paths(n_paths),
         derive_seed(seed, "mv-cal"), N, workers,
     )
     x_n, x_2n = xt_n[:, 0], xt_2n[:, 0]
@@ -376,11 +333,11 @@ def mv_simulate_check(
     )
     return [
         CheckResult.within(
-            "mv_terminal_mean", stats["mean"] - point.d, stats["mean_stderr"],
-            mean_allow, n_paths, seed, {"mc_mean": stats["mean"], "target": point.d},
+            "mv_terminal_mean", mc_mean - point.d, float(xT.std(ddof=1) / np.sqrt(len(xT))),
+            mean_allow, n_paths, seed, {"mc_mean": mc_mean, "target": point.d},
         ),
         CheckResult.within(
-            "mv_terminal_variance", stats["var"] - point.variance, stats["var_stderr"],
-            var_allow, n_paths, seed, {"mc_var": stats["var"], "target": point.variance},
+            "mv_terminal_variance", mc_var - point.variance, _variance_stderr(xT),
+            var_allow, n_paths, seed, {"mc_var": mc_var, "target": point.variance},
         ),
     ]

@@ -204,7 +204,7 @@ def canonical_problems():
     }
 
 
-def one_regime_market() -> rl.MarketSpec:
+def one_regime_market() -> rl.ProblemSpec:
     return rl.make_market(
         T=1.0, generator=[[0.0]], r=0.06, b=[0.12], sigma=[0.2],
         delta=0.01, x0=1.0, i0=0,

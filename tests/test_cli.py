@@ -565,9 +565,8 @@ PUBLIC_NAMES = {
                "perturbation_test", "run_standard_checks", "value_identity_check"],
     "bsde": ["BsdeSolution", "PathBundle", "RandomCoefficientModel",
              "backward_regression_solve", "generate_training_paths", "make_model"],
-    "meanvar": ["FrontierPoint", "MarketSpec", "efficient_frontier", "lagrange_solve",
-                "make_market", "market_from_config", "market_to_problem", "mv_moment_odes",
-                "mv_riccati", "mv_simulate_check"],
+    "meanvar": ["FrontierPoint", "efficient_frontier", "lagrange_solve", "make_market",
+                "market_from_config", "mv_moment_odes", "mv_riccati", "mv_simulate_check"],
 }
 
 
@@ -619,7 +618,9 @@ def test_thread_pool_is_imported_only_for_two_lanes():
       "--workers", "1"], ["bsde", "meanvar"]),
     (["solve", "--config", "scalar.json", "--grid", "10"],
      ["simulate", "verify", "bsde", "meanvar"]),
-], ids=["import", "bsde", "verify", "solve"])
+    (["solve", "--config", "market_one_regime.json", "--grid", "10"],
+     ["simulate", "verify", "bsde"]),
+], ids=["import", "bsde", "verify", "solve", "solve-market"])
 def test_each_command_loads_only_the_engine_modules_it_runs(tmp_path, argv, absent):
     # the CLI imports a command's engine modules in that command's body, so
     # no invocation pays to compile and run the modules of another command

@@ -8,9 +8,14 @@ import numpy as np
 import pytest
 
 import regimelq as rl
-from regimelq.errors import DegenerateConstraint, NumericalError, ValidationError
+from regimelq.errors import (
+    DegenerateConstraint,
+    DimensionMismatch,
+    NumericalError,
+    ValidationError,
+)
 
-from canonical import one_regime_market
+from canonical import det_lqr, one_regime_market
 
 # closed forms for the one-regime market r=0.06, b=0.12, sigma=0.2, T=1:
 THETA2 = 0.09  # ((b - r) / sigma)^2
@@ -32,6 +37,15 @@ class TestMarketValidation:
             rl.make_market(T=1.0, generator=[[0.0]], r=-0.01, b=[0.12],
                            sigma=[0.2], delta=0.01, x0=1.0, i0=0)
 
+    @pytest.mark.parametrize("name, value, shape", [
+        ("r", [0.05, 0.06], r"\(1,\)"),
+        ("b", [0.12, 0.10], r"\(1, 1\)"),
+        ("sigma", [[0.2], [0.3], [0.4]], r"\(1, 1\)"),
+    ])
+    def test_coefficient_that_does_not_broadcast_names_the_shape(self, name, value, shape):
+        data = {"r": 0.06, "b": [0.12], "sigma": [0.2], name: value}
+        with pytest.raises(DimensionMismatch, match=rf"{name} must broadcast to shape {shape}"):
+            rl.make_market(T=1.0, generator=[[0.0]], delta=0.01, x0=1.0, i0=0, **data)
 
     def test_flat_market_is_one_segment(self):
         flat = json.loads(
@@ -44,12 +58,49 @@ class TestMarketValidation:
         ]
         (a, targets_a), (b, targets_b) = map(rl.market_from_config, (flat, segmented))
         assert targets_a == targets_b
-        for field in dataclasses.fields(rl.MarketSpec):
+        for field in dataclasses.fields(rl.ProblemSpec):
             x, y = getattr(a, field.name), getattr(b, field.name)
             if field.name == "generator":
                 x, y = x.rates, y.rates
             np.testing.assert_array_equal(x, y, err_msg=field.name)
             assert type(x) is type(y)
+
+
+class TestMarketIsAProblem:
+    def test_make_market_is_the_shifted_wealth_embedding(self):
+        generator, breakpoints = [[-0.8, 0.8], [0.5, -0.5]], [0.0, 0.5, 1.0]
+        r, b, sigma = [0.04, 0.05], [[0.10, 0.07], [0.12, 0.06]], [[0.25, 0.15], [0.3, 0.2]]
+        market = rl.make_market(T=1.0, generator=generator, r=r, b=b, sigma=sigma,
+                                delta=0.01, x0=1.5, i0=1, breakpoints=breakpoints)
+        zero = [[0.0]]
+        problem = rl.make_problem(
+            n=1, m=1, T=1.0, generator=generator,
+            coefficients=[
+                [{"A": [[r[j]]], "B": [[b[j][k] - r[j]]], "C": zero, "D": [[sigma[j][k]]],
+                  "Q": zero, "S": zero, "R": zero} for k in range(2)]
+                for j in range(2)
+            ],
+            G=[[[1.0]], [[1.0]]], x0=[1.5], i0=1, breakpoints=breakpoints,
+        )
+        assert (market.n, market.m, market.num_regimes, market.T) == (1, 1, 2, 1.0)
+        for name in problem.coefficients.dtype.names:
+            np.testing.assert_array_equal(
+                market.coefficients[name], problem.coefficients[name], err_msg=name
+            )
+        np.testing.assert_array_equal(market.breakpoints, problem.breakpoints)
+        np.testing.assert_array_equal(market.x0, problem.x0)
+        np.testing.assert_array_equal(market.generator.rates, problem.generator.rates)
+        assert market.i0 == problem.i0 == 1
+
+    @pytest.mark.parametrize("solve", [
+        rl.mv_moment_odes,
+        lambda problem: rl.mv_riccati(problem, 10),
+        lambda problem: rl.lagrange_solve(problem, 1.1),
+    ], ids=["mv_moment_odes", "mv_riccati", "lagrange_solve"])
+    def test_problem_that_is_not_a_market_is_refused(self, solve):
+        # det_lqr has n = m = 1 but Q != 0
+        with pytest.raises(ValidationError, match="not a market's problem"):
+            solve(det_lqr())
 
 
 class TestMvRiccati:
@@ -167,6 +218,14 @@ class TestLagrangeSolve:
         mu, gamma, xt0 = rl.lagrange_solve(market, RISKLESS_MEAN)
         assert gamma == pytest.approx(np.exp(0.06), rel=1e-12)
         assert abs(xt0) <= 1e-12
+
+    @pytest.mark.parametrize("d", [float("nan"), float("inf")])
+    def test_non_finite_target_is_refused(self, d):
+        market = one_regime_market()
+        with pytest.raises(ValidationError, match="target mean must be finite"):
+            rl.lagrange_solve(market, d)
+        with pytest.raises(ValidationError, match="target mean must be finite"):
+            rl.efficient_frontier(market, [1.1, d], N=10)
 
     def test_degenerate_when_no_risky_incentive(self):
         market = rl.make_market(T=1.0, generator=[[0.0]], r=0.06, b=[0.06],
