@@ -61,6 +61,9 @@ def invocations(multidim: Path) -> list[tuple[str, list[str]]]:
          run("bsde", cfg("random_coeff"), "40", "--paths", "20000", "--degree", "5")),
         # N = 9 walks the driver backward in blocks of s = 4 nodes: the last block holds one
         ("bsde-random_coeff-grid9", run("bsde", cfg("random_coeff"), "9", "--paths", "2000")),
+        # three regimes, C != 0, S != 0 and negative slopes: every coefficient row of the sweep
+        ("bsde-random_coeff_three_regime",
+         run("bsde", cfg("random_coeff_three_regime"), "100", "--paths", "30000")),
         *((f"solve-{name}", run("solve", cfg(name), "200"))
           for name in ("scalar", "two_regime", "det_lqr", "market_one_regime",
                        "switching_diffusion")),

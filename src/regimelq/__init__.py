@@ -25,7 +25,6 @@ _SOURCES = {
         "ProblemSpec",
         "make_problem",
         "problem_from_config",
-        "validate_problem",
         "with_initial_state",
     ),
     "riccati": (

@@ -6,7 +6,10 @@ Coefficients are driven by a one-dimensional mean-reverting diffusion
     dy = kappa (theta_bar - y) dt + nu dW
 
 sharing the Brownian motion of the state; each scalar coefficient is an
-affine map of y clipped to a declared range (so all maps are bounded).
+affine map of y clipped to a declared range (so all maps are bounded).  A
+model is its n = m = 1 problem (:class:`~regimelq.model.ProblemSpec`, whose
+coefficient table holds the maps' constant terms, so it is the problem at
+y = 0) plus the driver and the maps' slopes.
 The value P(t, k, y) is approximated per regime by a polynomial in y,
 fitted backward one step at a time:
 
@@ -60,14 +63,14 @@ from math import isqrt
 import numpy as np
 from numpy.typing import NDArray
 
-from .chain import GeneratorMatrix, sample_regimes_on_grid, validate_generator
+from .chain import sample_regimes_on_grid
 from .errors import (
     RHAT_FLOOR,
     IllConditionedRegression,
     NegativeRhat,
     ValidationError,
 )
-from .model import ConfigReader, ProblemSpec, check_horizon, make_problem
+from .model import ConfigReader, ProblemSpec, make_problem
 from .streams import derive_rng, run_chunks
 
 COEFF_NAMES = ("A", "B", "C", "D", "Q", "S", "R", "G")
@@ -77,28 +80,24 @@ DEGENERATE_STD = 1e-12
 
 @dataclass(frozen=True)
 class RandomCoefficientModel:
-    """Scalar (n = m = 1) problem family with driver-dependent coefficients.
+    """Scalar (n = m = 1) problem with driver-dependent coefficients.
 
-    Row ``COEFF_NAMES.index(name)`` of ``const`` and ``slope`` holds that
-    coefficient's map const + slope * y for every regime; maps are evaluated
-    at the driver clipped to [y_low, y_high].
+    ``problem`` holds T, the generator, the initial regime i0 and, in its
+    one-segment coefficient table, each map's constant term: it is the
+    problem at y = 0 (not at ``y0``), with x0 = [1].  Row
+    ``COEFF_NAMES.index(name)`` of ``slope`` holds that coefficient's slope
+    for every regime; the map const + slope * y is evaluated at the driver
+    clipped to [y_low, y_high].
     """
 
-    T: float
-    generator: GeneratorMatrix
-    i0: int
+    problem: ProblemSpec
     kappa: float
     theta_bar: float
     nu: float
     y0: float
     y_low: float
     y_high: float
-    const: NDArray[np.float64]  # (len(COEFF_NAMES), D)
     slope: NDArray[np.float64]  # (len(COEFF_NAMES), D)
-
-    @property
-    def num_regimes(self) -> int:
-        return self.generator.size
 
     def coeff_rows(self, y: NDArray, regimes: NDArray | None = None):
         """Evaluator ``name -> map`` at the driver samples ``y``, clipped once.
@@ -109,8 +108,8 @@ class RandomCoefficientModel:
         yc = np.clip(y, self.y_low, self.y_high)
 
         def evaluate(name: str) -> NDArray:
-            row = COEFF_NAMES.index(name)
-            const, slope = self.const[row], self.slope[row]
+            const = self.problem.coefficients[name][0, :, 0, 0]
+            slope = self.slope[COEFF_NAMES.index(name)]
             if regimes is None:
                 return const[:, None] + slope[:, None] * yc
             return const[regimes] + slope[regimes] * yc
@@ -135,10 +134,10 @@ def make_model(
     ``coeffs`` maps each regime to ``{name: (const, slope)}`` for the names
     A, B, C, D, Q, S, R, G; ``(const,)`` or a bare number means slope 0.
     Over the declared driver range R must stay strictly positive and G
-    nonnegative, and every number must be finite.
+    nonnegative, and every number must be finite.  T, the generator and i0
+    are checked by :func:`~regimelq.model.make_problem`, which builds the
+    model's problem from the constant terms.
     """
-    gen = validate_generator(generator)
-    T = check_horizon(T)
     scalars = {"kappa": kappa, "theta_bar": theta_bar, "nu": nu, "y0": y0, "y_range": y_range}
     bad = [name for name, v in scalars.items() if not np.all(np.isfinite(v))]
     if bad:
@@ -152,7 +151,8 @@ def make_model(
         raise ValidationError("driver volatility nu must be nonnegative")
     pair = lambda const, slope=0.0: (const, slope)  # [const] or a bare number: slope 0
     const, slope = np.array(
-        [[pair(*np.atleast_1d(coeffs[k][name])) for k in range(gen.size)] for name in COEFF_NAMES],
+        [[pair(*np.atleast_1d(coeffs[k][name])) for k in range(len(coeffs))]
+         for name in COEFF_NAMES],
         dtype=np.float64,
     ).transpose(2, 0, 1)
     finite = np.isfinite(const) & np.isfinite(slope)
@@ -172,16 +172,16 @@ def make_model(
             f"G must be nonnegative on the driver range (regime {k + 1}: min {g_min[k]})"
         )
     return RandomCoefficientModel(
-        T=T,
-        generator=gen,
-        i0=gen.initial_regime(i0),
+        problem=make_problem(  # one segment; its coefficients are the maps at y = 0
+            n=1, m=1, T=T, generator=generator, x0=[1.0], i0=i0,
+            coefficients=[[dict(zip(COEFF_NAMES, column)) for column in const.T]], G=const[-1],
+        ),
         kappa=float(kappa),
         theta_bar=float(theta_bar),
         nu=float(nu),
         y0=float(y0),
         y_low=lo,
         y_high=hi,
-        const=const,
         slope=slope,
     )
 
@@ -217,30 +217,11 @@ def model_from_config(cfg: dict) -> RandomCoefficientModel:
 
 
 def constant_problem(model: RandomCoefficientModel) -> ProblemSpec:
-    """The equivalent fixed-coefficient problem of a y-independent model.
-
-    Only valid when every coefficient slope is zero; used to cross-check the
-    regression solver against the ODE solver.
-    """
+    """The model's problem, when every coefficient slope is zero; used to
+    cross-check the regression solver against the ODE solver."""
     if np.any(model.slope):
         raise ValidationError("model has y-dependent coefficients")
-    const = dict(zip(COEFF_NAMES, model.const))  # name -> (D,) values
-    coefficients = [
-        [
-            {name: [[const[name][k]]] for name in ("A", "B", "C", "D", "Q", "S", "R")}
-            for k in range(model.num_regimes)
-        ]
-    ]
-    return make_problem(
-        n=1,
-        m=1,
-        T=model.T,
-        generator=model.generator,
-        coefficients=coefficients,
-        G=[[[g]] for g in const["G"]],
-        x0=[1.0],
-        i0=model.i0,
-    )
+    return model.problem
 
 
 @dataclass
@@ -252,10 +233,10 @@ class PathBundle:
     ``(seed, "bundle-z", i)``, the node means ``mean`` and the per-step rows
     ``bridge``; these small tables are all the walk needs of the model, so
     the driver at every node and ``dW`` come from the bundle alone.  ``dW``
-    (path-major, (M, N)) and ``regimes`` (the exact chain paths on the grid,
-    from the chunk streams ``(seed, "bundle", c)``, with the dtype of
-    :func:`~regimelq.chain.sample_regimes_on_grid`) are drawn whole on first
-    access; the sweep reads neither.
+    (path-major, (M, N)) and ``regimes`` (the exact chain paths on the grid
+    of the model's ``problem``, from the chunk streams ``(seed, "bundle",
+    c)``, with the dtype of :func:`~regimelq.chain.sample_regimes_on_grid`)
+    are drawn whole on first access; the sweep reads neither.
     """
 
     times: NDArray[np.float64]  # (N+1,)
@@ -263,8 +244,7 @@ class PathBundle:
     mean: NDArray[np.float64]  # (N+1,) m_i, the driver's mean at node i
     bridge: NDArray[np.float64]  # (N, 4) per step i: (a, p, c, q) of _driver_backward
     seed: int
-    generator: GeneratorMatrix
-    i0: int
+    problem: ProblemSpec
 
     @property
     def num_paths(self) -> int:
@@ -286,7 +266,7 @@ class PathBundle:
     def regimes(self) -> NDArray[np.signedinteger]:
         """(M, N+1) exact chain paths on ``times``."""
         draw = lambda rng, n: (
-            sample_regimes_on_grid(self.generator, self.i0, self.times, rng, n),
+            sample_regimes_on_grid(self.problem.generator, self.problem.i0, self.times, rng, n),
         )
         return run_chunks(self.num_paths, self.seed, "bundle", draw)[0]
 
@@ -300,7 +280,7 @@ def _bridge(model: RandomCoefficientModel, N: int):
     Without noise (v = 0) a row is (0, 0, 0, sqrt(h)): y_i = m_i and
     dW_i = sqrt(h) z_i.
     """
-    h = model.T / N
+    h = model.problem.T / N
     b = 1.0 - model.kappa * h
     m, v = np.empty(N + 1), np.empty(N + 1)
     m[0], v[0] = model.y0, 0.0
@@ -367,7 +347,7 @@ def generate_training_paths(
     """
     if M < 1 or N < 1:
         raise ValidationError("need M >= 1 paths and N >= 1 steps")
-    h = model.T / N
+    h = model.problem.T / N
     if model.kappa * h >= 2.0:
         raise ValidationError(
             f"driver step kappa*T/N = {model.kappa * h!r} >= 2: the explicit Euler factor "
@@ -378,13 +358,12 @@ def generate_training_paths(
     y *= sd
     y += mean[N]
     return PathBundle(
-        times=np.linspace(0.0, model.T, N + 1),
+        times=np.linspace(0.0, model.problem.T, N + 1),
         y=y,
         mean=mean,
         bridge=bridge,
         seed=seed,
-        generator=model.generator,
-        i0=model.i0,
+        problem=model.problem,
     )
 
 
@@ -513,9 +492,9 @@ def backward_regression_solve(
     B = degree + 1
     if M < 10 * B:
         raise ValidationError(f"need at least {10 * B} paths for degree {degree}")
-    d = model.num_regimes
-    h = model.T / N
-    trans = model.generator.transition(h)  # exact: exp(h Q)
+    d = model.problem.num_regimes
+    h = model.problem.T / N
+    trans = model.problem.generator.transition(h)  # exact: exp(h Q)
 
     value_weights = np.zeros((N, d, B))
     lambda_weights = np.zeros((N, d, B))

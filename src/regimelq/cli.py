@@ -293,7 +293,7 @@ def _cmd_bsde(args, cfg, meta, out: Path) -> int:
     )
     rows = []
     for i in range(solution.num_steps):
-        for k in range(model.num_regimes):
+        for k in range(model.problem.num_regimes):
             rows.append(
                 [i, k + 1, float(solution.times[i]),
                  float(solution.y_center[i]), float(solution.y_scale[i])]
@@ -301,8 +301,8 @@ def _cmd_bsde(args, cfg, meta, out: Path) -> int:
                 + [float(v) for v in solution.lambda_weights[i, k]]
             )
     _write_csv(out / "bsde_weights.csv", meta, columns, rows)
-    p0 = solution.value_single(0, model.i0, model.y0)
-    print(f"P(0, regime {model.i0 + 1}, y0) = {p0!r}")
+    p0 = solution.value_single(0, model.problem.i0, model.y0)
+    print(f"P(0, regime {model.problem.i0 + 1}, y0) = {p0!r}")
     return 0
 
 

@@ -113,7 +113,7 @@ def _symmetrized(M: NDArray[np.float64], name: str) -> NDArray[np.float64]:
     # small relative pad so decimal literals rounding just past the bound pass
     if asym > ASYMMETRY_MAX * (1.0 + 1e-6):
         raise AsymmetricWeight(f"{name} asymmetric by {asym:.3e} (> {ASYMMETRY_MAX})")
-    return (M + M.T) / 2.0
+    return M if asym == 0.0 else (M + M.T) / 2.0  # M + M' overflows past 2**1023
 
 
 def check_horizon(T) -> float:
@@ -167,7 +167,8 @@ def make_problem(
     if len(G) != d:
         raise DimensionMismatch(f"need one terminal weight per regime, got {len(G)}")
 
-    g_mats = [_symmetrized(_as_matrix(G[k], n, n, f"G[regime {k}]"), "G") for k in range(d)]
+    g_where = [f"G (regime {k + 1})" for k in range(d)]  # errors name the 1-based label
+    g_mats = [_symmetrized(_as_matrix(G[k], n, n, g_where[k]), g_where[k]) for k in range(d)]
 
     # one record per (segment, regime): the seven coefficients and G_k
     shapes = dict(A=(n, n), B=(n, m), C=(n, n), D=(n, m), Q=(n, n), S=(m, n), R=(m, m))
@@ -182,7 +183,7 @@ def make_problem(
             )
         for k, cs in enumerate(seg):
             for name, (rows, cols) in shapes.items():
-                where = f"{name} (segment {j}, regime {k})"
+                where = f"{name} (segment {j}, regime {k + 1})"
                 M = _as_matrix(cs[name], rows, cols, where)
                 table[name][j, k] = _symmetrized(M, where) if name in ("Q", "R") else M
     table.flags.writeable = False  # problem.G and the cells are views of it
@@ -329,5 +330,5 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
 
 
 def validate_problem(raw: dict) -> ProblemSpec:
-    """Validate a raw config dict (alias for :func:`problem_from_config`)."""
+    """Alias of :func:`problem_from_config`, kept for ``bench/test_bench.py``; not public."""
     return problem_from_config(raw)

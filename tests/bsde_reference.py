@@ -66,7 +66,7 @@ def bsde_residual(
     sample.
     """
     M, N = bundle.num_paths, bundle.num_steps
-    h = model.T / N
+    h = model.problem.T / N
     mean = np.zeros(N)
     stderr = np.zeros(N)
     y = full_driver(bundle)
@@ -132,9 +132,9 @@ def reference_regression_solve(model, bundle, degree=3):
     B = degree + 1
     if M < 10 * B:
         raise ValidationError(f"need at least {10 * B} paths for degree {degree}")
-    d = model.num_regimes
-    h = model.T / N
-    trans = scipy.linalg.expm(h * model.generator.rates)  # not the package's expm
+    d = model.problem.num_regimes
+    h = model.problem.T / N
+    trans = scipy.linalg.expm(h * model.problem.generator.rates)  # not the package's expm
 
     value_weights = np.zeros((N, d, B))
     lambda_weights = np.zeros((N, d, B))

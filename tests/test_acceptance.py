@@ -212,7 +212,7 @@ def test_verify_passes_on_switching_diffusion(tmp_path):
     # the bundled config with a breakpoint inside (0, T) and live C, D and S:
     # every check reads the coefficients of both segments
     config = CONFIGS / "switching_diffusion.json"
-    prob = rl.validate_problem(json.loads(config.read_text()))
+    prob = rl.problem_from_config(json.loads(config.read_text()))
     assert prob.num_segments == 2 and 0.0 < prob.breakpoints[1] < prob.T
     rc = cli_main([
         "verify", "--config", str(config), "--grid", "100", "--paths", "5000",

@@ -104,9 +104,68 @@ class TestModelValidation:
         assert far == edge
 
 
+# the constant terms of two_regime_model() and y_dependent_model(), per regime
+TWO_REGIME_CONSTS = [
+    dict(A=0.1, B=0.3, C=0.0, D=0.2, Q=0.2, S=0.0, R=1.0, G=1.0),
+    dict(A=0.05, B=0.2, C=0.1, D=0.1, Q=0.3, S=0.0, R=0.8, G=0.6),
+]
+
+
+def _embedding(T, generator, i0, consts):
+    """``make_problem`` of a model's constant terms, ``consts[k]`` naming regime k's."""
+    return rl.make_problem(
+        n=1, m=1, T=T, generator=generator, x0=[1.0], i0=i0,
+        coefficients=[[{name: [[c[name]]] for name in "ABCDQSR"} for c in consts]],
+        G=[[[c["G"]]] for c in consts],
+    )
+
+
+def _assert_same_problem(got, want):
+    assert (got.n, got.m, got.num_regimes, got.T) == (want.n, want.m, want.num_regimes, want.T)
+    for name in want.coefficients.dtype.names:
+        np.testing.assert_array_equal(
+            got.coefficients[name], want.coefficients[name], err_msg=name
+        )
+    np.testing.assert_array_equal(got.breakpoints, want.breakpoints)
+    np.testing.assert_array_equal(got.x0, want.x0)
+    np.testing.assert_array_equal(got.i0, want.i0)
+    np.testing.assert_array_equal(got.generator.rates, want.generator.rates)
+
+
+class TestModelIsItsProblem:
+    """A model's ``problem`` is ``make_problem`` of its maps at y = 0."""
+
+    def test_y_dependent_model(self):
+        want = _embedding(1.0, [[-0.3, 0.3], [0.4, -0.4]], 0, TWO_REGIME_CONSTS)
+        _assert_same_problem(y_dependent_model().problem, want)
+
+    # random_coeff_three_regime has y0 = 0.1: the problem is still the one at y = 0
+    @pytest.mark.parametrize("name", ["random_coeff", "random_coeff_three_regime"])
+    def test_bundled_config(self, name):
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+        consts = [
+            {coeff: pair[0] for coeff, pair in cfg["coefficients"][str(k + 1)].items()}
+            for k in range(len(cfg["generator"]))
+        ]
+        want = _embedding(cfg["T"], cfg["generator"], cfg["i0"] - 1, consts)
+        _assert_same_problem(model_from_config(cfg).problem, want)
+
+    def test_constant_problem_refuses_slopes(self):
+        with pytest.raises(ValidationError, match="y-dependent"):
+            constant_problem(y_dependent_model())
+
+    def test_constant_problem_solves_bitwise_as_the_explicit_problem(self):
+        got = rl.solve_riccati(constant_problem(two_regime_model()), 200)
+        want = rl.solve_riccati(
+            _embedding(1.0, [[-0.3, 0.3], [0.4, -0.4]], 0, TWO_REGIME_CONSTS), 200
+        )
+        for field in ("P", "Theta", "rhat_min_eig"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+
+
 def _forward_moments(model, N):
     """Mean and variance of the forward Euler driver at each node."""
-    h = model.T / N
+    h = model.problem.T / N
     b = 1.0 - model.kappa * h
     m, v = [model.y0], [0.0]
     for _ in range(N):
@@ -174,7 +233,7 @@ class TestGenerateTrainingPaths:
     def test_rows_satisfy_the_euler_recursion(self, N, M):
         model = y_dependent_model()
         bundle = rl.generate_training_paths(model, M, N, 40 + N)
-        h = model.T / N
+        h = model.problem.T / N
         y = full_driver(bundle)
         dW = bundle.dW
         assert np.all(y[0] == model.y0)
@@ -194,7 +253,7 @@ class TestGenerateTrainingPaths:
         # kappa h = 1.5 at kappa = 30 (N = 20): the Euler factor is negative
         model = dataclasses.replace(three_regime_model(), kappa=kappa, y0=1.0)
         M, N = 20_000, 20
-        h = model.T / N
+        h = model.problem.T / N
         bundle = rl.generate_training_paths(model, M, N, 31)
         y, dW = full_driver(bundle), bundle.dW.T
         m, v = _forward_moments(model, N)
@@ -237,7 +296,9 @@ class TestGenerateTrainingPaths:
         model = three_regime_model()
         bundle = rl.generate_training_paths(model, CHUNK_SIZE + 10, 20, 9)
         draw = lambda rng, n: (
-            sample_regimes_on_grid(model.generator, model.i0, bundle.times, rng, n),
+            sample_regimes_on_grid(
+                model.problem.generator, model.problem.i0, bundle.times, rng, n
+            ),
         )
         (want,) = run_chunks(CHUNK_SIZE + 10, 9, "bundle", draw)
         np.testing.assert_array_equal(bundle.regimes, want)
@@ -292,9 +353,10 @@ class TestBackwardRegression:
     def test_grid_coarser_than_the_switching_solves(self):
         # h * rate = 2: the first-order step I + h Q would have stay
         # probability -1; the exact step exp(h Q) takes any grid
-        model = dataclasses.replace(
-            two_regime_model(), generator=rl.validate_generator([[-30.0, 30.0], [40.0, -40.0]])
-        )
+        model = two_regime_model()
+        model = dataclasses.replace(model, problem=dataclasses.replace(
+            model.problem, generator=rl.validate_generator([[-30.0, 30.0], [40.0, -40.0]])
+        ))
         oracle = rl.solve_riccati(constant_problem(model), 1000)
         bundle = rl.generate_training_paths(model, 20_000, 20, 6)
         sol = rl.backward_regression_solve(model, bundle, degree=3)

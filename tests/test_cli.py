@@ -175,6 +175,19 @@ class TestExitCodes:
             ("bsde", lambda: _bundled(
                 "random_coeff.json", lambda c: c["coefficients"]["1"].update(G=[1.0, 0.05, 0.1])
             ), [], "coefficients.1.G must be a list [const, slope] or [const], got [1.0, 0.05, 0.1]"),
+            # make_problem names the segment's list index and the regime's 1-based label
+            ("solve", lambda: _bundled(
+                "switching_diffusion.json",
+                lambda c: c["segments"][1]["coefficients"]["2"].update(Q=[[0.7, -0.1], [0.2, 0.9]]),
+            ), [], "Q (segment 1, regime 2) asymmetric"),
+            ("solve", lambda: _bundled(
+                "two_regime.json", lambda c: c["segments"][0]["coefficients"]["1"].update(Q=[[NAN]])
+            ), [], "Q (segment 0, regime 1) has non-finite entries"),
+            ("solve", lambda: _bundled("two_regime.json", lambda c: c["G"].update({"1": [[INF]]})),
+             [], "G (regime 1) has non-finite entries"),
+            ("solve", lambda: _bundled(
+                "switching_diffusion.json", lambda c: c["G"].update({"2": [[0.5, 0.1], [0.0, 1.5]]})
+            ), [], "G (regime 2) asymmetric"),
         ],
         ids=[
             "missing-fields", "not-an-object", "market-missing-generator",
@@ -191,6 +204,7 @@ class TestExitCodes:
             "boolean-T", "string-T", "boolean-nu", "boolean-R-entry", "string-x0-entry",
             "string-A-map", "boolean-regimes", "three-number-y_range", "one-number-y_range",
             "bare-number-coefficient", "empty-coefficient", "three-number-coefficient",
+            "asymmetric-Q-label", "nan-Q-label", "infinite-G-label", "asymmetric-G-label",
         ],
     )
     def test_invalid_schema_exits_one(self, tmp_path, capsys, command, config, extra, says):
@@ -240,6 +254,18 @@ class TestExitCodes:
         command = {"slq": "solve", "market": "frontier", "random_coefficients": "bsde"}[kind]
         rc = main([
             command, "--config", str(config), "--seed", "3", "--grid", "20",
+            "--paths", "2000", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+
+    def test_control_weight_near_the_float_limit_solves(self, tmp_path, capsys):
+        # R = 1e308 is finite and makes the control dear; ingesting it must not overflow
+        cfg = tmp_path / "dear-control.json"
+        cfg.write_text(json.dumps(_bundled(
+            "random_coeff.json", lambda c: c["coefficients"]["1"].update(R=[1e308, 0.0])
+        )))
+        rc = main([
+            "bsde", "--config", str(cfg), "--seed", "1", "--grid", "10",
             "--paths", "2000", "--out", str(tmp_path),
         ])
         assert rc == 0
@@ -557,7 +583,7 @@ PUBLIC_NAMES = {
     "chain": ["ChainPath", "GeneratorMatrix", "sample_chain_paths", "sample_regimes_on_grid",
               "validate_generator"],
     "model": ["Coefficients", "ProblemSpec", "make_problem", "problem_from_config",
-              "validate_problem", "with_initial_state"],
+              "with_initial_state"],
     "riccati": ["FeedbackLaw", "RiccatiGrid", "rhat_certificate", "solve_riccati"],
     "simulate": ["ControlTable", "MCEstimate", "PathRecord", "PerturbedFeedback", "mc_cost",
                  "mc_cost_diff", "simulate_closed_loop"],

@@ -54,6 +54,17 @@ class TestMakeProblem:
         np.testing.assert_allclose(Qs, Qs.T)
         assert abs(Qs[0, 1] - 0.3000000005) < 1e-12
 
+    def test_symmetric_weight_near_the_float_limit_is_kept(self):
+        # (M + M') / 2 overflows past 2**1023, so a symmetric weight is kept as given
+        with np.errstate(over="raise"):
+            prob = rl.make_problem(
+                n=1, m=1, T=1.0, generator=[[0.0]],
+                coefficients=[[_scalar_coeffs(Q=[[1e308]], R=[[1e308]])]],
+                G=[[[1e308]]], x0=[1.0], i0=0,
+            )
+        for name in ("Q", "R", "G"):
+            assert prob.coefficients[name][0, 0, 0, 0] == 1e308, name
+
     def test_asymmetric_weight_rejected(self):
         Q = [[1.0, 0.3], [0.31, 1.0]]
         with pytest.raises(AsymmetricWeight):
@@ -67,7 +78,7 @@ class TestMakeProblem:
             )
 
     def test_shape_guard(self):
-        # the malformed cell is named by its segment and regime
+        # the malformed cell is named by its segment index and 1-based regime label
         cell = lambda B: {
             "A": np.zeros((2, 2)), "B": B, "C": np.zeros((2, 2)),
             "D": np.zeros((2, 2)), "Q": np.eye(2), "S": np.zeros((2, 2)), "R": np.eye(2),
@@ -77,7 +88,7 @@ class TestMakeProblem:
                 [cell(np.zeros((2, 3) if (j, k) == bad else (2, 2))) for k in range(regimes)]
                 for j in range(segments)
             ]
-            where = f"B (segment {bad[0]}, regime {bad[1]})"
+            where = f"B (segment {bad[0]}, regime {bad[1] + 1})"
             with pytest.raises(DimensionMismatch, match=re.escape(where)):
                 rl.make_problem(
                     n=2, m=2, T=1.0, generator=np.zeros((regimes, regimes)),

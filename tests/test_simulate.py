@@ -664,7 +664,7 @@ def test_live_blocks_vanish_in_every_regime_only():
 def test_two_regime_pattern_steps_only_the_affine_cost():
     # A = B = C = D = Q = S = 0: Theta = 0, so the feedback law has no live
     # block and a perturbed law only its v'R v entry; nothing is drawn
-    prob = rl.validate_problem(json.loads((CONFIGS / "two_regime.json").read_text()))
+    prob = rl.problem_from_config(json.loads((CONFIGS / "two_regime.json").read_text()))
     n, d, N = prob.n, prob.num_regimes, 10
     times2 = np.linspace(0.0, prob.T, 2 * N + 1)
     law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 2 * N))
@@ -853,7 +853,7 @@ def test_mapped_zeros_is_a_writable_zeroed_array(nbytes):
 
 def _multidim_workload_problem() -> rl.ProblemSpec:
     workloads = runpy.run_path(str(CONFIGS.parent / "bench" / "workloads.py"))
-    return rl.validate_problem(workloads["multidim_config"](42))
+    return rl.problem_from_config(workloads["multidim_config"](42))
 
 
 SLQ_CONFIGS = [
@@ -863,7 +863,8 @@ SLQ_CONFIGS = [
 
 
 @pytest.mark.parametrize("load", [
-    *(lambda path=path: rl.validate_problem(json.loads(path.read_text())) for path in SLQ_CONFIGS),
+    *(lambda path=path: rl.problem_from_config(json.loads(path.read_text()))
+      for path in SLQ_CONFIGS),
     _multidim_workload_problem,
 ], ids=[path.stem for path in SLQ_CONFIGS] + ["multidim"])
 def test_lyapunov_law_steps_the_zero_tables_bytes(load):
@@ -884,7 +885,7 @@ def test_lyapunov_law_steps_the_zero_tables_bytes(load):
 
 
 @pytest.mark.parametrize("load", [
-    lambda: rl.validate_problem(json.loads((CONFIGS / "two_regime.json").read_text())),
+    lambda: rl.problem_from_config(json.loads((CONFIGS / "two_regime.json").read_text())),
     _multidim_workload_problem,
 ], ids=["two_regime", "multidim"])
 def test_narrow_regimes_step_like_int64_regimes(load):
