@@ -37,7 +37,6 @@ _SOURCES = {
         "ControlTable",
         "MCEstimate",
         "PathRecord",
-        "PerturbedFeedback",
         "mc_cost",
         "mc_cost_diff",
         "simulate_closed_loop",

@@ -4,13 +4,13 @@ Subcommands: ``solve`` (Riccati grid to CSV), ``simulate`` (MC cost estimate
 to JSON), ``verify`` (full check report to JSON), ``frontier`` (mean-variance
 sweep to CSV), ``bsde`` (regression solve to CSV).
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 at least
-one verification check failed.  A command runs with numpy's overflow,
-division-by-zero and invalid-operation errors raised (underflow is left
-alone), so a floating-point fault is a numerical failure too.  Errors are
-printed as single-line JSON on stderr.  Seeds are mandatory; outputs embed
-the config hash, seed and tool version and are byte-identical for identical
-invocations, independent of ``--workers``.
+Exit codes: 0 success, 1 validation error (an unusable output path too), 2
+numerical failure, 3 at least one verification check failed.  A command runs
+with numpy's overflow, division-by-zero and invalid-operation errors raised
+(underflow is left alone), so a floating-point fault is a numerical failure
+too.  Errors are printed as single-line JSON on stderr.  Seeds are mandatory;
+outputs embed the config hash, seed and tool version and are byte-identical
+for identical invocations, independent of ``--workers``.
 
 Parallelism: ``--workers`` lanes run path chunks on threads, and they are
 the only parallelism.  When this module is the first to load numpy and none
@@ -67,16 +67,30 @@ def _header_lines(meta: dict) -> list[str]:
     return [f"# {key}: {meta[key]}" for key in ("tool", "version", "config_sha256", "seed")]
 
 
+def _write(path: Path, text: str | None = None) -> None:
+    """Write ``text`` to the file ``path``, or make the directory ``path`` when text is None.
+
+    Output paths are user input, so an ``OSError`` here is a validation error.
+    """
+    try:
+        if text is None:
+            path.mkdir(parents=True, exist_ok=True)
+        else:
+            path.write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path: Path, meta: dict, columns: list[str], rows) -> None:
     lines = _header_lines(meta)
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _load_config(path: str) -> tuple[dict, str]:
@@ -208,7 +222,7 @@ def _cmd_simulate(args, cfg, meta, out: Path) -> int:
     _write_json(out / "estimate.json", payload)
     if args.dump_paths > 0:
         dump_dir = out / "paths"
-        dump_dir.mkdir(exist_ok=True)
+        _write(dump_dir)
         for j in range(min(args.dump_paths, args.paths)):
             path = simulate_closed_loop(problem, law, args.grid, derive_seed(seed, "dump", j))
             columns = (
@@ -341,7 +355,7 @@ def main(argv=None) -> int:
         cfg, config_hash = _load_config(args.config)
         meta = _meta(config_hash, seed)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        _write(out)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _COMMANDS[args.command](args, cfg, meta, out)
     except ValidationError as exc:

@@ -109,7 +109,8 @@ def _as_matrix(value, rows: int, cols: int, name: str) -> NDArray[np.float64]:
 
 
 def _symmetrized(M: NDArray[np.float64], name: str) -> NDArray[np.float64]:
-    asym = float(np.max(np.abs(M - M.T))) if M.size else 0.0
+    with np.errstate(over="ignore"):  # an overflowing difference is an infinite asymmetry
+        asym = float(np.max(np.abs(M - M.T))) if M.size else 0.0
     # small relative pad so decimal literals rounding just past the bound pass
     if asym > ASYMMETRY_MAX * (1.0 + 1e-6):
         raise AsymmetricWeight(f"{name} asymmetric by {asym:.3e} (> {ASYMMETRY_MAX})")

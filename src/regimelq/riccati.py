@@ -207,10 +207,6 @@ class FeedbackLaw:
         w = ((t - nodes[i]) / (nodes[i + 1] - nodes[i]))[..., None, None, None]
         return (1.0 - w) * self.grid.P[i] + w * self.grid.P[i + 1]
 
-    def hat_terms(self, times):
-        """Shat (K, D, m, n) and Rhat (K, D, m, m) at the interpolated P of K times."""
-        return _hat_terms(self.interpolated_P(times), self.problem.coefficients_at(times))
-
     def gain(self, t: float, k: int) -> NDArray:
         """Feedback gain Theta(t, k), recomputed from the interpolated P."""
         Theta, _ = _node_gain(self.interpolated_P([t]), self.problem.coefficients_at([t]), [t])
@@ -248,7 +244,7 @@ def stationarity_defect(problem: ProblemSpec, grid: RiccatiGrid) -> float:
     worst = []
     frobenius = lambda X: np.linalg.norm(X, axis=(-2, -1))
     for times, Theta in ((nodes, grid.Theta), (mids, law.gains_at_times(mids))):
-        Shat, Rhat = law.hat_terms(times)
+        Shat, Rhat = _hat_terms(law.interpolated_P(times), problem.coefficients_at(times))
         defect = frobenius(Shat + Rhat @ Theta)
         scale = frobenius(Shat) + frobenius(Rhat) * frobenius(Theta)
         worst.append(np.divide(defect, scale, out=defect.copy(), where=scale > 0).max())

@@ -3,9 +3,9 @@
 One kernel steps every path.  A control u = Theta X + v is first turned
 into the closed-loop coefficients Acl = A + B Theta, Ccl = C + D Theta,
 Mcl = Q + Theta'S + S'Theta + Theta'R Theta and, when an open-loop part v
-is present, the affine terms B v, D v, S'v + Theta'R v and v'R v; a pure
-``ControlTable`` has Theta = 0.  Each grid node gets one (3n+1, D(n+1))
-matrix: its column block k maps [X; 1] of a path in regime k to
+is present, the affine terms B v, D v, S'v + Theta'R v and v'R v; a
+``ControlTable`` without a law has Theta = 0.  Each grid node gets one
+(3n+1, D(n+1)) matrix: its column block k maps [X; 1] of a path in regime k to
 [Acl X + B v; Ccl X + D v; Mcl X + 2 (S'v + Theta'R v); v'R v], and
 without v the affine column and the last row are zero.  The kernel holds X
 as (n, paths), one contiguous row per component above a row of ones, and
@@ -73,9 +73,10 @@ class MCEstimate:
 
 @dataclass(frozen=True)
 class ControlTable:
-    """Deterministic piecewise-constant open-loop control on the sim grid."""
+    """Piecewise-constant open-loop control v on the sim grid; with ``law``, u = Theta X + v."""
 
     values: NDArray[np.float64]  # (N, m), row i in force on [t_i, t_{i+1})
+    law: FeedbackLaw | None = None
 
     @property
     def num_steps(self) -> int:
@@ -87,15 +88,7 @@ class ControlTable:
         return float(np.sum(self.values**2) * h)
 
 
-@dataclass(frozen=True)
-class PerturbedFeedback:
-    """Closed-loop law plus an additive open-loop perturbation table."""
-
-    law: FeedbackLaw
-    table: ControlTable
-
-
-Control = FeedbackLaw | ControlTable | PerturbedFeedback
+Control = FeedbackLaw | ControlTable
 
 
 @dataclass
@@ -150,28 +143,24 @@ def simulate_closed_loop(
 def _resolve_control(control: Control, problem: ProblemSpec, times) -> tuple:
     """Split a control into (gains (N, D, m, n) | None, table (N, m) | None)."""
     N = len(times) - 1
-    gains = table = None
-    if isinstance(control, PerturbedFeedback):
-        gains = control.law.gains_at_times(times[:-1])
-        table = control.table.values
+    if isinstance(control, ControlTable):
+        law, table = control.law, control.values
     elif isinstance(control, FeedbackLaw):
-        gains = control.gains_at_times(times[:-1])
-    elif isinstance(control, ControlTable):
-        table = control.values
+        law, table = control, None
     else:
         raise ValidationError(f"unsupported control source {type(control)!r}")
     if table is not None and table.shape != (N, problem.m):
         raise ValidationError(
             f"control table shape {table.shape} does not match grid ({N}, {problem.m})"
         )
-    return gains, table
+    return None if law is None else law.gains_at_times(times[:-1]), table
 
 
 class _LoopTable(NamedTuple):
     """One control on one grid, per (node, regime); see the module docstring."""
 
     h: float
-    gains: NDArray | None  # (N, D, m, n) Theta; None for a pure ControlTable
+    gains: NDArray | None  # (N, D, m, n) Theta; None for a ControlTable without a law
     M: NDArray  # (N, 3n+1, D(n+1)): column block k maps [X; 1] of regime k
     live: _LiveBlocks  # the live blocks of M, cut once per table
 

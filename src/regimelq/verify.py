@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError
 from .model import ProblemSpec, with_initial_state, without_control
 from .riccati import (
     FeedbackLaw,
@@ -39,7 +39,6 @@ from .riccati import (
 )
 from .simulate import (
     ControlTable,
-    PerturbedFeedback,
     mc_cost,
     mc_cost_diff,
     paired_refinement_run,
@@ -237,29 +236,27 @@ def stationarity_check(
 def perturbation_test(
     problem: ProblemSpec,
     grid: RiccatiGrid,
-    K: int,
     n_paths: int,
     seed: int,
     workers: int = 1,
 ) -> CheckResult:
     """Open-loop optimality probe: J(u* + v_k) - J(u*) >= -3 stderr for all k.
 
-    Directions are normalized block-constant tables; differences use common
-    random numbers, so v = 0 gives exactly zero.  The minimum difference per
-    unit ||v||^2 is reported as an empirical convexity estimate.
+    The ``PERTURBATION_DIRECTIONS`` directions are normalized block-constant
+    tables; differences use common random numbers, so v = 0 gives exactly
+    zero.  The minimum difference per unit ||v||^2 is reported as an
+    empirical convexity estimate.
     """
-    if K < 5:
-        raise ValidationError("need at least K=5 perturbation directions")
     N = len(grid.times) - 1
     law = FeedbackLaw(problem, grid)
     deltas, stderrs = [], []
-    for j in range(K):
+    for j in range(PERTURBATION_DIRECTIONS):
         table = random_control_table(
             problem, N, derive_rng(seed, "dir", j), normalize=True
         )
         est = mc_cost_diff(
             problem,
-            PerturbedFeedback(law, table),
+            ControlTable(table.values, law),
             law,
             n_paths,
             derive_seed(seed, "pert-mc", j),
@@ -271,7 +268,7 @@ def perturbation_test(
     return CheckResult.above(
         "perturbation_optimality", deltas, stderrs, n_paths, seed,
         {
-            "directions": K,
+            "directions": PERTURBATION_DIRECTIONS,
             "deltas": deltas,
             "stderrs": stderrs,
             "empirical_convexity": min(deltas),
@@ -298,23 +295,20 @@ def lyapunov_identity_check(
 
 def convexity_probe(
     problem: ProblemSpec,
-    K: int,
     n_paths: int,
     seed: int,
     N: int,
     workers: int = 1,
 ) -> CheckResult:
-    """Estimate min_k J(0, 0, i0; u_k) / int |u_k|^2 over random controls.
+    """Estimate min_k J(0, 0, i0; u_k) / int |u_k|^2 over ``PROBE_CONTROLS`` random controls.
 
     The minimum ratio is an empirical lower-bound estimate of the convexity
     constant, not a certified one; a negative value flags a non-convex
     instance.
     """
-    if K < 5:
-        raise ValidationError("need at least K=5 probe controls")
     zero_x0 = with_initial_state(problem, np.zeros(problem.n))
     ratios, rel_errs = [], []
-    for j in range(K):
+    for j in range(PROBE_CONTROLS):
         table = random_control_table(problem, N, derive_rng(seed, "probe", j))
         denom = table.l2_norm_sq(problem.T)
         est = mc_cost(
@@ -325,7 +319,7 @@ def convexity_probe(
     return CheckResult.above(
         "convexity_probe", ratios, rel_errs, n_paths, seed,
         {
-            "controls": K,
+            "controls": PROBE_CONTROLS,
             "ratios": ratios,
             "empirical_convexity_lower_bound": min(ratios),
         },
@@ -367,8 +361,7 @@ def run_standard_checks(
             ),
             stationarity_check(problem, grid, seed),
             perturbation_test(
-                problem, grid, PERTURBATION_DIRECTIONS, probe_paths,
-                derive_seed(seed, "pert"), workers,
+                problem, grid, probe_paths, derive_seed(seed, "pert"), workers
             ),
             lyapunov_identity_check(
                 problem, lyapunov_solve(problem, N), n_paths,
@@ -376,8 +369,6 @@ def run_standard_checks(
             ),
         ]
     checks.append(
-        convexity_probe(
-            problem, PROBE_CONTROLS, probe_paths, derive_seed(seed, "probe"), N, workers
-        )
+        convexity_probe(problem, probe_paths, derive_seed(seed, "probe"), N, workers)
     )
     return checks

@@ -71,7 +71,7 @@ def test_criterion_03_rhat_certificate_and_nonconvex_detection():
     except (SingularRhat, NumericalError) as exc:
         detected = f"solve failed with {type(exc).__name__}"
     if detected is None:
-        probe = rl.convexity_probe(nonconvex(), 8, 10_000, 3003, N=200)
+        probe = rl.convexity_probe(nonconvex(), 10_000, 3003, N=200)
         if probe.statistic < 0.0:
             detected = f"probe ratio {probe.statistic:.3f} < 0"
     _report(
@@ -118,7 +118,7 @@ def test_criterion_06_perturbation_optimality():
     ok = True
     for name, prob in canonical_problems().items():
         grid = rl.solve_riccati(prob, 200)
-        check = rl.perturbation_test(prob, grid, 10, 10_000, 6006)
+        check = rl.perturbation_test(prob, grid, 10_000, 6006)
         ok = ok and check.passed
         details.append(f"{name}: min delta {min(check.details['deltas']):.3e}")
     _report(

@@ -188,6 +188,13 @@ class TestExitCodes:
             ("solve", lambda: _bundled(
                 "switching_diffusion.json", lambda c: c["G"].update({"2": [[0.5, 0.1], [0.0, 1.5]]})
             ), [], "G (regime 2) asymmetric"),
+            # Q - Q' overflows: the asymmetry is infinite, not a numerical failure
+            ("solve", lambda: _bundled(
+                "switching_diffusion.json",
+                lambda c: c["segments"][0]["coefficients"]["1"].update(
+                    Q=[[1.0, 1e308], [-1e308, 0.5]]
+                ),
+            ), [], "Q (segment 0, regime 1) asymmetric by inf"),
         ],
         ids=[
             "missing-fields", "not-an-object", "market-missing-generator",
@@ -205,6 +212,7 @@ class TestExitCodes:
             "string-A-map", "boolean-regimes", "three-number-y_range", "one-number-y_range",
             "bare-number-coefficient", "empty-coefficient", "three-number-coefficient",
             "asymmetric-Q-label", "nan-Q-label", "infinite-G-label", "asymmetric-G-label",
+            "overflowing-asymmetric-Q",
         ],
     )
     def test_invalid_schema_exits_one(self, tmp_path, capsys, command, config, extra, says):
@@ -220,6 +228,29 @@ class TestExitCodes:
         payload = json.loads(err)
         assert "error" in payload
         assert says in payload["message"]
+
+    @pytest.mark.parametrize(
+        "command, out, extra",
+        [
+            ("solve", lambda tmp: tmp / "file", []),
+            ("solve", lambda tmp: tmp / "file" / "sub", []),
+            ("simulate", lambda tmp: tmp, ["--dump-paths", "1"]),
+        ],
+        ids=["out-is-a-file", "out-under-a-file", "dump-dir-is-a-file"],
+    )
+    def test_unusable_output_path_exits_one(self, tmp_path, capsys, command, out, extra):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "paths").write_text("")
+        rc = main([
+            command, "--config", str(CONFIGS / "two_regime.json"), "--seed", "1",
+            "--grid", "10", "--paths", "200", "--out", str(out(tmp_path)),
+        ] + extra)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValidationError"
+        assert str(tmp_path) in payload["message"]
 
     @pytest.mark.parametrize(
         "command, config, error",
@@ -585,7 +616,7 @@ PUBLIC_NAMES = {
     "model": ["Coefficients", "ProblemSpec", "make_problem", "problem_from_config",
               "with_initial_state"],
     "riccati": ["FeedbackLaw", "RiccatiGrid", "rhat_certificate", "solve_riccati"],
-    "simulate": ["ControlTable", "MCEstimate", "PathRecord", "PerturbedFeedback", "mc_cost",
+    "simulate": ["ControlTable", "MCEstimate", "PathRecord", "mc_cost",
                  "mc_cost_diff", "simulate_closed_loop"],
     "verify": ["CheckResult", "convexity_probe", "lyapunov_identity_check", "lyapunov_solve",
                "perturbation_test", "run_standard_checks", "value_identity_check"],

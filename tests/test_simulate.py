@@ -231,10 +231,8 @@ class TestMcCost:
         prob = stochastic_scalar()
         grid = rl.solve_riccati(prob, 100)
         law = rl.FeedbackLaw(prob, grid)
-        zero = rl.ControlTable(values=np.zeros((100, 1)))
-        est = rl.mc_cost_diff(
-            prob, rl.PerturbedFeedback(law, zero), law, 2000, 17, 100
-        )
+        zero = rl.ControlTable(values=np.zeros((100, 1)), law=law)
+        est = rl.mc_cost_diff(prob, zero, law, 2000, 17, 100)
         assert est.mean == 0.0
         assert est.stderr == 0.0
 
@@ -256,7 +254,16 @@ class TestMcCost:
             rl.mc_cost_diff(prob, law, law, 5, 20, 20)
         # a check built on too few paths is refused, not reported with a nan tolerance
         with pytest.raises(ValidationError):
-            rl.perturbation_test(prob, grid, 5, 1, 3)
+            rl.perturbation_test(prob, grid, 1, 3)
+
+    def test_control_resolution(self):
+        prob = stochastic_scalar()
+        grid = rl.solve_riccati(prob, 20)
+        with pytest.raises(ValidationError, match="unsupported control source"):
+            rl.mc_cost(prob, grid, 200, 22, 20)
+        perturbed = rl.ControlTable(np.zeros((21, prob.m)), rl.FeedbackLaw(prob, grid))
+        with pytest.raises(ValidationError, match=r"control table shape \(21, 1\) does not match"):
+            rl.mc_cost(prob, perturbed, 200, 22, 20)
 
     def test_terminal_state_returned(self):
         prob = two_regime_coupling()
@@ -308,7 +315,7 @@ class TestKernelMatchesReference:
         v = 0.3 * derive_rng(20).standard_normal((self.N, prob.m))
         control = {
             "feedback": law,
-            "perturbed": rl.PerturbedFeedback(law, rl.ControlTable(v)),
+            "perturbed": rl.ControlTable(v, law),
             "table": rl.ControlTable(v),
         }[kind]
         n_paths, seed = 40, 21
@@ -346,7 +353,7 @@ def test_loop_table_block_maps_a_regime_state_to_its_closed_loop_terms(kind):
     v = 0.3 * derive_rng(26).standard_normal((N, prob.m))
     control = {
         "feedback": law,
-        "perturbed": rl.PerturbedFeedback(law, rl.ControlTable(v)),
+        "perturbed": rl.ControlTable(v, law),
         "table": rl.ControlTable(v),
     }[kind]
     M = _loop_table(prob, control, times).M
@@ -415,7 +422,7 @@ def kernel_instances(draw):
     law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 32))
     table = rl.ControlTable(mat(N, m))
     control = draw(st.sampled_from([
-        law, rl.PerturbedFeedback(law, table), table,
+        law, rl.ControlTable(table.values, law), table,
     ]))
     return prob, N, control
 
@@ -487,7 +494,7 @@ def test_diffusion_free_pass_draws_no_increments(make_problem):
     times2 = np.linspace(0.0, prob.T, 2 * N + 1)
     law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 2 * N))
     v = 0.3 * derive_rng(30).standard_normal((2 * N, prob.m))
-    perturbed = rl.PerturbedFeedback(law, rl.ControlTable(v))
+    perturbed = rl.ControlTable(v, law)
     rng = derive_rng(seed)
     regimes = sample_regimes_on_grid(prob.generator, prob.i0, times2, rng, n_paths)
     after_chain = rng.bit_generator.state
@@ -631,7 +638,7 @@ def test_live_block_pass_matches_full_table(blocks, record):
     times2 = np.linspace(0.0, prob.T, 2 * N + 1)
     law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 2 * N))
     v = 0.3 * derive_rng(33).standard_normal((2 * N, prob.m))
-    perturbed = rl.PerturbedFeedback(law, rl.ControlTable(v))
+    perturbed = rl.ControlTable(v, law)
     fine = _zeroed(_loop_table(prob, perturbed, times2), n, d, blocks)
     coarse = _zeroed(_loop_table(prob, law, times2[::2]), n, d, blocks)
     full = simulate._live_blocks(_loop_table(prob, perturbed, times2).M, n, d)
@@ -669,7 +676,7 @@ def test_two_regime_pattern_steps_only_the_affine_cost():
     times2 = np.linspace(0.0, prob.T, 2 * N + 1)
     law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 2 * N))
     v = 0.3 * derive_rng(36).standard_normal((2 * N, prob.m))
-    perturbed = _loop_table(prob, rl.PerturbedFeedback(law, rl.ControlTable(v)), times2)
+    perturbed = _loop_table(prob, rl.ControlTable(v, law), times2)
     feedback = _loop_table(prob, law, times2)
     assert simulate._live_blocks(feedback.M, n, d).M.size == 0
     live = simulate._live_blocks(perturbed.M, n, d)
@@ -742,7 +749,7 @@ def test_each_table_is_cut_once_per_run(monkeypatch):
     prob = multidim_two_segment()
     N, n_paths = 4, 2 * CHUNK_SIZE + 100  # three chunks
     law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 2 * N))
-    perturbed = rl.PerturbedFeedback(law, rl.ControlTable(0.1 * np.ones((N, prob.m))))
+    perturbed = rl.ControlTable(0.1 * np.ones((N, prob.m)), law)
     calls = _record_cuts(monkeypatch)
     mc_run(prob, law, n_paths, 3, N, control_b=perturbed)
     assert [keep_all for keep_all, *_ in calls] == [False, False]
@@ -793,9 +800,7 @@ def test_property_pass_gives_the_whole_table_bytes(seed, N, affine):
     times = np.linspace(0.0, prob.T, N + 1)
     control = rl.FeedbackLaw(prob, rl.solve_riccati(prob, N))
     if affine:
-        control = rl.PerturbedFeedback(
-            control, rl.ControlTable(derive_rng(40, N).standard_normal((N, prob.m)))
-        )
+        control = rl.ControlTable(derive_rng(40, N).standard_normal((N, prob.m)), control)
     table = _loop_table(prob, control, times)
     whole = _whole_table(table, prob.n)
     got = []
@@ -895,7 +900,7 @@ def test_narrow_regimes_step_like_int64_regimes(load):
     times = np.linspace(0.0, prob.T, N + 1)
     law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, N))
     v = 0.3 * derive_rng(24).standard_normal((N, prob.m))
-    variants = [(_loop_table(prob, rl.PerturbedFeedback(law, rl.ControlTable(v)), times), 1)]
+    variants = [(_loop_table(prob, rl.ControlTable(v, law), times), 1)]
     regimes = sample_regimes_on_grid(prob.generator, prob.i0, times, derive_rng(25), 300)
     assert regimes.dtype == np.int8
     narrow = _kernel_pass(prob, times, regimes, derive_rng(26), variants)[0]

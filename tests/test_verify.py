@@ -7,7 +7,12 @@ import pytest
 
 import regimelq as rl
 from regimelq.riccati import _hat_terms, stationarity_defect
-from regimelq.verify import STATIONARITY_RTOL, stationarity_check
+from regimelq.verify import (
+    PERTURBATION_DIRECTIONS,
+    PROBE_CONTROLS,
+    STATIONARITY_RTOL,
+    stationarity_check,
+)
 
 from canonical import (
     det_lqr,
@@ -268,7 +273,7 @@ class TestPerturbation:
     def test_canonicals_all_nonnegative(self):
         for seed, prob in ((109, scalar_analytic()), (110, two_regime_coupling())):
             grid = rl.solve_riccati(prob, 100)
-            check = rl.perturbation_test(prob, grid, 10, 5000, seed)
+            check = rl.perturbation_test(prob, grid, 5000, seed)
             assert check.passed
             deltas = np.array(check.details["deltas"])
             stderrs = np.array(check.details["stderrs"])
@@ -277,7 +282,7 @@ class TestPerturbation:
     def test_deterministic_problem_strictly_positive(self):
         prob = det_lqr()
         grid = rl.solve_riccati(prob, 100)
-        check = rl.perturbation_test(prob, grid, 6, 200, 111)
+        check = rl.perturbation_test(prob, grid, 200, 111)
         assert check.passed
         assert min(check.details["deltas"]) > 0.0
 
@@ -325,17 +330,17 @@ class TestConvexityProbe:
             coefficients=[[{"A": 0.3, "B": 0, "C": 0, "D": 0, "Q": 0, "S": 0, "R": 1.0}]],
             G=[[[0.0]]], x0=[1.0], i0=0,
         )
-        check = rl.convexity_probe(prob, 6, 500, 115, N=100)
+        check = rl.convexity_probe(prob, 500, 115, N=100)
         assert check.passed
         np.testing.assert_allclose(check.details["ratios"], 1.0, rtol=1e-12)
 
     def test_scalar_all_positive(self):
-        check = rl.convexity_probe(scalar_analytic(), 8, 2000, 116, N=100)
+        check = rl.convexity_probe(scalar_analytic(), 2000, 116, N=100)
         assert check.passed
         assert min(check.details["ratios"]) > 0.0
 
     def test_nonconvex_detected(self):
-        check = rl.convexity_probe(nonconvex(), 8, 5000, 117, N=100)
+        check = rl.convexity_probe(nonconvex(), 5000, 117, N=100)
         assert not check.passed
         assert check.statistic < 0.0
 
@@ -372,7 +377,7 @@ class TestMultiDimensional:
     def test_perturbation_and_stationarity(self):
         prob = self._problem()
         grid = rl.solve_riccati(prob, 100)
-        assert rl.perturbation_test(prob, grid, 6, 4000, 122).passed
+        assert rl.perturbation_test(prob, grid, 4000, 122).passed
         assert stationarity_check(prob, grid, 123).statistic <= 1e-12
 
 
@@ -405,6 +410,15 @@ class TestStandardChecks:
             "rhat_certificate", "value_identity", "stationarity",
             "perturbation_optimality", "lyapunov_identity", "convexity_probe",
         ]
+
+    def test_the_suite_fixes_the_family_sizes(self):
+        checks = rl.run_standard_checks(stochastic_scalar(), 50, 1000, 121)
+        by_name = {c.name: c.details for c in checks}
+        perturbation, probe = by_name["perturbation_optimality"], by_name["convexity_probe"]
+        assert perturbation["directions"] == PERTURBATION_DIRECTIONS
+        assert len(perturbation["deltas"]) == PERTURBATION_DIRECTIONS
+        assert probe["controls"] == PROBE_CONTROLS
+        assert len(probe["ratios"]) == PROBE_CONTROLS
 
     def test_nonconvex_reports_failed_solve_and_probe(self):
         checks = rl.run_standard_checks(nonconvex(), 100, 2000, 119)
