@@ -17,7 +17,8 @@ same bytes exactly when their digest lists are equal:
     diff a.txt b.txt
 
 The multidim problem is the benchmark's seeded n = 3, m = 2, 3-regime config
-(``bench/workloads.py``, seed 42); its report is written at ``--workers 1``
+(``bench/workloads.py``, seed 42).  Its report, and the report of the
+two-segment ``switching_diffusion`` config, are written at ``--workers 1``
 and ``--workers 2``, which must agree.
 """
 
@@ -51,6 +52,9 @@ def invocations(multidim: Path) -> list[tuple[str, list[str]]]:
         # two segments split at t = 0.5, with live C, D and S: reads each segment's coefficients
         ("verify-switching_diffusion",
          run("verify", cfg("switching_diffusion"), "100", "--paths", "5000")),
+        # 5000 paths are two chunks, so two lanes run them
+        ("verify-switching_diffusion-w2",
+         run("verify", cfg("switching_diffusion"), "100", "--paths", "5000", "--workers", "2")),
         ("bsde-random_coeff", run("bsde", cfg("random_coeff"), "100", "--paths", "30000")),
         ("bsde-random_coeff-degree2",
          run("bsde", cfg("random_coeff"), "40", "--paths", "20000", "--degree", "2")),

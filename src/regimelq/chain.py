@@ -163,35 +163,71 @@ def _jump_rounds(
 ):
     """Exact event rounds of ``n_paths`` chains started in ``i0`` at ``t0``.
 
-    Holding time in regime k is Exponential(-rates[k, k]); the next regime
-    is drawn from the embedded chain.  A regime with zero total rate is
-    absorbing.  All active paths advance one jump per round, so the per-path
-    work is a few vectorized draws.  Each round yields ``(paths, jump times,
-    regimes left, regimes entered)`` for the paths that jumped in (t0, T].
+    Holding time in regime k is Exponential(-rates[k, k]), a standard
+    exponential draw times the mean holding time 1 / -rates[k, k], which is
+    what ``rng.exponential`` draws.  The next regime is drawn from the
+    embedded chain by :func:`_next_regimes`.  A regime with zero total rate
+    is absorbing.  All active paths advance one jump per round, so the
+    per-path work is a few vectorized draws.  Each round yields ``(paths,
+    jump times, regimes left, regimes entered)`` for the paths that jumped
+    in (t0, T].
     """
     rates = gen.rates
     d = gen.size
     hold_rates = -np.diag(rates)
+    can_jump = hold_rates > 0.0
+    mean_hold = np.divide(1.0, hold_rates, out=np.zeros(d), where=can_jump)
     embedded = np.zeros((d, d))
-    for k_reg in np.flatnonzero(hold_rates > 0.0):
+    for k_reg in np.flatnonzero(can_jump):
         row = rates[k_reg].copy()
         row[k_reg] = 0.0
         embedded[k_reg] = row / hold_rates[k_reg]
-    cum = np.cumsum(embedded, axis=1)
+    cum_columns = np.cumsum(embedded, axis=1).T.copy()
 
     t = np.full(n_paths, float(t0))
     k = np.full(n_paths, int(i0), dtype=np.int64)
-    active = np.flatnonzero(hold_rates[k] > 0.0)
+    active = np.flatnonzero(can_jump[k])
     while active.size:
-        rate = hold_rates[k[active]]
-        t[active] = t[active] + rng.exponential(1.0 / rate)
+        t[active] = t[active] + rng.standard_exponential(active.size) * mean_hold[k[active]]
         still = active[t[active] <= T]
         if still.size:
-            u = rng.random(still.size)
-            nxt = (u[:, None] < cum[k[still]]).argmax(axis=1)
-            yield still, t[still], k[still], nxt
+            prev = k[still]
+            nxt = _next_regimes(cum_columns, prev, rng.random(still.size))
+            yield still, t[still], prev, nxt
             k[still] = nxt
-        active = still[hold_rates[k[still]] > 0.0]
+        active = still[can_jump[k[still]]]
+
+
+def _next_regimes(cum_columns: NDArray, prev: NDArray, u: NDArray) -> NDArray:
+    """The first l with u < cum[prev, l], or 0 where u >= cum[prev, -1].
+
+    ``cum_columns[l]`` is column l of the embedded chain's cumulative rows.
+    The answer counts the columns with cum[prev, l] <= u, one pass per
+    column; a u at or past the row's last entry gives 0, as the first-true
+    ``argmax`` of an all-false row does.
+    """
+    nxt = np.zeros(len(u), dtype=np.intp)
+    for column in cum_columns:
+        nxt += column[prev] <= u
+    nxt[nxt == len(cum_columns)] = 0
+    return nxt
+
+
+def _first_node_at_or_after(times: NDArray, t: NDArray, step: float) -> NDArray:
+    """``np.searchsorted(times, t, side="left")`` for ``t <= times[-1]``.
+
+    Each index is estimated from the grid step, then walked down while the
+    node before it is at or after t, and up while its own node is before t,
+    so it is exact on any increasing grid; on a uniform grid the estimate
+    is at most one node off.
+    """
+    last = len(times) - 1
+    i = np.minimum(np.ceil((t - times[0]) / step), last).astype(np.intp)
+    while (down := (i > 0) & (times[i - 1] >= t)).any():
+        i -= down
+    while (up := times[i] < t).any():
+        i += up
+    return i
 
 
 def sample_chain_paths(
@@ -256,8 +292,9 @@ def sample_regimes_on_grid(
     _check_sampler_args(gen, i0, times[0], times[-1], n_paths)
     change = mapped_zeros((len(times), n_paths), np.min_scalar_type(-gen.size))
     change[0] = i0
+    step = (times[-1] - times[0]) / (len(times) - 1)
     for still, t_jump, prev, nxt in _jump_rounds(gen, i0, times[0], times[-1], rng, n_paths):
-        change[np.searchsorted(times, t_jump, side="left"), still] += nxt - prev
+        change[_first_node_at_or_after(times, t_jump, step), still] += nxt - prev
     for i in range(1, len(times)):
         np.add(change[i], change[i - 1], out=change[i])
     return change.T

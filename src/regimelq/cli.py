@@ -211,6 +211,9 @@ def _cmd_simulate(args, cfg, meta, out: Path) -> int:
     problem = _parse(problem_from_config, cfg)
     grid = solve_riccati(problem, args.grid)
     law = FeedbackLaw(problem, grid)
+    dump_dir = out / "paths"
+    if args.dump_paths > 0:
+        _write(dump_dir)  # before the Monte Carlo run, so a bad dump path writes nothing
     est = mc_cost(problem, law, args.paths, seed, args.grid, workers=args.workers)
     payload = {
         "meta": meta,
@@ -221,8 +224,6 @@ def _cmd_simulate(args, cfg, meta, out: Path) -> int:
     }
     _write_json(out / "estimate.json", payload)
     if args.dump_paths > 0:
-        dump_dir = out / "paths"
-        _write(dump_dir)
         for j in range(min(args.dump_paths, args.paths)):
             path = simulate_closed_loop(problem, law, args.grid, derive_seed(seed, "dump", j))
             columns = (

@@ -29,6 +29,9 @@ step that straddles a breakpoint is taken as one RK4 sub-step per segment,
 each on its own segment's coefficients, so off-node breakpoints keep the
 solve fourth order; a breakpoint within ``ON_NODE_RTOL`` h of a node lies
 on that node.
+A sequence of problems with equal n, m, D, T, breakpoints and generator is
+solved as one integration with a leading problem axis, each member bitwise
+equal to its own solve; one problem is the batch of one.
 Uniform positivity of Rhat is monitored throughout; losing it signals a
 problem that is not uniformly convex and raises :class:`SingularRhat`
 instead of regularizing.  A coarse grid can lose it at a stage value or a
@@ -40,12 +43,13 @@ raises when G fails, or when the finest of those grids fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import RHAT_FLOOR, NonFiniteState, SingularRhat, ValidationError
+from .errors import RHAT_FLOOR, NonFiniteState, NumericalError, SingularRhat, ValidationError
 from .model import Coefficients, ProblemSpec
 
 MAX_REGRID_LEVELS = 4  # a failing solve is redone on 2N, ..., 2^MAX_REGRID_LEVELS N steps
@@ -77,13 +81,14 @@ def _guard_rhat(Rhat: NDArray, times) -> NDArray:
 
 
 def _rhs(P: NDArray, t: float, st: Coefficients, rates: NDArray) -> NDArray:
-    """Forward-time derivative dP/dt of the stacked system; symmetrized."""
+    """Forward-time dP/dt of a (D, n, n) system or a (K, D, n, n) batch; symmetrized."""
     PA = P @ st.A
     drift = PA + PA.swapaxes(-1, -2) + st.C.swapaxes(-1, -2) @ P @ st.C + st.Q
     Shat, Rhat = _hat_terms(P, st)
-    _guard_rhat(Rhat[None], [t])
+    members = Rhat.reshape((-1,) + Rhat.shape[-3:])
+    _guard_rhat(members, [t] * len(members))
     drift = drift - Shat.swapaxes(-1, -2) @ np.linalg.solve(Rhat, Shat)
-    dP = -(drift + np.einsum("kl,lij->kij", rates, P))
+    dP = -(drift + np.einsum("kl,...lij->...kij", rates, P))
     return 0.5 * (dP + dP.swapaxes(-1, -2))
 
 
@@ -119,36 +124,44 @@ def _rk4_step(P: NDArray, h: float, t1: float, st: Coefficients, rates) -> NDArr
     return P - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate_on_grid(problem: ProblemSpec, N: int):
-    """RK4 backward integration from P(T) = G on the uniform N-step grid.
+def _stacked(problems: list[ProblemSpec], t) -> Coefficients:
+    """The coefficients of every problem at ``t``, problem axis before the regime axis."""
+    per_problem = [p.coefficients_at(t) for p in problems]
+    return Coefficients(*(np.stack(arrays, axis=-4) for arrays in zip(*per_problem)))
 
-    Each step reads the coefficients at its midpoint.  A step with
-    breakpoints strictly inside it, farther than ``ON_NODE_RTOL`` h from
-    both its nodes, is taken as one sub-step per segment, each reading its
-    own segment at its own midpoint.  A failed Rhat guard raises
-    :class:`SingularRhat`; retrying is the caller's business.
+
+def _integrate_on_grid(problems: list[ProblemSpec], N: int):
+    """RK4 backward integration of a batch of problems of one shape from P(T) = G.
+
+    Returns the uniform N-step grid and P of shape (N+1, K, D, n, n), member
+    q of the batch at ``P[:, q]``.  Each step reads the coefficients at its
+    midpoint.  A step with breakpoints strictly inside it, farther than
+    ``ON_NODE_RTOL`` h from both its nodes, is taken as one sub-step per
+    segment, each reading its own segment at its own midpoint.  A failed
+    Rhat guard in any member raises :class:`SingularRhat`; retrying is the
+    caller's business.
     """
     if N < 2:
         raise ValidationError("need at least N=2 grid steps")
-    T = problem.T
-    h = T / N
-    times = np.linspace(0.0, T, N + 1)
+    first = problems[0]
+    h = first.T / N
+    times = np.linspace(0.0, first.T, N + 1)
     # midpoints, because segment_index is right-continuous at a breakpoint node
-    steps = problem.coefficients_at(times[1:] - 0.5 * h)
-    rates = problem.generator.rates
-    cuts = problem.breakpoints[1:-1]
+    steps = _stacked(problems, times[1:] - 0.5 * h)
+    rates = first.generator.rates
+    cuts = first.breakpoints[1:-1]
     owner = np.searchsorted(times, cuts)  # step i runs from times[i - 1] to times[i]
     inside = np.minimum(cuts - times[owner - 1], times[owner] - cuts) > ON_NODE_RTOL * h
     split = {i: cuts[inside & (owner == i)] for i in owner[inside]}
 
-    P = np.empty((N + 1, problem.num_regimes, problem.n, problem.n))
-    P[N] = problem.G
+    P = np.empty((N + 1, len(problems), first.num_regimes, first.n, first.n))
+    P[N] = [p.G for p in problems]
     for i in range(N, 0, -1):
         if i in split:
             edges = [times[i], *split[i][::-1], times[i - 1]]
             X = P[i]
             for t1, t0 in zip(edges, edges[1:]):
-                st = problem.coefficients_at(0.5 * (t0 + t1))
+                st = _stacked(problems, 0.5 * (t0 + t1))
                 X = _rk4_step(X, t1 - t0, t1, st, rates)
             P[i - 1] = X
         else:
@@ -159,7 +172,49 @@ def _integrate_on_grid(problem: ProblemSpec, N: int):
     return times, P
 
 
-def solve_riccati(problem: ProblemSpec, N: int) -> RiccatiGrid:
+def _solve(problems: list[ProblemSpec], N: int, levels) -> list[RiccatiGrid]:
+    """One batched solve per regrid level in ``levels``; the first that passes.
+
+    Node gains are taken member by member.  A level fails when any member
+    fails the guard anywhere; the last failure is raised.
+    """
+    for level in levels:
+        try:
+            times, P = _integrate_on_grid(problems, N * 2**level)
+            times, P = times[:: 2**level], P[:: 2**level]
+            grids = []
+            for q, problem in enumerate(problems):
+                Pq = np.ascontiguousarray(P[:, q])
+                Theta, rhat_min = _node_gain(Pq, problem.coefficients_at(times), times)
+                grids.append(RiccatiGrid(times=times, P=Pq, Theta=Theta, rhat_min_eig=rhat_min))
+        except SingularRhat as exc:
+            failure = exc
+        else:
+            return grids
+    raise failure
+
+
+def _check_one_shape(problems: list[ProblemSpec]) -> None:
+    """Reject a batch whose members differ in n, m, D, T, breakpoints or generator.
+
+    A step split at one member's breakpoint would change another member's
+    bytes, and the coupling term reads one generator.
+    """
+    if not problems:
+        raise ValidationError("need at least one problem to solve")
+    first = problems[0]
+    for p in problems[1:]:
+        if (
+            (p.n, p.m, p.num_regimes, p.T) != (first.n, first.m, first.num_regimes, first.T)
+            or not np.array_equal(p.breakpoints, first.breakpoints)
+            or not np.array_equal(p.generator.rates, first.generator.rates)
+        ):
+            raise ValidationError(
+                "a batched Riccati solve needs equal n, m, regimes, T, breakpoints and generator"
+            )
+
+
+def solve_riccati(problem: ProblemSpec | Sequence[ProblemSpec], N: int):
     """Solve the coupled Riccati system backward from P(T, k) = G_k.
 
     Fixed-step RK4 with N steps; feedback gains and Rhat spectra recorded at
@@ -169,17 +224,22 @@ def solve_riccati(problem: ProblemSpec, N: int) -> RiccatiGrid:
     the solve at 2^j N.  Raises :class:`SingularRhat` when the finest grid
     fails too, or :class:`NonFiniteState`, reporting the failing node and
     regime.
+
+    Given a sequence of problems of one shape (:func:`_check_one_shape`),
+    returns one :class:`RiccatiGrid` per problem from one integration with
+    a leading problem axis, each bitwise equal to its own solve.  When the
+    batch fails in any way, each problem is solved on its own instead, so a
+    member regrids, or raises what it raises alone, the first failing
+    member's error winning.
     """
-    for level in range(MAX_REGRID_LEVELS + 1):
-        try:
-            times, P = _integrate_on_grid(problem, N * 2**level)
-            times, P = times[:: 2**level], P[:: 2**level]
-            Theta, rhat_min = _node_gain(P, problem.coefficients_at(times), times)
-        except SingularRhat as exc:
-            failure = exc
-        else:
-            return RiccatiGrid(times=times, P=P, Theta=Theta, rhat_min_eig=rhat_min)
-    raise failure
+    if isinstance(problem, ProblemSpec):
+        return _solve([problem], N, range(MAX_REGRID_LEVELS + 1))[0]
+    problems = list(problem)
+    _check_one_shape(problems)
+    try:
+        return _solve(problems, N, [0])
+    except (NumericalError, ArithmeticError, np.linalg.LinAlgError):
+        return [_solve([p], N, range(MAX_REGRID_LEVELS + 1))[0] for p in problems]
 
 
 @dataclass(frozen=True)
@@ -195,6 +255,8 @@ class FeedbackLaw:
 
     problem: ProblemSpec
     grid: RiccatiGrid
+    # gain tables by the bytes of their times, so every control on this law shares one
+    _gains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def interpolated_P(self, t) -> NDArray:
         """P at time t, shape (D, n, n); an array of times adds leading axes."""
@@ -213,9 +275,18 @@ class FeedbackLaw:
         return Theta[0, k]
 
     def gains_at_times(self, times) -> NDArray:
-        """Stacked gains (len(times), D, m, n) for all regimes, one batched solve."""
-        P = self.interpolated_P(times)
-        return _node_gain(P, self.problem.coefficients_at(times), times)[0]
+        """Stacked gains (len(times), D, m, n) for all regimes, one batched solve.
+
+        Solved once per distinct times array; the table is read-only.
+        """
+        times = np.asarray(times, dtype=np.float64)
+        key = (times.shape, times.tobytes())
+        if key not in self._gains:
+            P = self.interpolated_P(times)
+            gains = _node_gain(P, self.problem.coefficients_at(times), times)[0]
+            gains.flags.writeable = False
+            self._gains[key] = gains
+        return self._gains[key]
 
 
 def rhat_certificate(grid: RiccatiGrid) -> float:

@@ -337,11 +337,18 @@ def run_standard_checks(
 
     A Riccati solve failure is itself reported as a failed ``sre_solve``
     check (correct detection of a non-convex instance) and the convexity
-    probe still runs; every other check needs the solved grid.
+    probe still runs; every other check needs the solved grid.  The Riccati
+    and Lyapunov systems are solved as one batch; when it fails, they are
+    solved one at a time, in the suite's order, so a Lyapunov failure still
+    propagates instead of failing ``sre_solve``.
     """
     probe_paths = min(n_paths, MAX_PROBE_PATHS)
     try:
-        grid = solve_riccati(problem, N)
+        pair = solve_riccati([problem, without_control(problem)], N)
+    except NumericalError:
+        pair = None  # each is solved again below, where it fails as it fails alone
+    try:
+        grid = solve_riccati(problem, N) if pair is None else pair[0]
     except NumericalError as exc:
         checks = [
             CheckResult.exact(
@@ -364,7 +371,7 @@ def run_standard_checks(
                 problem, grid, probe_paths, derive_seed(seed, "pert"), workers
             ),
             lyapunov_identity_check(
-                problem, lyapunov_solve(problem, N), n_paths,
+                problem, lyapunov_solve(problem, N) if pair is None else pair[1], n_paths,
                 derive_seed(seed, "lyap"), workers,
             ),
         ]

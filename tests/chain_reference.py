@@ -1,4 +1,4 @@
-"""Compensated counting-process statistics of sampled chain paths, for the tests.
+"""Chain references for the tests: compensated counts and the plain grid sampler.
 
 For each ordered pair (k, l) the compensated count
 
@@ -7,6 +7,13 @@ For each ordered pair (k, l) the compensated count
 is a martingale evaluated at T; :func:`martingale_residual` estimates its
 mean across ``regimelq.chain.sample_chain_paths`` paths, which the chain
 tests compare against zero.
+
+:func:`reference_jump_rounds` is ``regimelq.chain._jump_rounds`` written the
+plain way: ``rng.exponential`` holding times and the next regime by a
+compare-and-``argmax`` over the embedded chain's cumulative row.
+:func:`reference_regimes_on_grid` places its jumps on the grid by
+``searchsorted``.  ``regimelq.chain.sample_regimes_on_grid`` must draw the
+same numbers and return the same array.
 """
 
 from dataclasses import dataclass
@@ -70,3 +77,45 @@ def martingale_residual(
     else:
         stderr = np.full((d, d), np.nan)
     return MartingaleResidual(mean=mean, stderr=stderr, stderr_qv=stderr_qv, n=n)
+
+
+def reference_jump_rounds(
+    gen: GeneratorMatrix, i0: int, t0: float, T: float, rng: np.random.Generator, n_paths: int
+):
+    """The event rounds of ``regimelq.chain._jump_rounds``, drawn the plain way."""
+    rates = gen.rates
+    d = gen.size
+    hold_rates = -np.diag(rates)
+    embedded = np.zeros((d, d))
+    for k_reg in np.flatnonzero(hold_rates > 0.0):
+        row = rates[k_reg].copy()
+        row[k_reg] = 0.0
+        embedded[k_reg] = row / hold_rates[k_reg]
+    cum = np.cumsum(embedded, axis=1)
+
+    t = np.full(n_paths, float(t0))
+    k = np.full(n_paths, int(i0), dtype=np.int64)
+    active = np.flatnonzero(hold_rates[k] > 0.0)
+    while active.size:
+        rate = hold_rates[k[active]]
+        t[active] = t[active] + rng.exponential(1.0 / rate)
+        still = active[t[active] <= T]
+        if still.size:
+            u = rng.random(still.size)
+            nxt = (u[:, None] < cum[k[still]]).argmax(axis=1)
+            yield still, t[still], k[still], nxt
+            k[still] = nxt
+        active = still[hold_rates[k[still]] > 0.0]
+
+
+def reference_regimes_on_grid(
+    gen: GeneratorMatrix, i0: int, times, rng: np.random.Generator, n_paths: int
+) -> NDArray[np.int64]:
+    """``(n_paths, len(times))`` right-continuous regimes of exact chains on ``times``."""
+    change = np.zeros((len(times), n_paths), dtype=np.int64)
+    change[0] = i0
+    for still, t_jump, prev, nxt in reference_jump_rounds(
+        gen, i0, times[0], times[-1], rng, n_paths
+    ):
+        change[np.searchsorted(times, t_jump, side="left"), still] += nxt - prev
+    return np.cumsum(change, axis=0).T

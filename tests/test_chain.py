@@ -8,11 +8,20 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 import regimelq as rl
-from regimelq.chain import expm, sample_regimes_on_grid
+from regimelq.chain import (
+    _first_node_at_or_after,
+    _next_regimes,
+    expm,
+    sample_regimes_on_grid,
+)
 from regimelq.errors import DimensionMismatch, EmptySample, NegativeOffDiagonal, ValidationError
 from regimelq.streams import derive_rng, derive_seed
 
-from chain_reference import martingale_residual
+from chain_reference import (
+    martingale_residual,
+    reference_jump_rounds,
+    reference_regimes_on_grid,
+)
 
 
 class TestValidateGenerator:
@@ -235,6 +244,88 @@ def test_grid_regimes_take_the_smallest_signed_type(d, dtype):
 
 
 EPS = np.finfo(np.float64).eps
+
+
+@st.composite
+def sampler_instances(draw):
+    """A generator, a start, a grid and a stream for the grid sampler.
+
+    D = 1..6 with rates from 1e-3 to 1e3, some rates zero and some rows
+    absorbing.  The grid is uniform, randomly spaced, or a uniform grid with
+    nodes put exactly on drawn jump times or one ulp either side of them,
+    which are known before the grid because the draws depend on the grid's
+    end points only.
+    """
+    d = draw(st.integers(min_value=1, max_value=6))
+    exponents = np.array(draw(st.lists(
+        st.floats(min_value=-3.0, max_value=3.0), min_size=d * d, max_size=d * d
+    ))).reshape(d, d)
+    live = np.array(draw(st.lists(st.booleans(), min_size=d * d, max_size=d * d)))
+    raw = np.where(live.reshape(d, d), 10.0**exponents, 0.0)
+    raw[np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))] = 0.0
+    np.fill_diagonal(raw, 0.0)
+    np.fill_diagonal(raw, -raw.sum(axis=1))
+    gen = rl.validate_generator(raw)
+    i0 = draw(st.integers(min_value=0, max_value=d - 1))
+    t0 = draw(st.sampled_from([0.0, 0.3]))
+    T = t0 + draw(st.floats(min_value=0.05, max_value=2.0))
+    N = draw(st.integers(min_value=1, max_value=40))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    n_paths = draw(st.integers(min_value=1, max_value=30))
+    times = np.linspace(t0, T, N + 1)
+    kind = draw(st.sampled_from(["uniform", "spaced", "on-jump", "ulp-below", "ulp-above"]))
+    if kind == "spaced":
+        weights = 10.0 ** np.random.default_rng(seed).uniform(-2.0, 1.0, N)
+        inner = t0 + (T - t0) * np.cumsum(weights)[:-1] / weights.sum()
+        times = np.unique(np.concatenate([[t0, T], np.clip(inner, t0, T)]))
+    elif kind != "uniform":
+        rounds = reference_jump_rounds(gen, i0, t0, T, np.random.default_rng(seed), n_paths)
+        jumps = np.concatenate([t_jump for _, t_jump, _, _ in rounds] or [np.empty(0)])
+        picked = jumps[: draw(st.integers(min_value=1, max_value=5))]
+        if kind != "on-jump":
+            picked = np.nextafter(picked, -np.inf if kind == "ulp-below" else np.inf)
+        times = np.unique(np.concatenate([times, picked[(picked > t0) & (picked < T)]]))
+    return gen, i0, times, seed, n_paths
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sampler_instances())
+def test_property_grid_sampler_matches_plain_reference(instance):
+    # holding times as scaled standard exponentials, the next regime by
+    # counting columns and the jump node walked from an estimate draw what
+    # rng.exponential, argmax and searchsorted draw, and leave the stream
+    # where they leave it
+    gen, i0, times, seed, n_paths = instance
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_regimes_on_grid(gen, i0, times, rng, n_paths)
+    np.testing.assert_array_equal(got, reference_regimes_on_grid(gen, i0, times, ref_rng, n_paths))
+    assert rng.random() == ref_rng.random()
+    # every node, and each node's neighbours one ulp away, that lies in the grid's span
+    probes = np.concatenate([times, np.nextafter(times, -np.inf), np.nextafter(times, np.inf)])
+    probes = probes[(probes >= times[0]) & (probes <= times[-1])]
+    step = (times[-1] - times[0]) / (len(times) - 1)
+    np.testing.assert_array_equal(
+        _first_node_at_or_after(times, probes, step), np.searchsorted(times, probes, side="left")
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
+def test_property_next_regime_count_equals_first_true_argmax(d, seed):
+    # u on a row's entries, just below and past its last entry, and rows
+    # that sum to one ulp short of 1, where argmax of an all-false row gives 0
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(rng.dirichlet(np.ones(d), size=d) * rng.integers(0, 2, (d, d)), axis=1)
+    cum[:, -1] = rng.choice([1.0, np.nextafter(1.0, 0.0), cum[:, -1].min()], size=d)
+    cum = np.maximum.accumulate(cum, axis=1)
+    prev = rng.integers(0, d, 200)
+    u = np.concatenate([
+        rng.random(50), cum[prev[50:100], rng.integers(0, d, 50)],
+        np.nextafter(cum[prev[100:150], -1], 0.0), cum[prev[150:], -1],
+    ])
+    np.testing.assert_array_equal(
+        _next_regimes(cum.T.copy(), prev, u), (u[:, None] < cum[prev]).argmax(axis=1)
+    )
 
 
 def _random_generator(rng, d):

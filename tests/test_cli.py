@@ -251,6 +251,7 @@ class TestExitCodes:
         payload = json.loads(err)
         assert payload["error"] == "ValidationError"
         assert str(tmp_path) in payload["message"]
+        assert not (tmp_path / "estimate.json").exists()
 
     @pytest.mark.parametrize(
         "command, config, error",

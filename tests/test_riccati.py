@@ -1,5 +1,7 @@
 """Riccati module: RHS algebra, backward solve, feedback law, certificates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from scipy.integrate import solve_ivp
 import regimelq as rl
 from regimelq.errors import SingularRhat, ValidationError
 from regimelq import riccati
+from regimelq.model import without_control
 from regimelq.riccati import RHAT_FLOOR, _guard_rhat, stationarity_defect
 
 from canonical import (
@@ -507,3 +510,83 @@ def test_property_solve_agrees_with_dop853_reference(instance):
     grid = rl.solve_riccati(prob, 48 * N)
     ref = _dop853_reference(prob, grid.times)
     assert np.max(np.abs(grid.P - ref)) <= 1e-7 * (1.0 + np.max(np.abs(ref)))
+
+
+def _with_breakpoint(prob: rl.ProblemSpec, s: float) -> rl.ProblemSpec:
+    """``prob`` on [0, s), and after s the same cells with A negated and Q doubled."""
+    second = prob.coefficients.copy()
+    second["A"] *= -1.0
+    second["Q"] *= 2.0
+    table = np.concatenate([prob.coefficients, second]).view(np.recarray)
+    table.flags.writeable = False
+    return dataclasses.replace(prob, breakpoints=np.array([0.0, s, prob.T]), coefficients=table)
+
+
+def _assert_each_solves_alone(problems, N):
+    batch = rl.solve_riccati(problems, N)
+    assert len(batch) == len(problems)
+    for prob, grid in zip(problems, batch):
+        alone = rl.solve_riccati(prob, N)
+        for field in ("times", "P", "Theta", "rhat_min_eig"):
+            assert getattr(grid, field).tobytes() == getattr(alone, field).tobytes(), field
+    return batch
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=2, max_value=12),
+    st.data(),
+)
+def test_property_batch_members_equal_their_own_solves(seed, N, data):
+    # one integration with a leading problem axis, a step split at the shared
+    # off-node breakpoint included, moves no bit of any member
+    j = data.draw(st.integers(min_value=0, max_value=N - 1))
+    s = (j + data.draw(st.floats(min_value=0.05, max_value=0.95))) / N
+    prob = _with_breakpoint(random_convex(seed), s)
+    scaled = prob.coefficients.copy()
+    scaled["R"] *= 3.0
+    scaled.flags.writeable = False
+    _assert_each_solves_alone(
+        [prob, without_control(prob), dataclasses.replace(prob, coefficients=scaled)], N
+    )
+
+
+def test_batch_member_that_regrids_equals_its_own_solve():
+    # random_convex(7) fails the guard at N = 2 and is solved at N = 4, while
+    # its Lyapunov system solves at N = 2
+    prob = random_convex(7)
+    grid, lyap = _assert_each_solves_alone([prob, without_control(prob)], 2)
+    np.testing.assert_array_equal(grid.P, rl.solve_riccati(prob, 4).P[::2])
+    assert lyap.P.tobytes() == rl.lyapunov_solve(prob, 2).P.tobytes()
+
+
+@pytest.mark.parametrize("failing_first", [True, False])
+def test_batch_member_that_fails_raises_its_own_error(failing_first):
+    prob = nonconvex()
+    with pytest.raises(SingularRhat) as alone:
+        rl.solve_riccati(prob, 200)
+    problems = [prob, without_control(prob)]
+    with pytest.raises(SingularRhat) as batched:
+        rl.solve_riccati(problems if failing_first else problems[::-1], 200)
+    assert str(batched.value) == str(alone.value)
+
+
+def test_batch_rejects_problems_of_different_shapes():
+    with pytest.raises(ValidationError, match="batched"):
+        rl.solve_riccati([scalar_analytic(), two_regime_coupling()], 10)
+    prob = random_convex(3)
+    with pytest.raises(ValidationError, match="batched"):
+        rl.solve_riccati([prob, _with_breakpoint(prob, 0.5)], 10)
+    with pytest.raises(ValidationError, match="at least one"):
+        rl.solve_riccati([], 10)
+
+
+def test_gain_table_is_solved_once_per_grid_and_read_only():
+    prob = two_regime_coupling()
+    law = rl.FeedbackLaw(prob, rl.solve_riccati(prob, 10))
+    times = np.linspace(0.0, 1.0, 11)[:-1]
+    table = law.gains_at_times(times)
+    assert law.gains_at_times(times.copy()) is table
+    assert law.gains_at_times(times[:-1]) is not table
+    assert not table.flags.writeable

@@ -1,11 +1,14 @@
 """Verify module: Lyapunov solve, identities, perturbation and convexity probes."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 import regimelq as rl
+from regimelq.cli import main
+from regimelq.errors import NonFiniteState
 from regimelq.riccati import _hat_terms, stationarity_defect
 from regimelq.verify import (
     PERTURBATION_DIRECTIONS,
@@ -426,9 +429,27 @@ class TestStandardChecks:
         assert not by_name["sre_solve"].passed
         assert not by_name["convexity_probe"].passed
 
-    def test_json_payload_roundtrip(self):
-        import json
+    def test_non_finite_lyapunov_solve_propagates(self, tmp_path, capsys):
+        # A = 400 under the feedback of B = R = 1 keeps P near 800, while the
+        # zero control's P grows like exp(800 (T - t)) and overflows at N = 300:
+        # the Riccati system solves, so the failure is the Lyapunov system's,
+        # and it is not reported as a failed sre_solve
+        prob = rl.make_problem(
+            n=1, m=1, T=1.0, generator=[[0.0]],
+            coefficients=[[{"A": 400.0, "B": 1.0, "C": 0, "D": 0, "Q": 1.0, "S": 0, "R": 1.0}]],
+            G=[[[0.0]]], x0=[1.0], i0=0,
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
+            rl.run_standard_checks(prob, 300, 100, 122)
+        # the CLI raises on overflow: a numerical failure, exit 2
+        config = tmp_path / "unstable.json"
+        config.write_text(json.dumps(problem_to_config(prob)))
+        rc = main(["verify", "--config", str(config), "--grid", "300", "--paths", "100",
+                   "--seed", "1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "FloatingPointError"
 
+    def test_json_payload_roundtrip(self):
         checks = rl.run_standard_checks(stochastic_scalar(), 50, 1000, 120)
         payload = [c.to_json_dict() for c in checks]
         assert json.loads(json.dumps(payload)) == payload
