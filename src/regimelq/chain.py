@@ -184,18 +184,19 @@ def _jump_rounds(
         embedded[k_reg] = row / hold_rates[k_reg]
     cum_columns = np.cumsum(embedded, axis=1).T.copy()
 
-    t = np.full(n_paths, float(t0))
-    k = np.full(n_paths, int(i0), dtype=np.int64)
-    active = np.flatnonzero(can_jump[k])
+    # the active paths with their last jump times and regimes, kept compact
+    active = np.arange(n_paths if can_jump[i0] else 0)
+    t = np.full(active.size, float(t0))
+    k = np.full(active.size, int(i0), dtype=np.int64)
     while active.size:
-        t[active] = t[active] + rng.standard_exponential(active.size) * mean_hold[k[active]]
-        still = active[t[active] <= T]
-        if still.size:
-            prev = k[still]
-            nxt = _next_regimes(cum_columns, prev, rng.random(still.size))
-            yield still, t[still], prev, nxt
-            k[still] = nxt
-        active = still[can_jump[k[still]]]
+        t = t + rng.standard_exponential(active.size) * mean_hold[k]
+        inside = t <= T
+        active, t, prev = active[inside], t[inside], k[inside]
+        if active.size:
+            nxt = _next_regimes(cum_columns, prev, rng.random(active.size))
+            yield active, t, prev, nxt
+            keep = can_jump[nxt]
+            active, t, k = active[keep], t[keep], nxt[keep]
 
 
 def _next_regimes(cum_columns: NDArray, prev: NDArray, u: NDArray) -> NDArray:
@@ -293,8 +294,9 @@ def sample_regimes_on_grid(
     change = mapped_zeros((len(times), n_paths), np.min_scalar_type(-gen.size))
     change[0] = i0
     step = (times[-1] - times[0]) / (len(times) - 1)
+    flat = change.reshape(-1)  # a view: one index array scatters faster than two
     for still, t_jump, prev, nxt in _jump_rounds(gen, i0, times[0], times[-1], rng, n_paths):
-        change[_first_node_at_or_after(times, t_jump, step), still] += nxt - prev
+        flat[_first_node_at_or_after(times, t_jump, step) * n_paths + still] += nxt - prev
     for i in range(1, len(times)):
         np.add(change[i], change[i - 1], out=change[i])
     return change.T
